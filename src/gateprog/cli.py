@@ -23,6 +23,7 @@ from .reporting import (
     protocol_report,
     report_to_dict,
     reports_to_csv,
+    round_floats,
     sweep,
     sweep_to_dict,
     write_text_atomic,
@@ -190,16 +191,6 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _round_floats(value):
-    if isinstance(value, float):
-        return float(format_float(value))
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
-    return value
-
-
 def _cmd_bounds(config: RunConfig) -> tuple[dict, int]:
     _require(config, "d", "eps")
     report = bounds_mod.bound_report(config.d, config.eps, config.delta, config.K)
@@ -216,7 +207,7 @@ def _cmd_bounds(config: RunConfig) -> tuple[dict, int]:
         "table1": {label: bits for label, bits in report.table1},
         "vacuous_flags": report.vacuous_flags,
     }
-    return _round_floats(payload), 0
+    return round_floats(payload), 0
 
 
 def _cmd_protocol(config: RunConfig) -> tuple[dict, int]:
@@ -230,7 +221,7 @@ def _cmd_protocol(config: RunConfig) -> tuple[dict, int]:
 
 def _cmd_sweep(config: RunConfig) -> tuple[dict, int]:
     _require(config, "d", "n_min", "n_max")
-    step = config.n_step or 1
+    step = 1 if config.n_step is None else config.n_step
     if step < 1:
         raise CliError(f"n-step must be positive, got {step}")
     n_values = list(range(config.n_min, config.n_max + 1, step))
@@ -251,7 +242,7 @@ def _cmd_phase(config: RunConfig) -> tuple[dict, int]:
         "choi_infidelity": report.choi_infidelity,
         "asymptote_ratio": report.asymptote_ratio,
     }
-    return _round_floats(payload), 0
+    return round_floats(payload), 0
 
 
 def _cmd_table1(config: RunConfig) -> tuple[dict, int]:
@@ -267,7 +258,7 @@ def _cmd_table1(config: RunConfig) -> tuple[dict, int]:
             config.d, config.eps, simplified=True
         ),
     }
-    return _round_floats(payload), 0
+    return round_floats(payload), 0
 
 
 def _cmd_verify(config: RunConfig) -> tuple[dict, int]:

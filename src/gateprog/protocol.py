@@ -72,9 +72,9 @@ def flat_diagram(n0: int, d: int) -> YoungDiagram:
 class DiagramSet:
     """The viable lattice: N^(d-1) strictly-decreasing diagrams of n boxes.
 
-    ``members[k]`` corresponds to ``coords[k]``, the lattice coordinate tuple
-    in {0..N-1}^(d-1).  Ordering is row-major with the first coordinate most
-    significant, so ``index_of`` is plain mixed-radix arithmetic.
+    Members are in row-major order of their lattice coordinates in
+    {0..N-1}^(d-1), the first coordinate most significant; ``ScoreMatrix.matvec``
+    relies on this when it reshapes a vector over the members to (N,)*(d-1).
     """
 
     d: int
@@ -83,20 +83,9 @@ class DiagramSet:
     n0: int
     mu0: YoungDiagram
     members: tuple[YoungDiagram, ...]
-    coords: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def index_of(self, coord: tuple[int, ...]) -> int:
-        if len(coord) != self.d - 1:
-            raise ValueError(f"coordinate needs {self.d - 1} entries, got {len(coord)}")
-        idx = 0
-        for c in coord:
-            if not 0 <= c < self.N:
-                raise ValueError(f"coordinate {coord} outside the {self.N}-wide lattice")
-            idx = idx * self.N + c
-        return idx
 
     def same_as(self, other: "DiagramSet") -> bool:
         return self is other or (
@@ -122,7 +111,6 @@ def viable_set(n: int, d: int) -> DiagramSet:
     )
 
     members: list[YoungDiagram] = []
-    coords: list[tuple[int, ...]] = []
     for t in product(range(big_n), repeat=d - 1):
         head = tuple(base[i] + t[i] for i in range(d - 1))
         last = n - sum(head)
@@ -132,12 +120,8 @@ def viable_set(n: int, d: int) -> DiagramSet:
                 f"internal consistency error: lattice point {t} yields rows {rows}"
             )
         members.append(YoungDiagram(rows))
-        coords.append(t)
 
-    return DiagramSet(
-        d=d, n=n, N=big_n, n0=n0, mu0=mu0,
-        members=tuple(members), coords=tuple(coords),
-    )
+    return DiagramSet(d=d, n=n, N=big_n, n0=n0, mu0=mu0, members=tuple(members))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,13 +159,8 @@ def sine_profile(big_n: int) -> list[float]:
 def sine_weights(diagram_set: DiagramSet) -> WeightVector:
     """Product of the 1-D sine profile over the lattice coordinates."""
     g = sine_profile(diagram_set.N)
-    probs = []
-    for t in diagram_set.coords:
-        p = 1.0
-        for c in t:
-            p *= g[c]
-        probs.append(p)
-    return WeightVector(diagram_set=diagram_set, probabilities=tuple(probs))
+    probs = tuple(math.prod(c) for c in product(g, repeat=diagram_set.d - 1))
+    return WeightVector(diagram_set=diagram_set, probabilities=probs)
 
 
 def epsilon_g(big_n: int) -> float:

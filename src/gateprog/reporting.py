@@ -134,8 +134,15 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float:
-    return float(format_float(x))
+def round_floats(value):
+    """Every float in value, through nested dicts, lists and tuples, at 12 digits."""
+    if isinstance(value, float):
+        return float(format_float(value))
+    if isinstance(value, dict):
+        return {k: round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round_floats(v) for v in value]
+    return value
 
 
 REPORT_FIELDS = (
@@ -153,15 +160,8 @@ CSV_COLUMNS = REPORT_FIELDS + tuple(f"pass_{k}" for k in PASS_FLAG_FIELDS)
 
 def report_to_dict(report: ProtocolReport) -> dict:
     """Stable-key mapping; exact dimension as a decimal string, floats at 12 digits."""
-    out: dict = {}
-    for key in REPORT_FIELDS:
-        value = getattr(report, key)
-        if key == "dP_exact":
-            out[key] = str(value)
-        elif isinstance(value, float):
-            out[key] = _round12(value)
-        else:
-            out[key] = value
+    out = {key: round_floats(getattr(report, key)) for key in REPORT_FIELDS}
+    out["dP_exact"] = str(report.dP_exact)
     out["pass_flags"] = {k: report.pass_flags[k] for k in PASS_FLAG_FIELDS}
     return out
 
@@ -169,8 +169,8 @@ def report_to_dict(report: ProtocolReport) -> dict:
 def sweep_to_dict(result: SweepResult) -> dict:
     return {
         "reports": [report_to_dict(r) for r in result.reports],
-        "slope": _round12(result.slope),
-        "residual": _round12(result.residual),
+        "slope": round_floats(result.slope),
+        "residual": round_floats(result.residual),
     }
 
 

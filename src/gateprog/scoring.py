@@ -9,8 +9,10 @@ eigenvalue of S divided by d^2.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -22,88 +24,57 @@ class ConvergenceError(RuntimeError):
     """The eigensolver failed to reach the requested residual."""
 
 
+@functools.cache
+def _stencil_slices(d: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    """(target, source) slice pairs on the (N,)*(d-1) box, one per move +/-e_i or
+    +/-(e_i - e_j), in lexicographic order of the move, i.e. ascending flat offset.
+    """
+    shift = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
+             0: (slice(None), slice(None))}
+    return tuple(
+        tuple(zip(*(shift[m] for m in move)))
+        for move in product((-1, 0, 1), repeat=d - 1)
+        if sorted(m for m in move if m) in ([-1], [1], [-1, 1])
+    )
+
+
 @dataclass(eq=False)
 class ScoreMatrix:
-    """Sparse symmetric score matrix stored as per-row adjacency lists."""
+    """Sparse symmetric score matrix, applied as a stencil on the (N,)*(d-1) lattice box."""
 
     diagram_set: DiagramSet
-    neighbors: tuple[tuple[int, ...], ...]
-    _gather: np.ndarray = field(init=False, repr=False)
-    _mask: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        dim = len(self.neighbors)
-        degree = max((len(row) for row in self.neighbors), default=0)
-        gather = np.zeros((dim, max(degree, 1)), dtype=np.intp)
-        mask = np.zeros((dim, max(degree, 1)))
-        for i, row in enumerate(self.neighbors):
-            gather[i, : len(row)] = row
-            mask[i, : len(row)] = 1.0
-        self._gather = gather
-        self._mask = mask
 
     @property
     def dimension(self) -> int:
-        return len(self.neighbors)
-
-    @property
-    def diagonal(self) -> int:
-        return self.diagram_set.d
-
-    def entry(self, i: int, j: int) -> int:
-        if i == j:
-            return self.diagram_set.d
-        return 1 if j in self.neighbors[i] else 0
+        return len(self.diagram_set)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        # fixed gather order per row keeps results independent of threading
-        return self.diagram_set.d * v + (v[self._gather] * self._mask).sum(axis=1)
+        d, big_n = self.diagram_set.d, self.diagram_set.N
+        x = v.reshape((big_n,) * (d - 1))
+        neighbours = np.zeros(x.shape)
+        # adding neighbours in ascending index order and the diagonal last gives, for
+        # d <= 3, the same float sums as a gather over sorted adjacency rows
+        for target, source in _stencil_slices(d):
+            neighbours[target] += x[source]
+        return (d * x + neighbours).reshape(-1)
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.dimension, self.dimension))
-        np.fill_diagonal(out, float(self.diagram_set.d))
-        for i, row in enumerate(self.neighbors):
-            for j in row:
-                out[i, j] = 1.0
-        return out
+        return np.column_stack([self.matvec(col) for col in np.eye(self.dimension)])
 
 
 def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:
-    """Build the score matrix from lattice adjacency (unit and exchange moves)."""
-    d, big_n = diagram_set.d, diagram_set.N
-    moves: list[tuple[int, ...]] = []
-    for i in range(d - 1):
-        e_i = tuple(1 if k == i else 0 for k in range(d - 1))
-        moves.append(e_i)
-        moves.append(tuple(-x for x in e_i))
-    for i in range(d - 1):
-        for j in range(i + 1, d - 1):
-            f_ij = tuple(1 if k == i else -1 if k == j else 0 for k in range(d - 1))
-            moves.append(f_ij)
-            moves.append(tuple(-x for x in f_ij))
-
-    rows: list[tuple[int, ...]] = []
-    for t in diagram_set.coords:
-        adjacent = []
-        for mv in moves:
-            target = tuple(c + m for c, m in zip(t, mv))
-            if all(0 <= c < big_n for c in target):
-                adjacent.append(diagram_set.index_of(target))
-        rows.append(tuple(sorted(adjacent)))
-    return ScoreMatrix(diagram_set=diagram_set, neighbors=tuple(rows))
+    """The score matrix of the viable lattice (unit and exchange moves)."""
+    return ScoreMatrix(diagram_set)
 
 
-def score_matrix_by_distance(diagram_set: DiagramSet) -> ScoreMatrix:
-    """Alternative construction from pairwise Young distances; used for cross-checks."""
+def score_matrix_by_distance(diagram_set: DiagramSet) -> np.ndarray:
+    """Dense score matrix from pairwise Young distances; used for cross-checks."""
     members = diagram_set.members
-    rows = []
-    for i, lam in enumerate(members):
-        adjacent = tuple(
-            j for j, mu in enumerate(members)
-            if j != i and young_distance(lam, mu) == 2
-        )
-        rows.append(adjacent)
-    return ScoreMatrix(diagram_set=diagram_set, neighbors=tuple(rows))
+    return np.array([
+        [diagram_set.d if i == j else young_distance(lam, mu) == 2
+         for j, mu in enumerate(members)]
+        for i, lam in enumerate(members)
+    ], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,6 +88,14 @@ class TestSweepCommand:
         assert code == 1
         assert "at least 3" in err
 
+    @pytest.mark.parametrize("step", ["0", "-4"])
+    def test_nonpositive_step_exits_1(self, capsys, step):
+        code, _, err = run_capture(
+            capsys, ["sweep", "--d", "2", "--n-min", "8", "--n-max", "16", "--n-step", step]
+        )
+        assert code == 1
+        assert "n-step must be positive" in err
+
 
 class TestPhaseCommand:
     def test_report(self, capsys):

@@ -35,16 +35,16 @@ class TestScoreMatrix:
 
     @pytest.mark.parametrize(
         "n,d",
-        [(4, 2), (9, 2), (20, 2), (60, 2), (13, 3), (26, 3), (41, 3), (60, 3)],
+        [(4, 2), (9, 2), (20, 2), (60, 2), (13, 3), (26, 3), (41, 3), (60, 3),
+         (40, 4), (61, 4)],
     )
     def test_lattice_equals_distance_construction(self, n, d):
         ds = viable_set(n, d)
-        by_lattice = score_matrix(ds)
-        by_distance = score_matrix_by_distance(ds)
-        assert np.array_equal(by_lattice.dense(), by_distance.dense())
+        assert np.array_equal(score_matrix(ds).dense(), score_matrix_by_distance(ds))
 
-    def test_matvec_matches_dense(self):
-        ds = viable_set(26, 3)
+    @pytest.mark.parametrize("n,d", [(60, 2), (26, 3), (61, 4)])
+    def test_matvec_matches_dense(self, n, d):
+        ds = viable_set(n, d)
         s = score_matrix(ds)
         rng = np.random.default_rng(1)
         v = rng.standard_normal(len(ds))
