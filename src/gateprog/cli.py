@@ -3,7 +3,8 @@
 Configuration comes from flags or a flat key=value file (flags win).  All
 floating output is printed with 12 significant digits, so identical
 configurations produce byte-identical output.  Exit codes: 0 success,
-1 validation error, 2 internal verification failure.
+1 validation error or an eigensolver that did not converge, 2 internal
+verification failure.
 """
 
 from __future__ import annotations
@@ -297,7 +298,10 @@ def run(argv: list[str]) -> int:
     except (CliError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, UnreliableMaximumError) as exc:
+    except ConvergenceError as exc:
+        print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
+        return 1
+    except UnreliableMaximumError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
 

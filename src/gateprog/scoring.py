@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .protocol import DiagramSet, WeightVector, _check_uses, _lattice_parameters
+from .protocol import DiagramSet, WeightVector, _check_uses, _lattice_parameters, sine_profile
 from .young import young_distance
 
 
@@ -96,6 +96,23 @@ def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
     return FidelityResult(fidelity=fid, error=1.0 - fid, weights_used=q)
 
 
+def _sine_start(diagram_set: DiagramSet) -> np.ndarray:
+    """Unit vector sqrt(sine weights), built as an outer product on the lattice box;
+    all ones when N < 2, where the sine profile is undefined."""
+    d, big_n = diagram_set.d, diagram_set.N
+    if big_n < 2:
+        v = np.ones(len(diagram_set))
+    else:
+        g = np.sqrt(sine_profile(big_n))
+        v = functools.reduce(np.multiply.outer, [g] * (d - 1)).reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+# The Lanczos basis holds at most this many floats, with 8 to 64 vectors: a larger
+# basis converges in fewer matvecs but raises peak memory on the big lattices.
+_LANCZOS_BASIS_FLOATS = 2**16
+
+
 def optimal_fidelity(
     s: ScoreMatrix,
     *,
@@ -104,29 +121,60 @@ def optimal_fidelity(
 ) -> FidelityResult:
     """Largest eigenvalue of S over d^2, with the principal weights.
 
-    Symmetric power iteration from the all-ones vector.  S is non-negative and
+    Explicitly restarted Lanczos (Golub & Van Loan, Matrix Computations, ch. 10)
+    started from sqrt(sine weights).  Each block of m vectors is fully
+    reorthogonalised; the next block starts from the block's top Ritz vector.
+    A block's first matvec gives the residual ||S v - theta v|| of its start
+    vector, and we stop once that drops below ``tol * theta``.
+    ``max_iterations`` caps the number of matvecs.  S is non-negative and
     irreducible on the connected lattice, so the principal eigenvector is
-    strictly positive and the iteration converges; we stop when the residual
-    ||S v - theta v|| drops below ``tol * theta``.
+    strictly positive.
     """
     if max_iterations < 1:
         raise ValueError(f"iteration cap must be positive, got {max_iterations}")
     dim = s.dimension
-    v = np.full(dim, 1.0 / math.sqrt(dim))
-    theta = 0.0
-    for _ in range(max_iterations):
-        w = s.matvec(v)
-        theta = float(v @ w)
-        residual = float(np.linalg.norm(w - theta * v))
-        if residual <= tol * theta:
-            break
-        v = w / np.linalg.norm(w)
-    else:
-        raise ConvergenceError(
-            f"power iteration hit the {max_iterations}-step cap with residual "
-            f"{residual:.3e} (target {tol * theta:.3e})"
-        )
+    m = min(dim, 64, max(8, _LANCZOS_BASIS_FLOATS // dim))
+    basis = np.empty((m, dim))
+    alpha = np.empty(m)
+    beta = np.empty(m)
+    basis[0] = _sine_start(s.diagram_set)
+    matvecs = restarts = 0
+    while True:
+        size = m
+        for j in range(m):
+            if matvecs == max_iterations:
+                raise ConvergenceError(
+                    f"Lanczos on the dimension-{dim} lattice hit the {max_iterations}-matvec "
+                    f"cap after {restarts} restarts with residual {residual:.3e} "
+                    f"(target {tol * theta:.3e})"
+                )
+            w = s.matvec(basis[j])
+            matvecs += 1
+            alpha[j] = basis[j] @ w
+            if j == 0:
+                theta = float(alpha[0])
+                residual = float(np.linalg.norm(w - theta * basis[0]))
+                if residual <= tol * theta:
+                    return _principal_result(s, basis[0], theta)
+            if j == m - 1:
+                break
+            for _ in range(2):
+                w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+            beta[j] = np.linalg.norm(w)
+            if beta[j] <= tol * theta:
+                size = j + 1  # the Krylov space is invariant to within the tolerance
+                break
+            basis[j + 1] = w / beta[j]
+        tridiagonal = (np.diag(alpha[:size]) + np.diag(beta[: size - 1], 1)
+                       + np.diag(beta[: size - 1], -1))
+        ritz = np.linalg.eigh(tridiagonal)[1][:, -1] @ basis[:size]
+        basis[0] = ritz / np.linalg.norm(ritz)
+        restarts += 1
 
+
+def _principal_result(s: ScoreMatrix, v: np.ndarray, theta: float) -> FidelityResult:
+    if v.sum() < 0.0:  # a Ritz vector comes with either sign
+        v = -v
     if float(v.min()) < -1e-10:
         raise ConvergenceError("principal eigenvector came out with negative entries")
     v = np.abs(v)

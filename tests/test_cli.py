@@ -5,6 +5,8 @@ import json
 import pytest
 
 import gateprog.cli as cli
+import gateprog.reporting as reporting
+from gateprog.scoring import ConvergenceError
 from gateprog.verify import CheckResult
 
 
@@ -32,6 +34,16 @@ class TestProtocolCommand:
         code, _, err = run_capture(capsys, ["protocol", "--d", "2"])
         assert code == 1
         assert "requires --n" in err
+
+    def test_solver_failure_exits_1(self, capsys, monkeypatch):
+        def no_convergence(matrix):
+            raise ConvergenceError("residual 1.0e-08")
+
+        monkeypatch.setattr(reporting, "optimal_fidelity", no_convergence)
+        code, out, err = run_capture(capsys, ["protocol", "--d", "2", "--n", "8"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: eigensolver did not converge: residual 1.0e-08\n"
 
     def test_byte_identical_output(self, capsys):
         _, first, _ = run_capture(capsys, ["protocol", "--d", "2", "--n", "16", "--format", "json"])

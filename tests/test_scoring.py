@@ -92,6 +92,12 @@ class TestOptimalFidelity:
         result = optimal_fidelity(score_matrix(viable_set(4, 2)))
         assert result.fidelity == pytest.approx(0.75, abs=1e-12)
 
+    def test_single_member(self):
+        # N = 1: the sine profile is undefined, so the solver starts from all ones
+        result = optimal_fidelity(score_matrix(single_member_set()))
+        assert result.fidelity == pytest.approx(0.5, abs=1e-15)
+        assert result.weights_used.probabilities == (1.0,)
+
     def test_chain_eigenvalue_closed_form(self):
         # largest eigenvalue of the length-N chain is 2 + 2 cos(pi / (N+1))
         for big_n in (2, 3, 5, 8, 16, 64):
@@ -99,10 +105,16 @@ class TestOptimalFidelity:
             expected = (2.0 + 2.0 * math.cos(math.pi / (big_n + 1))) / 4.0
             assert optimal_fidelity(s).fidelity == pytest.approx(expected, abs=1e-11)
 
-    def test_against_dense_eigensolver_d3(self):
-        s = score_matrix(viable_set(41, 3))
+    def test_chain_closed_form_at_n4096(self):
+        s = score_matrix(viable_set(4096, 2))
+        expected = (2.0 + 2.0 * math.cos(math.pi / (s.diagram_set.N + 1))) / 4.0
+        assert abs(optimal_fidelity(s).fidelity - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(41, 3), (61, 4)])
+    def test_against_dense_eigensolver(self, n, d):
+        s = score_matrix(viable_set(n, d))
         dense_max = float(np.linalg.eigvalsh(s.dense())[-1])
-        assert optimal_fidelity(s).fidelity * 9.0 == pytest.approx(dense_max, abs=1e-10)
+        assert optimal_fidelity(s).fidelity * d * d == pytest.approx(dense_max, abs=1e-10)
 
     def test_beats_sine_weights(self):
         for n, d in ((8, 2), (33, 2), (26, 3), (55, 3)):
@@ -111,13 +123,20 @@ class TestOptimalFidelity:
             sine = entanglement_fidelity(sine_weights(ds), s).fidelity
             assert optimal_fidelity(s).fidelity >= sine - 1e-13
 
-    def test_principal_weights_are_positive(self):
-        result = optimal_fidelity(score_matrix(viable_set(16, 2)))
+    @pytest.mark.parametrize("n,d", [(16, 2), (60, 3), (61, 4)])
+    def test_principal_weights_are_positive(self, n, d):
+        result = optimal_fidelity(score_matrix(viable_set(n, d)))
         assert min(result.weights_used.probabilities) > 0.0
 
     def test_iteration_cap_raises(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"dimension-16 .* 2-matvec cap after 0 "
+                           r"restarts with residual \d"):
             optimal_fidelity(score_matrix(viable_set(32, 2)), max_iterations=2)
+
+    def test_iteration_cap_counts_restarts(self):
+        # 2048 members give a 32-vector basis: matvec 80 falls inside the third block
+        with pytest.raises(ConvergenceError, match=r"80-matvec cap after 2 restarts"):
+            optimal_fidelity(score_matrix(viable_set(4096, 2)), max_iterations=80)
 
 
 class TestClosedForm:
