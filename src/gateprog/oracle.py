@@ -7,6 +7,15 @@ integrands of interest are trigonometric polynomials, so a sufficiently fine
 grid is exact to rounding; normalizing numerically means the measure constant
 is verified by the identity integral instead of being trusted.
 
+For d >= 3 the Haar fidelity never tabulates characters.  By the Weyl
+character formula the probe sum_lam sqrt(q_lam) chi_lam is a ratio whose
+numerator is a trigonometric polynomial in the d-1 free eigenphases with
+integer frequencies; on the uniform product grid that polynomial is exactly a
+discrete Fourier transform, so one inverse FFT evaluates it at every node in
+O(M log M) time and O(M) memory for M nodes.  The explicit character table
+stays for the orthonormality check, and for d = 2, whose grid holds rotation
+angles and whose table is small.
+
 Also provides a Monte-Carlo reconstruction of the implemented channel's Choi
 state from Haar samples (uniform unit quaternions for SU(2)).
 """
@@ -16,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -137,6 +147,16 @@ def _su2_character_table(diagrams: Sequence[YoungDiagram], thetas: np.ndarray) -
     return out
 
 
+def _vandermonde(x: np.ndarray) -> np.ndarray:
+    """Weyl denominator prod_{i<j} (x_i - x_j) at every row of eigenvalues ``x``."""
+    d = x.shape[1]
+    den = np.ones(len(x), dtype=complex)
+    for i in range(d):
+        for j in range(i + 1, d):
+            den *= x[:, i] - x[:, j]
+    return den
+
+
 def _schur_character_table(
     diagrams: Sequence[YoungDiagram], grid: TorusGrid
 ) -> np.ndarray:
@@ -148,15 +168,10 @@ def _schur_character_table(
     """
     d = grid.d
     full = np.column_stack([grid.angles, -grid.angles.sum(axis=1)])
-    x = np.exp(1j * full)
-
-    den = np.ones(len(x), dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            den *= x[:, i] - x[:, j]
+    den = _vandermonde(np.exp(1j * full))
     degenerate = np.abs(den) < 1e-9
 
-    out = np.empty((len(diagrams), len(x)), dtype=complex)
+    out = np.empty((len(diagrams), len(full)), dtype=complex)
     for row, lam in enumerate(diagrams):
         exps = np.array([lam.rows[j] + d - (j + 1) for j in range(d)])
         mats = np.exp(1j * full[:, :, None] * exps[None, None, :])
@@ -165,6 +180,26 @@ def _schur_character_table(
         vals[degenerate] = 0.0
         out[row] = vals
     return out
+
+
+def _weyl_numerator(
+    diagrams: Sequence[YoungDiagram], amps: np.ndarray, d: int, count: int
+) -> np.ndarray:
+    """sum_lam amps_lam * det(x_i^(e_j)) at every node of the product grid, by one FFT.
+
+    With e_j = rows_j + d - j, the permutation s contributes sgn(s) times the
+    Fourier mode of frequencies e_s(i) - e_s(d), i < d, taken modulo ``count``.
+    Values come ravelled in the grid's node order (first phase most significant).
+    """
+    exps = np.array([lam.rows for lam in diagrams]) + np.arange(d - 1, -1, -1)
+    shape = (count,) * (d - 1)
+    coeff = np.zeros(count ** (d - 1))
+    for perm in permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        e = exps[:, perm]
+        flat = np.ravel_multi_index(tuple((e[:, :-1] - e[:, -1:]).T % count), shape)
+        coeff += (-1) ** inversions * np.bincount(flat, weights=amps, minlength=coeff.size)
+    return (np.fft.ifftn(coeff.reshape(shape)) * coeff.size).ravel()
 
 
 def _character_table(diagrams: Sequence[YoungDiagram], grid: TorusGrid) -> np.ndarray:
@@ -179,6 +214,15 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
     F = (1/d^2) * integral over the group of
     |chi_defining(U) * sum_lam sqrt(q_lam) chi_lam(U)|^2,
     which for class functions reduces to the torus integral on ``grid``.
+
+    For d >= 3 the probe is the Weyl numerator sum_lam sqrt(q_lam)
+    det(x_i^(rows_j + d - j)), evaluated at every node by one inverse FFT (see
+    ``_weyl_numerator``), over the Vandermonde denominator; nodes where the
+    denominator vanishes carry zero weight.  This is exact, not an
+    approximation: the last eigenphase is minus the sum of the others and the
+    nodes sit at multiples of 2 pi / nodes_per_dim, so every term of the
+    numerator is one Fourier mode of the grid.  ``grid`` must therefore be the
+    full product grid of nodes_per_dim^(d-1) nodes.
     """
     if grid.d != diagram_set.d:
         raise ValueError(f"grid is for d={grid.d}, set is for d={diagram_set.d}")
@@ -190,13 +234,29 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
             f"integrate degree-{diagram_set.n + 1} characters exactly"
         )
 
-    defining = YoungDiagram((1,) + (0,) * (diagram_set.d - 1))
-    table = _character_table(list(diagram_set.members), grid)
-    amps = np.sqrt(np.asarray(q.probabilities))
-    probe = amps @ table
-    chi_def = _character_table([defining], grid)[0]
-    integrand = np.abs(chi_def * probe) ** 2
     d = diagram_set.d
+    count = grid.nodes_per_dim
+    if len(grid.weights) != count ** (d - 1):
+        raise ValueError(
+            f"not a product grid: {len(grid.weights)} nodes, expected "
+            f"{count}^{d - 1} = {count ** (d - 1)}"
+        )
+
+    amps = np.sqrt(np.asarray(q.probabilities))
+    if d == 2:
+        probe = amps @ _character_table(list(diagram_set.members), grid)
+        chi_def = _character_table([YoungDiagram((1, 0))], grid)[0]
+    else:
+        full = np.column_stack([grid.angles, -grid.angles.sum(axis=1)])
+        x = np.exp(1j * full)
+        den = _vandermonde(x)
+        regular = np.abs(den) >= 1e-9
+        probe = np.zeros(len(x), dtype=complex)
+        probe[regular] = (
+            _weyl_numerator(diagram_set.members, amps, d, count)[regular] / den[regular]
+        )
+        chi_def = x.sum(axis=1)
+    integrand = np.abs(chi_def * probe) ** 2
     return float(grid.weights @ integrand) / (d * d)
 
 

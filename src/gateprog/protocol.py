@@ -14,6 +14,11 @@ from itertools import product
 from .young import YoungDiagram
 
 
+# Largest lattice viable_set builds.  Each member is a Python object, and the
+# downstream score matrix, weights and solver hold several vectors of this length.
+MAX_MEMBERS = 2**20
+
+
 class ProtocolError(ValueError):
     """A precondition of the protocol construction is violated."""
 
@@ -101,8 +106,15 @@ def viable_set(n: int, d: int) -> DiagramSet:
     mu0[i] + N(2d-3) + 1 - (N+1)(i-1) + t[i]; the last row absorbs the
     remaining boxes.  Every member must come out strictly decreasing with a
     non-negative last row, otherwise the construction is inconsistent.
+    Lattices of more than ``MAX_MEMBERS`` members are refused before any is built.
     """
     big_n = capacity_parameter(n, d)
+    size = big_n ** (d - 1)
+    if size > MAX_MEMBERS:
+        raise ProtocolError(
+            f"lattice too large: N^(d-1) = {big_n}^{d - 1} = {size} members at n={n}, "
+            f"d={d} exceeds the budget of {MAX_MEMBERS} members"
+        )
     _, n0 = _lattice_parameters(n, d)
     mu0 = flat_diagram(n0, d)
     base = tuple(

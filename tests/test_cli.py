@@ -35,6 +35,12 @@ class TestProtocolCommand:
         assert code == 1
         assert "requires --n" in err
 
+    def test_oversized_lattice_exits_1(self, capsys):
+        code, out, err = run_capture(capsys, ["protocol", "--d", "2", "--n", str(2**23)])
+        assert code == 1
+        assert out == ""
+        assert "lattice too large" in err and "4194304 members" in err
+
     def test_solver_failure_exits_1(self, capsys, monkeypatch):
         def no_convergence(matrix):
             raise ConvergenceError("residual 1.0e-08")

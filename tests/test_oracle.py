@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from gateprog.oracle import (
+    TorusGrid,
+    _character_table,
     character_orthonormality_check,
     choi_monte_carlo_su2,
     haar_fidelity,
@@ -129,13 +131,35 @@ class TestHaarFidelity:
         q = WeightVector(diagram_set=ds, probabilities=(1.0,))
         assert haar_fidelity(ds, q, su2_grid(6)) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [26, 33])
+    @pytest.mark.parametrize("n", [26, 33, 120, 300])
     def test_su3_matches_matrix_route(self, n):
+        # n = 300 is 1,849 members on 1.5M nodes: a character table would need ~45 GB
         ds = viable_set(n, 3)
-        q = sine_weights(ds)
-        f_matrix = entanglement_fidelity(q, score_matrix(ds)).fidelity
-        value = haar_fidelity(ds, q, su_torus_grid(3, n + 1))
-        assert abs(value - f_matrix) <= 1e-8
+        grid = su_torus_grid(3, n + 1)
+        matrix = score_matrix(ds)
+        for q in (sine_weights(ds), optimal_fidelity(matrix).weights_used):
+            f_matrix = entanglement_fidelity(q, matrix).fidelity
+            assert abs(haar_fidelity(ds, q, grid) - f_matrix) <= 1e-10
+
+    @pytest.mark.parametrize("n", [26, 33, 45])
+    def test_su3_fft_matches_character_table(self, n):
+        ds = viable_set(n, 3)
+        grid = su_torus_grid(3, n + 1)
+        chi_def = _character_table([YoungDiagram((1, 0, 0))], grid)[0]
+        table = _character_table(list(ds.members), grid)
+        for q in (sine_weights(ds), optimal_fidelity(score_matrix(ds)).weights_used):
+            amps = np.sqrt(np.asarray(q.probabilities))
+            reference = float(grid.weights @ np.abs(chi_def * (amps @ table)) ** 2) / 9.0
+            assert abs(haar_fidelity(ds, q, grid) - reference) <= 1e-13
+
+    def test_non_product_grid_rejected(self):
+        ds = viable_set(26, 3)
+        grid = su_torus_grid(3, 27)
+        keep = slice(0, len(grid.weights) - grid.nodes_per_dim)
+        weights = grid.weights[keep] / grid.weights[keep].sum()
+        truncated = TorusGrid(3, grid.angles[keep], weights, grid.nodes_per_dim)
+        with pytest.raises(ValueError, match="not a product grid"):
+            haar_fidelity(ds, sine_weights(ds), truncated)
 
     def test_under_resolved_grid_rejected(self):
         ds = viable_set(32, 2)

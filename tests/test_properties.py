@@ -1,10 +1,12 @@
-"""Property tests over random valid (d, n): the stencil, the fidelity ordering and
-the eigensolver against the dense distance-built oracle."""
+"""Property tests over random valid (d, n): the lattice, the stencil, the fidelity
+ordering, the eigensolver against the dense distance-built oracle, and the SU(3)
+Haar quadrature against the matrix route."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gateprog.oracle import haar_fidelity, su_torus_grid
 from gateprog.protocol import sine_weights, viable_set
 from gateprog.scoring import (
     entanglement_fidelity,
@@ -22,6 +24,20 @@ lattices = st.sampled_from(sorted(N_RANGE)).flatmap(
 )
 
 deterministic = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@deterministic
+@given(lattices)
+def test_members_are_strictly_decreasing_with_n_boxes(ds):
+    assert all(m.is_strictly_decreasing() and m.boxes() == ds.n for m in ds.members)
+
+
+@deterministic
+@given(st.integers(13, 120).map(lambda n: viable_set(n, 3)))
+def test_su3_haar_quadrature_matches_matrix_route(ds):
+    q = sine_weights(ds)
+    matrix = entanglement_fidelity(q, score_matrix(ds)).fidelity
+    assert abs(haar_fidelity(ds, q, su_torus_grid(3, ds.n + 1)) - matrix) <= 1e-10
 
 
 @deterministic

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from gateprog.protocol import (
+    MAX_MEMBERS,
     DiagramSet,
     ProtocolError,
     WeightVector,
@@ -111,6 +112,11 @@ class TestViableSet:
                 continue
             assert len(ds) == ds.N ** (d - 1)
             assert all(m.is_strictly_decreasing() for m in ds.members)
+
+    def test_size_budget_refused_before_building(self):
+        # d = 2 has N = n // 2 members: one over the budget
+        with pytest.raises(ProtocolError, match=f"{MAX_MEMBERS + 1} members .* budget"):
+            viable_set(2 * (MAX_MEMBERS + 1), 2)
 
 
 class TestSineWeights:
