@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
-from .phase import UnreliableMaximumError, phase_report
+from .phase import phase_report
 from .protocol import ProtocolError
 from .reporting import (
     format_float,
@@ -301,9 +301,6 @@ def run(argv: list[str]) -> int:
     except ConvergenceError as exc:
         print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
         return 1
-    except UnreliableMaximumError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
 
     # protocol/sweep have a dedicated row-per-report CSV schema
     csv_text = payload.pop("_csv", None)

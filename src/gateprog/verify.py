@@ -16,7 +16,13 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .oracle import character_orthonormality_check, choi_monte_carlo_su2, haar_fidelity, su2_grid
-from .phase import classical_phase_error, choi_infidelity, diamond_distance_search, sine_state
+from .phase import (
+    choi_infidelity,
+    classical_phase_error,
+    diamond_distance_search,
+    quantum_phase_error,
+    sine_state,
+)
 from .protocol import epsilon_g, sine_weights, viable_set
 from .reporting import ProtocolReport, protocol_report, sweep
 from .scoring import (
@@ -197,7 +203,8 @@ def check_eigenvalue_oracle() -> CheckResult:
 
 
 def check_phase_gate() -> CheckResult:
-    """Mesh error closed form, quantum error scaling and ratio, quantum advantage."""
+    """Mesh error closed form, 1 - kappa against the direct diamond search at dP = 4
+    and 128, quantum error scaling and ratio, quantum advantage."""
     worst_classical = max(
         abs(classical_phase_error(dp) - math.sin(math.pi / (2.0 * dp)))
         for dp in range(1, 257)
@@ -205,30 +212,31 @@ def check_phase_gate() -> CheckResult:
     classical_ok = worst_classical <= 1e-15
 
     dps = (16, 23, 32, 45, 64, 91, 128)
-    errors = {}
-    for dp in dps + (32, 64):
-        if dp not in errors:
-            result = diamond_distance_search(sine_state(dp))
-            if result.spread > 1e-6:
-                return CheckResult(
-                    "phase_gate", False, f"search spread {result.spread:.1e} at dP={dp}"
-                )
-            errors[dp] = result.value
+    advantage_dps = (*range(4, 17), 32, 64, 128)
+    errors = {dp: quantum_phase_error(sine_state(dp)) for dp in dps + advantage_dps}
+    # the direct search is the oracle for the closed form, at both ends of the range
+    for dp in (4, 128):
+        search = diamond_distance_search(sine_state(dp))
+        if search.spread > 1e-6:
+            return CheckResult(
+                "phase_gate", False, f"search spread {search.spread:.1e} at dP={dp}"
+            )
+        if abs(search.value - errors[dp]) > 1e-9:
+            return CheckResult(
+                "phase_gate", False,
+                f"search maximum {search.value:.12g} differs from 1 - kappa = "
+                f"{errors[dp]:.12g} at dP={dp} (tol 1e-9)",
+            )
     slope = float(np.polyfit(np.log(dps), np.log([errors[dp] for dp in dps]), 1)[0])
     slope_ok = abs(slope + 2.0) <= 0.1
 
     ratios = {dp: errors[dp] * 2.0 * dp * dp / math.pi**2 for dp in (32, 64)}
     ratio_ok = all(0.5 <= r <= 2.0 for r in ratios.values())
 
-    advantage_ok = True
-    for dp in list(range(4, 17)) + [32, 64, 128]:
-        eps_q = errors.get(dp)
-        if eps_q is None:
-            eps_q = diamond_distance_search(sine_state(dp)).value
-        if not eps_q < classical_phase_error(dp):
-            advantage_ok = False
-        if choi_infidelity(sine_state(dp)) > eps_q:
-            advantage_ok = False
+    advantage_ok = all(
+        errors[dp] < classical_phase_error(dp) and choi_infidelity(sine_state(dp)) <= errors[dp]
+        for dp in advantage_dps
+    )
 
     passed = classical_ok and slope_ok and ratio_ok and advantage_ok
     return CheckResult(

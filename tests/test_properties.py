@@ -1,13 +1,18 @@
 """Property tests over random valid (d, n): the lattice, the stencil, the fidelity
-ordering, the eigensolver against the dense distance-built oracle, and the SU(3)
-Haar quadrature against the matrix route."""
+ordering, the eigensolver against the dense distance-built oracle, the SU(3)
+Haar quadrature against the matrix route and the protocol report's pass flags;
+and over random phase-gate programs, the diamond search against 1 - kappa."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateprog.oracle import haar_fidelity, su_torus_grid
+from gateprog.phase import PhaseProtocol, diamond_distance_search, quantum_phase_error
 from gateprog.protocol import sine_weights, viable_set
+from gateprog.reporting import protocol_report
 from gateprog.scoring import (
     entanglement_fidelity,
     optimal_fidelity,
@@ -19,8 +24,25 @@ from gateprog.scoring import (
 # so the dense oracle stays cheap
 N_RANGE = {2: (4, 801), 3: (13, 145), 4: (27, 116)}
 
-lattices = st.sampled_from(sorted(N_RANGE)).flatmap(
-    lambda d: st.integers(*N_RANGE[d]).map(lambda n: viable_set(n, d))
+points = st.sampled_from(sorted(N_RANGE)).flatmap(
+    lambda d: st.tuples(st.integers(*N_RANGE[d]), st.just(d))
+)
+lattices = points.map(lambda nd: viable_set(*nd))
+
+
+def _phase_protocol(raw: list[float]) -> PhaseProtocol:
+    """Normalise non-negative raw amplitudes; dividing by the largest first keeps
+    subnormal draws from losing the norm to underflow."""
+    top = max(raw)
+    scaled = [x / top for x in raw]
+    norm = math.sqrt(math.fsum(x * x for x in scaled))
+    return PhaseProtocol(amplitudes=tuple(x / norm for x in scaled))
+
+
+phase_protocols = (
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48)
+    .filter(lambda raw: max(raw) > 0.0)
+    .map(_phase_protocol)
 )
 
 deterministic = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -58,3 +80,16 @@ def test_optimum_bounds_the_sine_weights(ds):
     optimum = optimal_fidelity(s).fidelity
     assert 0.0 < sine <= optimum + 1e-13
     assert optimum <= 1.0
+
+
+@deterministic
+@given(points)
+def test_protocol_report_passes_every_flag(point):
+    flags = protocol_report(*point).pass_flags
+    assert all(flags.values()), flags
+
+
+@deterministic
+@given(phase_protocols)
+def test_diamond_search_matches_closed_form(protocol):
+    assert abs(diamond_distance_search(protocol).value - quantum_phase_error(protocol)) <= 1e-9

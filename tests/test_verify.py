@@ -1,0 +1,46 @@
+"""The phase-gate check uses the direct diamond search as its oracle."""
+
+from dataclasses import replace
+
+import gateprog.verify as verify
+from gateprog.phase import DiamondSearchResult, quantum_phase_error
+
+
+def _agreeing_search(protocol):
+    value = quantum_phase_error(protocol)
+    return DiamondSearchResult(
+        value=value, me_value=value, start_values=(value,) * 33, spread=0.0, me_is_max=True
+    )
+
+
+def test_search_runs_at_both_ends_of_the_range(monkeypatch):
+    calls = []
+
+    def search(protocol):
+        calls.append(protocol.dP)
+        return _agreeing_search(protocol)
+
+    monkeypatch.setattr(verify, "diamond_distance_search", search)
+    assert verify.check_phase_gate().passed
+    assert calls == [4, 128]
+
+
+def test_unreliable_maximum_fails(monkeypatch):
+    fake = DiamondSearchResult(
+        value=0.5, me_value=0.4, start_values=(0.5, 0.3), spread=0.2, me_is_max=False
+    )
+    monkeypatch.setattr(verify, "diamond_distance_search", lambda p: fake)
+    result = verify.check_phase_gate()
+    assert not result.passed
+    assert result.detail == "search spread 2.0e-01 at dP=4"
+
+
+def test_search_disagreeing_with_closed_form_fails(monkeypatch):
+    def search(protocol):
+        agreeing = _agreeing_search(protocol)
+        return replace(agreeing, value=agreeing.value + 1e-6)
+
+    monkeypatch.setattr(verify, "diamond_distance_search", search)
+    result = verify.check_phase_gate()
+    assert not result.passed
+    assert "1 - kappa" in result.detail and "dP=4" in result.detail
