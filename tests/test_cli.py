@@ -1,6 +1,10 @@
 """Command-line interface: dispatch, config handling, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,17 @@ class TestProtocolCommand:
         _, first, _ = run_capture(capsys, ["protocol", "--d", "2", "--n", "16", "--format", "json"])
         _, second, _ = run_capture(capsys, ["protocol", "--d", "2", "--n", "16", "--format", "json"])
         assert first == second
+
+    def test_module_entry_point(self, capsys):
+        argv = ["protocol", "--d", "2", "--n", "8", "--format", "json"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.run(
+            [sys.executable, "-m", "gateprog", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        _, expected, _ = run_capture(capsys, argv)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == expected
 
     def test_csv_format_uses_report_schema(self, capsys):
         code, out, _ = run_capture(capsys, ["protocol", "--d", "2", "--n", "4", "--format", "csv"])

@@ -1,12 +1,13 @@
 """Property tests over random valid (d, n): the lattice, the stencil, the fidelity
-ordering, the eigensolver against the dense distance-built oracle, the SU(3)
-Haar quadrature against the matrix route and the protocol report's pass flags;
-and over random phase-gate programs, the diamond search against 1 - kappa."""
+ordering, the eigensolver against the dense distance-built oracle and its
+true-residual stopping rule, the SU(3) Haar quadrature against the matrix route
+and the protocol report's pass flags; and over random phase-gate programs, the
+diamond search against 1 - kappa."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gateprog.oracle import haar_fidelity, su_torus_grid
@@ -70,6 +71,18 @@ def test_stencil_and_eigensolver_match_distance_oracle(ds):
     assert np.array_equal(s.dense(), oracle)
     top = float(np.linalg.eigvalsh(oracle)[-1])
     assert abs(optimal_fidelity(s).fidelity * ds.d * ds.d - top) <= 1e-10
+
+
+@deterministic
+@given(lattices)
+@example(viable_set(4096, 2))
+def test_solver_stops_on_the_true_residual(ds):
+    # the returned weights meet the stopping rule itself, not only a Ritz estimate
+    s = score_matrix(ds)
+    a = np.sqrt(np.asarray(optimal_fidelity(s).weights_used.probabilities))
+    sa = s.matvec(a)
+    theta = float(a @ sa)
+    assert np.linalg.norm(sa - theta * a) <= (1e-12 + 1e-14) * theta
 
 
 @deterministic

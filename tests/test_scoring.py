@@ -1,6 +1,7 @@
 """Score matrix construction, fidelity quadratic form, and the eigenvalue route."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,8 +106,9 @@ class TestOptimalFidelity:
             expected = (2.0 + 2.0 * math.cos(math.pi / (big_n + 1))) / 4.0
             assert optimal_fidelity(s).fidelity == pytest.approx(expected, abs=1e-11)
 
-    def test_chain_closed_form_at_n4096(self):
-        s = score_matrix(viable_set(4096, 2))
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_chain_closed_form_at_large_n(self, n):
+        s = score_matrix(viable_set(n, 2))
         expected = (2.0 + 2.0 * math.cos(math.pi / (s.diagram_set.N + 1))) / 4.0
         assert abs(optimal_fidelity(s).fidelity - expected) <= 1e-12
 
@@ -133,10 +135,48 @@ class TestOptimalFidelity:
                            r"restarts with residual \d"):
             optimal_fidelity(score_matrix(viable_set(32, 2)), max_iterations=2)
 
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_tolerance_below_rounding_fails_cleanly(self, n):
+        # no vector meets 1e-17: the invariant cycles' Ritz vectors fail their
+        # confirmation, the solver restarts from them alone, and the residual it
+        # reports at the cap stays at the rounding floor
+        with pytest.raises(ConvergenceError, match=r"300-matvec cap") as info:
+            optimal_fidelity(score_matrix(viable_set(n, 2)), tol=1e-17, max_iterations=300)
+        assert float(re.search(r"with residual (\S+) ", str(info.value))[1]) < 1e-13
+
     def test_iteration_cap_counts_restarts(self):
-        # 2048 members give a 32-vector basis: matvec 80 falls inside the third block
-        with pytest.raises(ConvergenceError, match=r"80-matvec cap after 2 restarts"):
-            optimal_fidelity(score_matrix(viable_set(4096, 2)), max_iterations=80)
+        # 2048 members give a 64-vector basis that keeps 32 Ritz vectors: the first
+        # cycle takes matvecs 1-64 and each later one 32 more, so matvec 150 falls
+        # inside the fourth cycle, long before a Ritz estimate asks for a confirmation
+        with pytest.raises(ConvergenceError, match=r"150-matvec cap after 3 restarts"):
+            optimal_fidelity(score_matrix(viable_set(4096, 2)), max_iterations=150)
+
+
+@pytest.fixture(scope="module", params=[(1200, 3), (600, 4)], ids=["1200-3", "600-4"])
+def frontier(request):
+    """Lattices of 29,241 and 64,000 members, beyond the dense oracle's reach; each is
+    solved once for all the tests that use it."""
+    s = score_matrix(viable_set(*request.param))
+    return s, optimal_fidelity(s)
+
+
+class TestFrontier:
+    def test_against_arpack(self, frontier):
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        s, result = frontier
+        dim = s.dimension
+        operator = linalg.LinearOperator((dim, dim), matvec=s.matvec, dtype=float)
+        top = float(linalg.eigsh(operator, k=1, which="LA", v0=np.ones(dim),
+                                 return_eigenvectors=False)[0])
+        d = s.diagram_set.d
+        assert abs(result.fidelity * d * d - top) <= 1e-10
+
+    def test_beats_sine_weights(self, frontier):
+        s, result = frontier
+        assert result.fidelity >= entanglement_fidelity(sine_weights(s.diagram_set), s).fidelity
+
+    def test_principal_weights_are_positive(self, frontier):
+        assert min(frontier[1].weights_used.probabilities) > 0.0
 
 
 class TestClosedForm:
