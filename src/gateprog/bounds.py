@@ -115,8 +115,8 @@ def table1_rows(d: int, epsilon: float, big_k: float = 1.0) -> list[tuple[str, f
     if d < 2:
         raise ValueError(f"gate dimension must be at least 2, got {d}")
     _check_epsilon(epsilon)
-    if big_k <= 0.0:
-        raise ValueError(f"constant K must be positive, got {big_k}")
+    if not 0.0 < big_k < math.inf:
+        raise ValueError(f"constant K must be positive and finite, got {big_k}")
     return [
         ("upper d^2 log(K/eps)", d * d * math.log2(big_k / epsilon)),
         ("upper 4 d^2 log(d) / eps^2", 4.0 * d * d * math.log2(d) / epsilon**2),
@@ -133,8 +133,8 @@ def conjecture_cost(nu: int, epsilon: float, big_c: float) -> float:
     if nu < 1:
         raise ValueError(f"parameter count must be positive, got {nu}")
     _check_epsilon(epsilon)
-    if big_c <= 0.0:
-        raise ValueError(f"constant must be positive, got {big_c}")
+    if not 0.0 < big_c < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {big_c}")
     return (nu / 2.0) * math.log2(big_c / epsilon)
 
 

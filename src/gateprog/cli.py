@@ -115,25 +115,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_config_file(path: str) -> dict:
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise CliError(f"cannot read config {path}: {exc.strerror}") from exc
     values: dict = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _ALL_KEYS:
-                raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if key not in _ALL_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise CliError(
+                f"{path}:{lineno}: key {key!r} expects {kind.__name__}, got {value!r}"
+            ) from None
     return values
 
 
@@ -283,25 +288,7 @@ _DISPATCH = {
 }
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output:
-        write_text_atomic(text, config.output)
-    else:
-        sys.stdout.write(text)
-
-
-def run(argv: list[str]) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        config = _merge_config(args)
-        payload, code = _DISPATCH[config.command](config)
-    except (CliError, ProtocolError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
-        return 1
-
+def _output_text(payload: dict, config: RunConfig) -> str:
     # protocol/sweep have a dedicated row-per-report CSV schema
     csv_text = payload.pop("_csv", None)
     if config.command == "verify" and config.format == "table":
@@ -310,11 +297,34 @@ def run(argv: list[str]) -> int:
             for check in payload["checks"]
         ]
         lines.append("all passed" if payload["all_passed"] else "FAILURES present")
-        _emit("\n".join(lines) + "\n", config)
-    elif csv_text is not None and config.format == "csv":
-        _emit(csv_text, config)
-    else:
-        _emit(_render(payload, config.format), config)
+        return "\n".join(lines) + "\n"
+    if csv_text is not None and config.format == "csv":
+        return csv_text
+    return _render(payload, config.format)
+
+
+def _emit(text: str, config: RunConfig) -> None:
+    if not config.output:
+        sys.stdout.write(text)
+        return
+    try:
+        write_text_atomic(text, config.output)
+    except OSError as exc:
+        raise CliError(f"cannot write {config.output}: {exc.strerror}") from exc
+
+
+def run(argv: list[str]) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+        config = _merge_config(args)
+        payload, code = _DISPATCH[config.command](config)
+        _emit(_output_text(payload, config), config)
+    except (CliError, ProtocolError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ConvergenceError as exc:
+        print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -106,7 +106,7 @@ def schur_character(diagram: YoungDiagram, phases: Sequence[complex]) -> complex
     x = [complex(p) for p in phases]
 
     if all(abs(x[i] - x[0]) < 1e-12 for i in range(1, d)):
-        return irrep_dimension(diagram) * x[0] ** diagram.boxes()
+        return irrep_dimension(diagram.rows) * x[0] ** diagram.boxes()
 
     if any(
         abs(x[i] - x[j]) < 1e-9 for i in range(d) for j in range(i + 1, d)
@@ -135,13 +135,12 @@ def su2_character(diagram: YoungDiagram, theta: float) -> float:
     return math.sin(k * half) / s
 
 
-def _su2_character_table(diagrams: Sequence[YoungDiagram], thetas: np.ndarray) -> np.ndarray:
+def _su2_character_table(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     half = thetas / 2.0
     s = np.sin(half)
     regular = np.abs(s) > 1e-9
-    out = np.empty((len(diagrams), len(thetas)))
-    for row, lam in enumerate(diagrams):
-        k = lam.rows[0] - lam.rows[1] + 1
+    out = np.empty((len(rows), len(thetas)))
+    for row, k in enumerate((rows[:, 0] - rows[:, 1] + 1).tolist()):
         out[row, regular] = np.sin(k * half[regular]) / s[regular]
         out[row, ~regular] = k * np.cos(k * half[~regular]) / np.cos(half[~regular])
     return out
@@ -157,10 +156,8 @@ def _vandermonde(x: np.ndarray) -> np.ndarray:
     return den
 
 
-def _schur_character_table(
-    diagrams: Sequence[YoungDiagram], grid: TorusGrid
-) -> np.ndarray:
-    """Characters of ``diagrams`` at every grid node, as a complex (L, M) array.
+def _schur_character_table(rows: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Characters of the diagrams ``rows`` at every grid node, as a complex (L, M) array.
 
     Nodes with (numerically) coincident eigenvalues carry zero Weyl weight;
     their character values are masked to zero, which leaves the quadrature
@@ -171,9 +168,8 @@ def _schur_character_table(
     den = _vandermonde(np.exp(1j * full))
     degenerate = np.abs(den) < 1e-9
 
-    out = np.empty((len(diagrams), len(full)), dtype=complex)
-    for row, lam in enumerate(diagrams):
-        exps = np.array([lam.rows[j] + d - (j + 1) for j in range(d)])
+    out = np.empty((len(rows), len(full)), dtype=complex)
+    for row, exps in enumerate(rows + np.arange(d - 1, -1, -1)):
         mats = np.exp(1j * full[:, :, None] * exps[None, None, :])
         vals = np.linalg.det(mats)
         vals[~degenerate] /= den[~degenerate]
@@ -182,16 +178,14 @@ def _schur_character_table(
     return out
 
 
-def _weyl_numerator(
-    diagrams: Sequence[YoungDiagram], amps: np.ndarray, d: int, count: int
-) -> np.ndarray:
+def _weyl_numerator(rows: np.ndarray, amps: np.ndarray, d: int, count: int) -> np.ndarray:
     """sum_lam amps_lam * det(x_i^(e_j)) at every node of the product grid, by one FFT.
 
     With e_j = rows_j + d - j, the permutation s contributes sgn(s) times the
     Fourier mode of frequencies e_s(i) - e_s(d), i < d, taken modulo ``count``.
     Values come ravelled in the grid's node order (first phase most significant).
     """
-    exps = np.array([lam.rows for lam in diagrams]) + np.arange(d - 1, -1, -1)
+    exps = rows + np.arange(d - 1, -1, -1)
     shape = (count,) * (d - 1)
     coeff = np.zeros(count ** (d - 1))
     for perm in permutations(range(d)):
@@ -202,10 +196,10 @@ def _weyl_numerator(
     return (np.fft.ifftn(coeff.reshape(shape)) * coeff.size).ravel()
 
 
-def _character_table(diagrams: Sequence[YoungDiagram], grid: TorusGrid) -> np.ndarray:
+def _character_table(rows: np.ndarray, grid: TorusGrid) -> np.ndarray:
     if grid.d == 2:
-        return _su2_character_table(diagrams, grid.angles[:, 0]).astype(complex)
-    return _schur_character_table(diagrams, grid)
+        return _su2_character_table(rows, grid.angles[:, 0]).astype(complex)
+    return _schur_character_table(rows, grid)
 
 
 def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> float:
@@ -242,10 +236,10 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
             f"{count}^{d - 1} = {count ** (d - 1)}"
         )
 
-    amps = np.sqrt(np.asarray(q.probabilities))
+    amps = np.sqrt(q.probabilities)
     if d == 2:
-        probe = amps @ _character_table(list(diagram_set.members), grid)
-        chi_def = _character_table([YoungDiagram((1, 0))], grid)[0]
+        probe = amps @ _character_table(diagram_set.rows, grid)
+        chi_def = _character_table(np.array([[1, 0]]), grid)[0]
     else:
         full = np.column_stack([grid.angles, -grid.angles.sum(axis=1)])
         x = np.exp(1j * full)
@@ -253,7 +247,7 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
         regular = np.abs(den) >= 1e-9
         probe = np.zeros(len(x), dtype=complex)
         probe[regular] = (
-            _weyl_numerator(diagram_set.members, amps, d, count)[regular] / den[regular]
+            _weyl_numerator(diagram_set.rows, amps, d, count)[regular] / den[regular]
         )
         chi_def = x.sum(axis=1)
     integrand = np.abs(chi_def * probe) ** 2
@@ -277,7 +271,8 @@ def character_orthonormality_check(
             f"under-resolved grid: {grid.nodes_per_dim} nodes per direction for "
             f"degree-{max_boxes} characters"
         )
-    table = _character_table(diagrams, grid)
+    rows = np.array([lam.rows for lam in diagrams]).reshape(-1, grid.d)
+    table = _character_table(rows, grid)
     gram = (table * grid.weights) @ table.conj().T
     worst = 0.0
     for i, lam in enumerate(diagrams):
@@ -322,10 +317,9 @@ def choi_monte_carlo_su2(
         raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
 
     # each member has a distinct character label k = rows[0] - rows[1] + 1
-    amp_by_k: dict[int, float] = {}
-    for lam, prob in zip(diagram_set.members, q.probabilities):
-        k = lam.rows[0] - lam.rows[1] + 1
-        amp_by_k[k] = amp_by_k.get(k, 0.0) + math.sqrt(prob)
+    rows = diagram_set.rows
+    labels = (rows[:, 0] - rows[:, 1] + 1).tolist()
+    amp_by_k = dict(zip(labels, np.sqrt(q.probabilities).tolist()))
     max_k = max(amp_by_k)
 
     rng = np.random.default_rng(seed)

@@ -7,15 +7,17 @@ distribution over that lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from .young import YoungDiagram
 
 
-# Largest lattice viable_set builds.  Each member is a Python object, and the
-# downstream score matrix, weights and solver hold several vectors of this length.
+# Largest lattice viable_set builds.  The score matrix, the weights and the solver
+# hold several float vectors of this length, the Lanczos basis dozens of them.
 MAX_MEMBERS = 2**20
 
 
@@ -77,9 +79,10 @@ def flat_diagram(n0: int, d: int) -> YoungDiagram:
 class DiagramSet:
     """The viable lattice: N^(d-1) strictly-decreasing diagrams of n boxes.
 
-    Members are in row-major order of their lattice coordinates in
-    {0..N-1}^(d-1), the first coordinate most significant; ``ScoreMatrix.matvec``
-    relies on this when it reshapes a vector over the members to (N,)*(d-1).
+    ``rows`` is a read-only (N^(d-1), d) int64 array, one member per row, in row-major
+    order of the lattice coordinates in {0..N-1}^(d-1), the first coordinate most
+    significant; ``ScoreMatrix.matvec`` relies on this when it reshapes a vector
+    over the members to (N,)*(d-1).
     """
 
     d: int
@@ -87,15 +90,15 @@ class DiagramSet:
     N: int
     n0: int
     mu0: YoungDiagram
-    members: tuple[YoungDiagram, ...]
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def same_as(self, other: "DiagramSet") -> bool:
         return self is other or (
             (self.d, self.n, self.N, self.n0) == (other.d, other.n, other.N, other.n0)
-            and self.members == other.members
+            and np.array_equal(self.rows, other.rows)
         )
 
 
@@ -122,34 +125,37 @@ def viable_set(n: int, d: int) -> DiagramSet:
         for i in range(1, d)
     )
 
-    members: list[YoungDiagram] = []
-    for t in product(range(big_n), repeat=d - 1):
-        head = tuple(base[i] + t[i] for i in range(d - 1))
-        last = n - sum(head)
-        rows = head + (last,)
-        if last < 0 or any(rows[i] <= rows[i + 1] for i in range(d - 1)):
-            raise RuntimeError(
-                f"internal consistency error: lattice point {t} yields rows {rows}"
-            )
-        members.append(YoungDiagram(rows))
-
-    return DiagramSet(d=d, n=n, N=big_n, n0=n0, mu0=mu0, members=tuple(members))
+    coords = np.indices((big_n,) * (d - 1)).reshape(d - 1, -1).T
+    head = coords + base
+    rows = np.column_stack([head, n - head.sum(axis=1)])
+    bad = (rows[:, -1] < 0) | np.any(np.diff(rows, axis=1) >= 0, axis=1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise RuntimeError(
+            f"internal consistency error: lattice point {tuple(coords[first].tolist())} "
+            f"yields rows {tuple(rows[first].tolist())}"
+        )
+    rows.flags.writeable = False
+    return DiagramSet(d=d, n=n, N=big_n, n0=n0, mu0=mu0, rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """A probability distribution over the members of a DiagramSet."""
+    """A probability distribution over the members of a DiagramSet, as a read-only copy."""
 
     diagram_set: DiagramSet
-    probabilities: tuple[float, ...]
+    probabilities: np.ndarray
 
     def __post_init__(self) -> None:
+        probabilities = np.array(self.probabilities, dtype=float)
+        probabilities.flags.writeable = False
+        object.__setattr__(self, "probabilities", probabilities)
         if len(self.probabilities) != len(self.diagram_set):
             raise ValueError(
                 f"{len(self.probabilities)} probabilities for "
                 f"{len(self.diagram_set)} diagrams"
             )
-        if any(p < 0.0 for p in self.probabilities):
+        if np.any(self.probabilities < 0.0):
             raise ValueError("probabilities must be non-negative")
         total = math.fsum(self.probabilities)
         if abs(total - 1.0) > 1e-12:
@@ -171,8 +177,8 @@ def sine_profile(big_n: int) -> list[float]:
 def sine_weights(diagram_set: DiagramSet) -> WeightVector:
     """Product of the 1-D sine profile over the lattice coordinates."""
     g = sine_profile(diagram_set.N)
-    probs = tuple(math.prod(c) for c in product(g, repeat=diagram_set.d - 1))
-    return WeightVector(diagram_set=diagram_set, probabilities=probs)
+    probs = functools.reduce(np.multiply.outer, [g] * (diagram_set.d - 1))
+    return WeightVector(diagram_set=diagram_set, probabilities=np.ravel(probs))
 
 
 def epsilon_g(big_n: int) -> float:

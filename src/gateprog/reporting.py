@@ -1,4 +1,4 @@
-"""Protocol reports over (n, d) points, inequality checks, and persistence.
+"""Protocol reports over (n, d) points, inequality checks, CSV rendering, atomic writes.
 
 Reports carry both achieved quantities (fidelities, exact program dimension)
 and the guaranteed bounds they must satisfy; each bound gets a pass flag.  The
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import tempfile
@@ -63,7 +62,7 @@ def protocol_report(n: int, d: int) -> ProtocolReport:
     qstar = entanglement_fidelity(weights, matrix)
     optimal = optimal_fidelity(matrix)
 
-    dim_exact = sum(irrep_dimension(lam) ** 2 for lam in diagram_set.members)
+    dim_exact = sum(irrep_dimension(rows) ** 2 for rows in diagram_set.rows.tolist())
     dim_log2 = math.log2(dim_exact)
 
     nu = d * d - 1
@@ -205,11 +204,3 @@ def write_text_atomic(text: str, path: str) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-def write_json(payload: dict, path: str) -> None:
-    write_text_atomic(json.dumps(payload, indent=2) + "\n", path)
-
-
-def write_csv(reports: list[ProtocolReport] | tuple[ProtocolReport, ...], path: str) -> None:
-    write_text_atomic(reports_to_csv(reports), path)

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .protocol import DiagramSet, WeightVector, _check_uses, _lattice_parameters, sine_profile
-from .young import young_distance
+from .young import YoungDiagram, young_distance
 
 
 class ConvergenceError(RuntimeError):
@@ -69,11 +69,11 @@ def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:
 
 def score_matrix_by_distance(diagram_set: DiagramSet) -> np.ndarray:
     """Dense score matrix from pairwise Young distances; used for cross-checks."""
-    members = diagram_set.members
+    diagrams = [YoungDiagram(tuple(rows)) for rows in diagram_set.rows.tolist()]
     return np.array([
         [diagram_set.d if i == j else young_distance(lam, mu) == 2
-         for j, mu in enumerate(members)]
-        for i, lam in enumerate(members)
+         for j, mu in enumerate(diagrams)]
+        for i, lam in enumerate(diagrams)
     ], dtype=float)
 
 
@@ -90,7 +90,7 @@ def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
     """(1/d^2) a^T S a with a = sqrt(q); the quadratic form is in amplitudes."""
     if not q.diagram_set.same_as(s.diagram_set):
         raise ValueError("weight vector and score matrix use different diagram sets")
-    amp = np.sqrt(np.asarray(q.probabilities))
+    amp = np.sqrt(q.probabilities)
     d = s.diagram_set.d
     fid = float(amp @ s.matvec(amp)) / (d * d)
     return FidelityResult(fidelity=fid, error=1.0 - fid, weights_used=q)
@@ -218,9 +218,7 @@ def _principal_result(s: ScoreMatrix, v: np.ndarray, theta: float) -> FidelityRe
     probs /= probs.sum()
     d = s.diagram_set.d
     fid = theta / (d * d)
-    weights = WeightVector(
-        diagram_set=s.diagram_set, probabilities=tuple(float(p) for p in probs)
-    )
+    weights = WeightVector(diagram_set=s.diagram_set, probabilities=probs)
     return FidelityResult(fidelity=fid, error=1.0 - fid, weights_used=weights)
 
 

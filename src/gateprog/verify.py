@@ -101,7 +101,7 @@ def check_closed_form_consistency() -> CheckResult:
     for d, n_values in ((2, range(4, 513)), (3, range(13, 61))):
         for n in n_values:
             ds = viable_set(n, d)
-            amps = np.sqrt(np.asarray(sine_weights(ds).probabilities))
+            amps = np.sqrt(sine_weights(ds).probabilities)
             quad = float(amps @ score_matrix(ds).matvec(amps))
             closed = qstar_score_closed_form(d, epsilon_g(ds.N))
             worst = max(worst, abs(quad - closed))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -31,9 +32,6 @@ class YoungDiagram:
 
     def boxes(self) -> int:
         return sum(self.rows)
-
-    def is_strictly_decreasing(self) -> bool:
-        return all(self.rows[i] > self.rows[i + 1] for i in range(self.d - 1))
 
     def reduced_rows(self) -> tuple[int, ...]:
         """Rows minus the last row; labels the SU(d) irrep modulo full columns."""
@@ -69,14 +67,13 @@ def enumerate_diagrams(m: int, d: int) -> list[YoungDiagram]:
     return out
 
 
-def irrep_dimension(diagram: YoungDiagram) -> int:
-    """Dimension of the SU(d) irrep labelled by ``diagram``, exactly.
+def irrep_dimension(rows: Sequence[int]) -> int:
+    """Dimension of the SU(d) irrep with row lengths ``rows``, exactly.
 
     Evaluates the product over row pairs of (rows[i] - rows[j] + j - i)
     divided by 1! 2! ... (d-1)!.  Arbitrary-precision integers throughout;
     the division is checked to be exact.
     """
-    rows = diagram.rows
     d = len(rows)
     num = 1
     for i in range(d):
@@ -106,7 +103,7 @@ def sum_squared_dimensions(m: int, d: int) -> int:
     """
     if d < 2:
         raise ValueError(f"row budget must be at least 2, got {d}")
-    return sum(irrep_dimension(lam) ** 2 for lam in enumerate_diagrams(m, d))
+    return sum(irrep_dimension(lam.rows) ** 2 for lam in enumerate_diagrams(m, d))
 
 
 def dm_lower_bound(m: int, d: int) -> float:

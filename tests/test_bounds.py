@@ -115,8 +115,9 @@ class TestTable1:
             assert upper_bound_cost(2, eps, simplified=True) < prior
 
     def test_requires_positive_k(self):
-        with pytest.raises(ValueError):
-            table1_rows(2, 0.01, 0.0)
+        for big_k in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                table1_rows(2, 0.01, big_k)
 
 
 class TestConjecture:
@@ -130,6 +131,11 @@ class TestConjecture:
     def test_linear_in_parameter_count(self):
         base = conjecture_cost(3, 1e-3, 10.0)
         assert conjecture_cost(6, 1e-3, 10.0) == pytest.approx(2.0 * base, abs=1e-12)
+
+    @pytest.mark.parametrize("big_c", [0.0, -1.0, math.nan, math.inf])
+    def test_requires_positive_finite_constant(self, big_c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            conjecture_cost(3, 0.01, big_c)
 
 
 class TestBoundReport:

@@ -149,6 +149,15 @@ class TestTable1Command:
         assert payload["prior_work"]["upper d^2 log(K/eps)"] == pytest.approx(26.5754247591)
         assert payload["this_work_upper_bits"] == pytest.approx(22.9300476774)
 
+    @pytest.mark.parametrize("command", ["table1", "bounds"])
+    @pytest.mark.parametrize("big_k", ["nan", "inf", "0"])
+    def test_invalid_k_exits_1(self, capsys, command, big_k):
+        code, out, err = run_capture(
+            capsys, [command, "--d", "2", "--eps", "0.01", "--K", big_k]
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: constant K must be positive and finite, got {float(big_k)}\n"
+
 
 class TestConfigFile:
     def test_file_values_used(self, capsys, tmp_path):
@@ -171,6 +180,32 @@ class TestConfigFile:
         code, _, err = run_capture(capsys, ["protocol", "--config", str(cfg), "--d", "2", "--n", "4"])
         assert code == 1
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_unreadable_config_exits_1(self, capsys, tmp_path, missing):
+        path = tmp_path / "absent.cfg" if missing else tmp_path
+        code, out, err = run_capture(capsys, ["protocol", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert err.count("\n") == 1
+
+    def test_bad_value_names_file_line_and_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=2\nn=abc\n")
+        code, out, err = run_capture(capsys, ["protocol", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert err == f"error: {cfg}:2: key 'n' expects int, got 'abc'\n"
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_capture(
+            capsys, ["protocol", "--d", "2", "--n", "4", "--output", str(path)]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_output_file_written_atomically(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

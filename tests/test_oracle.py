@@ -37,12 +37,12 @@ class TestSchurCharacter:
         for m in range(0, 7):
             for lam in enumerate_diagrams(m, 3):
                 value = schur_character(lam, (1.0, 1.0, 1.0))
-                assert value == pytest.approx(irrep_dimension(lam), abs=1e-9)
+                assert value == pytest.approx(irrep_dimension(lam.rows), abs=1e-9)
 
     def test_common_phase_scales_by_box_count(self):
         lam = YoungDiagram((2, 1, 0))
         w = cmath.exp(0.7j)
-        expected = irrep_dimension(lam) * w ** lam.boxes()
+        expected = irrep_dimension(lam.rows) * w ** lam.boxes()
         assert schur_character(lam, (w, w, w)) == pytest.approx(expected)
 
     def test_jitter_handles_partial_coincidence(self):
@@ -145,10 +145,10 @@ class TestHaarFidelity:
     def test_su3_fft_matches_character_table(self, n):
         ds = viable_set(n, 3)
         grid = su_torus_grid(3, n + 1)
-        chi_def = _character_table([YoungDiagram((1, 0, 0))], grid)[0]
-        table = _character_table(list(ds.members), grid)
+        chi_def = _character_table(np.array([[1, 0, 0]]), grid)[0]
+        table = _character_table(ds.rows, grid)
         for q in (sine_weights(ds), optimal_fidelity(score_matrix(ds)).weights_used):
-            amps = np.sqrt(np.asarray(q.probabilities))
+            amps = np.sqrt(q.probabilities)
             reference = float(grid.weights @ np.abs(chi_def * (amps @ table)) ** 2) / 9.0
             assert abs(haar_fidelity(ds, q, grid) - reference) <= 1e-13
 

@@ -2,9 +2,12 @@
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from gateprog import protocol
 from gateprog.protocol import (
     MAX_MEMBERS,
     DiagramSet,
@@ -71,28 +74,29 @@ class TestViableSet:
     def test_n4_d2(self):
         ds = viable_set(4, 2)
         assert ds.N == 2 and ds.n0 == 0
-        assert [m.rows for m in ds.members] == [(3, 1), (4, 0)]
+        assert ds.rows.tolist() == [[3, 1], [4, 0]]
 
     def test_n8_d2(self):
         ds = viable_set(8, 2)
         assert ds.N == 4
-        assert [m.rows for m in ds.members] == [(5, 3), (6, 2), (7, 1), (8, 0)]
+        assert ds.rows.tolist() == [[5, 3], [6, 2], [7, 1], [8, 0]]
 
     def test_n26_d3(self):
         ds = viable_set(26, 3)
         assert len(ds) == 9 and ds.N == 3 and ds.n0 == 6
         assert ds.mu0.rows == (2, 2, 2)
-        assert sorted({m.rows[0] for m in ds.members}) == [12, 13, 14]
-        assert sorted({m.rows[1] for m in ds.members}) == [8, 9, 10]
-        for m in ds.members:
-            assert m.boxes() == 26
-            assert m.is_strictly_decreasing()
+        assert sorted(set(ds.rows[:, 0].tolist())) == [12, 13, 14]
+        assert sorted(set(ds.rows[:, 1].tolist())) == [8, 9, 10]
+        for rows in ds.rows.tolist():
+            assert sum(rows) == 26
+            assert all(rows[i] > rows[i + 1] for i in range(2))
 
     @pytest.mark.parametrize("n,d", [(4, 2), (17, 2), (26, 3), (40, 3), (61, 4)])
     def test_row_formula(self, n, d):
         # recompute every row directly from the defining affine formula
         ds = viable_set(n, d)
-        for member, t in zip(ds.members, product(range(ds.N), repeat=d - 1)):
+        assert ds.rows.shape == (ds.N ** (d - 1), d)
+        for member, t in zip(ds.rows.tolist(), product(range(ds.N), repeat=d - 1)):
             for i in range(1, d):
                 expected = (
                     ds.mu0.rows[i - 1]
@@ -100,8 +104,8 @@ class TestViableSet:
                     - (ds.N + 1) * (i - 1)
                     + t[i - 1]
                 )
-                assert member.rows[i - 1] == expected
-            assert member.rows[d - 1] == n - sum(member.rows[: d - 1])
+                assert member[i - 1] == expected
+            assert member[d - 1] == n - sum(member[: d - 1])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_strictly_decreasing_everywhere(self, d):
@@ -111,12 +115,34 @@ class TestViableSet:
             except ProtocolError:
                 continue
             assert len(ds) == ds.N ** (d - 1)
-            assert all(m.is_strictly_decreasing() for m in ds.members)
+            assert np.all(np.diff(ds.rows, axis=1) < 0)
 
     def test_size_budget_refused_before_building(self):
         # d = 2 has N = n // 2 members: one over the budget
         with pytest.raises(ProtocolError, match=f"{MAX_MEMBERS + 1} members .* budget"):
             viable_set(2 * (MAX_MEMBERS + 1), 2)
+
+    def test_rows_are_read_only(self):
+        ds = viable_set(26, 3)
+        with pytest.raises(ValueError):
+            ds.rows[0, 0] = 0
+        assert ds.rows[0].tolist() == [12, 8, 6]
+
+    def test_negative_last_row_names_the_lattice_point(self, monkeypatch):
+        # a base diagram with too many boxes leaves nothing for the last row
+        monkeypatch.setattr(
+            protocol, "flat_diagram", lambda n0, d: YoungDiagram((n0 + 30,) * d)
+        )
+        with pytest.raises(RuntimeError, match=r"point \(0, 0\) yields rows \(46, 42, -62\)"):
+            viable_set(26, 3)
+
+    def test_equal_rows_name_the_first_bad_lattice_point(self, monkeypatch):
+        # rows 10 + t0 and 9 + t1 first meet at (0, 1), after the consistent (0, 0)
+        monkeypatch.setattr(
+            protocol, "flat_diagram", lambda n0, d: SimpleNamespace(rows=(0, 3, 0))
+        )
+        with pytest.raises(RuntimeError, match=r"point \(0, 1\) yields rows \(10, 10, 6\)"):
+            viable_set(26, 3)
 
 
 class TestSineWeights:
@@ -134,6 +160,13 @@ class TestSineWeights:
         probs = sine_weights(ds).probabilities
         assert probs == pytest.approx([0.25] * 4, abs=1e-15)
 
+    @pytest.mark.parametrize("n,d", [(17, 2), (40, 3), (61, 4)])
+    def test_outer_product_equals_product_loop(self, n, d):
+        ds = viable_set(n, d)
+        g = sine_profile(ds.N)
+        expected = [math.prod(c) for c in product(g, repeat=d - 1)]
+        assert sine_weights(ds).probabilities.tolist() == expected
+
     def test_profile_rejects_single_point(self):
         with pytest.raises(ProtocolError):
             sine_profile(1)
@@ -141,6 +174,17 @@ class TestSineWeights:
     def test_normalization_across_widths(self):
         for big_n in range(2, 513):
             assert abs(math.fsum(sine_profile(big_n)) - 1.0) <= 1e-12
+
+    def test_probabilities_are_a_read_only_copy(self):
+        ds = viable_set(4, 2)
+        given = np.array([0.25, 0.75])
+        q = WeightVector(diagram_set=ds, probabilities=given)
+        given[0] = 0.5
+        assert q.probabilities.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            q.probabilities[0] = 0.5
+        with pytest.raises(ValueError):
+            sine_weights(ds).probabilities[0] = 0.5
 
     def test_weight_vector_validation(self):
         ds = viable_set(4, 2)
@@ -181,9 +225,8 @@ class TestEpsilonG:
 
 def single_member_set() -> DiagramSet:
     """Hypothetical one-point lattice used as a fixture by other suites."""
-    lam = YoungDiagram((3, 1))
     return DiagramSet(
-        d=2, n=4, N=1, n0=0, mu0=YoungDiagram((0, 0)), members=(lam,),
+        d=2, n=4, N=1, n0=0, mu0=YoungDiagram((0, 0)), rows=np.array([[3, 1]]),
     )
 
 

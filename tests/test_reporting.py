@@ -14,8 +14,7 @@ from gateprog.reporting import (
     reports_to_csv,
     sweep,
     sweep_to_dict,
-    write_csv,
-    write_json,
+    write_text_atomic,
 )
 from gateprog.young import irrep_dimension
 from gateprog.protocol import viable_set
@@ -48,7 +47,7 @@ class TestProtocolReport:
 
     def test_exact_dimension_and_log(self):
         r = protocol_report(8, 2)
-        expected = sum(irrep_dimension(m) ** 2 for m in viable_set(8, 2).members)
+        expected = sum(irrep_dimension(rows) ** 2 for rows in viable_set(8, 2).rows.tolist())
         assert r.dP_exact == expected
         assert r.dP_exact_log2 == pytest.approx(math.log2(expected), abs=1e-13)
         assert r.cP_bits == r.dP_exact_log2
@@ -96,15 +95,17 @@ class TestSerialization:
         result = sweep(2, [8, 12, 16])
         path_a = tmp_path / "a.json"
         path_b = tmp_path / "b.json"
-        write_json(sweep_to_dict(result), str(path_a))
-        write_json(sweep_to_dict(sweep(2, [8, 12, 16])), str(path_b))
+        write_text_atomic(json.dumps(sweep_to_dict(result), indent=2) + "\n", str(path_a))
+        write_text_atomic(
+            json.dumps(sweep_to_dict(sweep(2, [8, 12, 16])), indent=2) + "\n", str(path_b)
+        )
         assert path_a.read_bytes() == path_b.read_bytes()
         parsed = json.loads(path_a.read_text())
         assert len(parsed["reports"]) == 3
         assert parsed["reports"][0]["dP_exact"] == "164"
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        write_csv([protocol_report(4, 2)], str(tmp_path / "out.csv"))
+        write_text_atomic(reports_to_csv([protocol_report(4, 2)]), str(tmp_path / "out.csv"))
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
         text = (tmp_path / "out.csv").read_text()
         assert text.startswith(",".join(CSV_COLUMNS))

@@ -75,7 +75,7 @@ class TestEntanglementFidelity:
     def test_brute_force_dense_route(self):
         ds = viable_set(26, 3)
         q = sine_weights(ds)
-        amp = np.sqrt(np.asarray(q.probabilities))
+        amp = np.sqrt(q.probabilities)
         brute = float(amp @ score_matrix(ds).dense() @ amp) / 9.0
         assert entanglement_fidelity(q, score_matrix(ds)).fidelity == pytest.approx(
             brute, abs=1e-14
@@ -97,7 +97,7 @@ class TestOptimalFidelity:
         # N = 1: the sine profile is undefined, so the solver starts from all ones
         result = optimal_fidelity(score_matrix(single_member_set()))
         assert result.fidelity == pytest.approx(0.5, abs=1e-15)
-        assert result.weights_used.probabilities == (1.0,)
+        assert result.weights_used.probabilities.tolist() == [1.0]
 
     def test_chain_eigenvalue_closed_form(self):
         # largest eigenvalue of the length-N chain is 2 + 2 cos(pi / (N+1))
@@ -189,7 +189,7 @@ class TestClosedForm:
     def test_matches_quadratic_form(self, d, ns):
         for n in ns:
             ds = viable_set(n, d)
-            amp = np.sqrt(np.asarray(sine_weights(ds).probabilities))
+            amp = np.sqrt(sine_weights(ds).probabilities)
             quad = float(amp @ score_matrix(ds).matvec(amp))
             assert abs(quad - qstar_score_closed_form(d, epsilon_g(ds.N))) <= 1e-12
 
