@@ -197,7 +197,7 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_bounds(config: RunConfig) -> tuple[dict, int]:
+def _cmd_bounds(config: RunConfig) -> tuple[dict, int, list | None]:
     _require(config, "d", "eps")
     report = bounds_mod.bound_report(config.d, config.eps, config.delta, config.K)
     payload = {
@@ -213,19 +213,17 @@ def _cmd_bounds(config: RunConfig) -> tuple[dict, int]:
         "table1": {label: bits for label, bits in report.table1},
         "vacuous_flags": report.vacuous_flags,
     }
-    return round_floats(payload), 0
+    return round_floats(payload), 0, None
 
 
-def _cmd_protocol(config: RunConfig) -> tuple[dict, int]:
+def _cmd_protocol(config: RunConfig) -> tuple[dict, int, list | None]:
     _require(config, "d", "n")
     report = protocol_report(config.n, config.d)
     code = 0 if all(report.pass_flags.values()) else 2
-    payload = report_to_dict(report)
-    payload["_csv"] = reports_to_csv([report])
-    return payload, code
+    return report_to_dict(report), code, [report]
 
 
-def _cmd_sweep(config: RunConfig) -> tuple[dict, int]:
+def _cmd_sweep(config: RunConfig) -> tuple[dict, int, list | None]:
     _require(config, "d", "n_min", "n_max")
     step = 1 if config.n_step is None else config.n_step
     if step < 1:
@@ -233,12 +231,10 @@ def _cmd_sweep(config: RunConfig) -> tuple[dict, int]:
     n_values = list(range(config.n_min, config.n_max + 1, step))
     result = sweep(config.d, n_values)
     code = 0 if all(all(r.pass_flags.values()) for r in result.reports) else 2
-    payload = sweep_to_dict(result)
-    payload["_csv"] = reports_to_csv(result.reports)
-    return payload, code
+    return sweep_to_dict(result), code, result.reports
 
 
-def _cmd_phase(config: RunConfig) -> tuple[dict, int]:
+def _cmd_phase(config: RunConfig) -> tuple[dict, int, list | None]:
     _require(config, "dp")
     report = phase_report(config.dp)
     payload = {
@@ -248,10 +244,10 @@ def _cmd_phase(config: RunConfig) -> tuple[dict, int]:
         "choi_infidelity": report.choi_infidelity,
         "asymptote_ratio": report.asymptote_ratio,
     }
-    return round_floats(payload), 0
+    return round_floats(payload), 0, None
 
 
-def _cmd_table1(config: RunConfig) -> tuple[dict, int]:
+def _cmd_table1(config: RunConfig) -> tuple[dict, int, list | None]:
     _require(config, "d", "eps")
     rows = bounds_mod.table1_rows(config.d, config.eps, config.K)
     payload = {
@@ -264,10 +260,10 @@ def _cmd_table1(config: RunConfig) -> tuple[dict, int]:
             config.d, config.eps, simplified=True
         ),
     }
-    return round_floats(payload), 0
+    return round_floats(payload), 0, None
 
 
-def _cmd_verify(config: RunConfig) -> tuple[dict, int]:
+def _cmd_verify(config: RunConfig) -> tuple[dict, int, list | None]:
     results = verify_mod.run_all(samples=config.samples, seed=config.seed)
     payload = {
         "checks": [
@@ -275,7 +271,7 @@ def _cmd_verify(config: RunConfig) -> tuple[dict, int]:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    return payload, 0 if payload["all_passed"] else 2
+    return payload, 0 if payload["all_passed"] else 2, None
 
 
 _DISPATCH = {
@@ -288,9 +284,10 @@ _DISPATCH = {
 }
 
 
-def _output_text(payload: dict, config: RunConfig) -> str:
-    # protocol/sweep have a dedicated row-per-report CSV schema
-    csv_text = payload.pop("_csv", None)
+def _output_text(payload: dict, reports: list | None, config: RunConfig) -> str:
+    # protocol/sweep hand back their reports for a dedicated row-per-report CSV schema
+    if reports is not None and config.format == "csv":
+        return reports_to_csv(reports)
     if config.command == "verify" and config.format == "table":
         lines = [
             ("PASS " if check["passed"] else "FAIL ") + f"{check['name']}: {check['detail']}"
@@ -298,8 +295,6 @@ def _output_text(payload: dict, config: RunConfig) -> str:
         ]
         lines.append("all passed" if payload["all_passed"] else "FAILURES present")
         return "\n".join(lines) + "\n"
-    if csv_text is not None and config.format == "csv":
-        return csv_text
     return _render(payload, config.format)
 
 
@@ -317,8 +312,8 @@ def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _merge_config(args)
-        payload, code = _DISPATCH[config.command](config)
-        _emit(_output_text(payload, config), config)
+        payload, code, reports = _DISPATCH[config.command](config)
+        _emit(_output_text(payload, reports, config), config)
     except (CliError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,9 @@ stays for the orthonormality check, and for d = 2, whose grid holds rotation
 angles and whose table is small.
 
 Also provides a Monte-Carlo reconstruction of the implemented channel's Choi
-state from Haar samples (uniform unit quaternions for SU(2)).
+state for SU(2).  It samples the protocol itself: the error rotation's class
+angle comes from the outcome density at the nodes of the SU(2) grid, its axis
+is uniform, and every sample has unit weight.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def su_torus_grid(d: int, max_boxes: int) -> TorusGrid:
         return su2_grid(max_boxes)
     if d != 3:
         raise ValueError(f"torus grid implemented for d in {{2, 3}}, got {d}")
+    if max_boxes < 0:
+        raise ValueError(f"degree must be non-negative, got {max_boxes}")
     count = 4 * (max_boxes + 8)
     line = 2.0 * math.pi * np.arange(count) / count
     p1, p2 = np.meshgrid(line, line, indexing="ij")
@@ -294,16 +298,18 @@ def choi_monte_carlo_su2(
 ) -> ChoiFit:
     """Monte-Carlo Choi state of the measure-and-operate channel at the identity.
 
-    Draws Haar SU(2) elements as uniform unit quaternions, weights each by the
-    class-function outcome density |sum_lam sqrt(q_lam) chi_lam|^2, accumulates
-    the 4x4 Choi matrix, and fits the one-parameter covariant form
+    Simulates the protocol: the error rotation of the estimate has its class
+    angle theta drawn from the outcome density |sum_lam sqrt(q_lam) chi_lam|^2
+    times the Haar class weight, at the nodes of ``su2_grid(n + 1)``, and its
+    axis drawn uniformly.  Each quaternion (cos(theta/2), sin(theta/2) * axis)
+    enters the 4x4 Choi matrix with unit weight and unit trace; the mean is
+    fitted to the one-parameter covariant form
     (1 - a) * Phi+ + a * (I - Phi+) / 3.  Returns the fitted a and the
     Frobenius residual of the fit.
 
-    The channel is trace preserving, so its Choi state has unit trace; the
-    accumulated matrix is renormalized to unit trace before fitting (the
-    self-normalized form of the importance estimator), which cancels the
-    common-mode sampling noise of the density weights.
+    Drawing the angle from grid nodes is exact, not an approximation: averaged
+    over the axis, the Choi integrand is an even trigonometric polynomial in
+    theta that the grid integrates exactly, as in ``haar_fidelity``.
 
     One call consumes one deterministic stream keyed by ``seed``; parallel
     callers must use distinct seeds.
@@ -316,11 +322,11 @@ def choi_monte_carlo_su2(
     if samples < 10**5:
         raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
 
-    # each member has a distinct character label k = rows[0] - rows[1] + 1
-    rows = diagram_set.rows
-    labels = (rows[:, 0] - rows[:, 1] + 1).tolist()
-    amp_by_k = dict(zip(labels, np.sqrt(q.probabilities).tolist()))
-    max_k = max(amp_by_k)
+    # class-angle distribution; sums to 1 by character orthonormality
+    grid = su2_grid(n + 1)
+    thetas = grid.angles[:, 0]
+    probe = np.sqrt(q.probabilities) @ _su2_character_table(diagram_set.rows, thetas)
+    density = grid.weights * probe**2
 
     rng = np.random.default_rng(seed)
     acc = np.zeros((4, 4), dtype=complex)
@@ -329,23 +335,11 @@ def choi_monte_carlo_su2(
     while remaining:
         count = min(chunk_size, remaining)
         remaining -= count
-        quat = rng.standard_normal((count, 4))
-        quat /= np.linalg.norm(quat, axis=1, keepdims=True)
-        w, xq, yq, zq = quat.T
-
-        # Chebyshev recurrence gives chi_k(U) = U_{k-1}(cos(theta/2)), cos = w
-        s = np.zeros(count)
-        u_prev = np.ones(count)
-        u_cur = 2.0 * w
-        if 1 in amp_by_k:
-            s += amp_by_k[1] * u_prev
-        if 2 in amp_by_k:
-            s += amp_by_k[2] * u_cur
-        for k in range(3, max_k + 1):
-            u_prev, u_cur = u_cur, 2.0 * w * u_cur - u_prev
-            if k in amp_by_k:
-                s += amp_by_k[k] * u_cur
-        p = s * s
+        half = thetas[rng.choice(len(density), size=count, p=density)] / 2.0
+        axis = rng.standard_normal((count, 3))
+        axis *= (np.sin(half) / np.linalg.norm(axis, axis=1))[:, None]
+        w = np.cos(half)
+        xq, yq, zq = axis.T
 
         v = np.empty((count, 4), dtype=complex)
         v[:, 0] = w + 1j * zq
@@ -353,10 +347,9 @@ def choi_monte_carlo_su2(
         v[:, 2] = -yq + 1j * xq
         v[:, 3] = w - 1j * zq
         v /= math.sqrt(2.0)
-        acc += (v * p[:, None]).T @ v.conj()
+        acc += v.T @ v.conj()
 
     choi = acc / samples
-    choi /= np.real(np.trace(choi))
 
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / math.sqrt(2.0)

@@ -28,10 +28,10 @@ class PhaseProtocol:
     def __post_init__(self) -> None:
         if not self.amplitudes:
             raise ValueError("a program state needs at least one amplitude")
-        if any(c < 0.0 for c in self.amplitudes):
-            raise ValueError("amplitudes must be non-negative")
+        if not all(math.isfinite(c) and c >= 0.0 for c in self.amplitudes):
+            raise ValueError("amplitudes must be finite and non-negative")
         norm = math.fsum(c * c for c in self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"amplitudes have squared norm {norm!r}, not 1")
 
     @property

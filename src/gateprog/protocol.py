@@ -155,10 +155,10 @@ class WeightVector:
                 f"{len(self.probabilities)} probabilities for "
                 f"{len(self.diagram_set)} diagrams"
             )
-        if np.any(self.probabilities < 0.0):
-            raise ValueError("probabilities must be non-negative")
+        if not np.all(np.isfinite(self.probabilities) & (self.probabilities >= 0.0)):
+            raise ValueError("probabilities must be finite and non-negative")
         total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 

@@ -104,6 +104,11 @@ class TestOrthonormality:
         with pytest.raises(ValueError, match="under-resolved"):
             character_orthonormality_check(su2_grid(1), diagrams)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_negative_degree_rejected(self, d):
+        with pytest.raises(ValueError, match="degree must be non-negative, got -3"):
+            su_torus_grid(d, -3)
+
 
 class TestHaarFidelity:
     def test_two_member_set(self):
@@ -175,6 +180,30 @@ class TestChoiMonteCarlo:
         tol = 5.0 / math.sqrt(2 * 10**5)
         assert abs((1.0 - fit.a) - 0.75) <= tol
         assert fit.residual <= tol
+
+    def test_recovers_fidelity_n512(self):
+        n, samples = 512, 10**6
+        ds = viable_set(n, 2)
+        q = sine_weights(ds)
+        fidelity = entanglement_fidelity(q, score_matrix(ds)).fidelity
+        fit = choi_monte_carlo_su2(n, q, samples, seed=1)
+        tol = 5.0 / math.sqrt(samples)
+        assert fit.residual <= tol
+        assert abs((1.0 - fit.a) - fidelity) <= tol
+
+        # the fitted a is the sample mean of sin^2(theta/2) under the outcome
+        # density; its moments by quadrature (node 0, theta = 0, has zero weight)
+        grid = su2_grid(n + 1)
+        half = grid.angles[1:, 0] / 2.0
+        k = ds.rows[:, 0] - ds.rows[:, 1] + 1
+        probe = np.sqrt(q.probabilities) @ (np.sin(np.outer(k, half)) / np.sin(half))
+        density = grid.weights[1:] * probe**2
+        s2 = np.sin(half) ** 2
+        mean = float(density @ s2)
+        sd = math.sqrt(float(density @ s2**2) - mean**2)
+        assert mean == pytest.approx(1.0 - fidelity, rel=1e-9)
+        relative = abs(fit.a - (1.0 - fidelity)) / (1.0 - fidelity)
+        assert relative <= 5.0 * sd / math.sqrt(samples) / mean
 
     def test_concentrated_weights_give_inverse_dimension(self):
         ds = viable_set(4, 2)

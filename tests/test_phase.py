@@ -89,6 +89,15 @@ class TestSineState:
             sine_state(1)
 
 
+class TestPhaseProtocol:
+    @pytest.mark.parametrize(
+        "amplitudes", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
+    )
+    def test_rejects_non_finite_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseProtocol(amplitudes)
+
+
 class TestClassicalError:
     def test_values(self):
         assert classical_phase_error(1) == pytest.approx(1.0, abs=1e-15)

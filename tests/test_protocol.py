@@ -195,6 +195,13 @@ class TestSineWeights:
         with pytest.raises(ValueError):
             WeightVector(diagram_set=ds, probabilities=(1.5, -0.5))
 
+    @pytest.mark.parametrize(
+        "probabilities", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
+    )
+    def test_weight_vector_rejects_non_finite(self, probabilities):
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector(diagram_set=viable_set(4, 2), probabilities=probabilities)
+
 
 class TestEpsilonG:
     def test_small_widths(self):
