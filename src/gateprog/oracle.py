@@ -12,9 +12,10 @@ character formula the probe sum_lam sqrt(q_lam) chi_lam is a ratio whose
 numerator is a trigonometric polynomial in the d-1 free eigenphases with
 integer frequencies; on the uniform product grid that polynomial is exactly a
 discrete Fourier transform, so one inverse FFT evaluates it at every node in
-O(M log M) time and O(M) memory for M nodes.  The explicit character table
-stays for the orthonormality check, and for d = 2, whose grid holds rotation
-angles and whose table is small.
+O(M log M) time and O(M) memory for M nodes.  For d = 2 the same holds in
+one dimension: chi_k(theta) sin(theta/2) = sin(k theta/2) is a sine series,
+so one FFT gives the probe at every rotation angle of the grid.  The explicit
+character tables stay only for the orthonormality check.
 
 Also provides a Monte-Carlo reconstruction of the implemented channel's Choi
 state for SU(2).  It samples the protocol itself: the error rotation's class
@@ -150,6 +151,24 @@ def _su2_character_table(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _su2_probe(rows: np.ndarray, amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """sum_lam amps_lam * chi_lam(theta) at the ``su2_grid`` nodes, by one FFT.
+
+    ``thetas`` must be the grid's angles 2 pi j / count, j = 0 .. count - 1.
+    With k = rows_0 - rows_1 + 1, chi_k(theta_j) sin(theta_j / 2) =
+    sin(2 pi k j / (2 count)), so the numerator is minus the imaginary part of
+    a length-2 count FFT of the amplitudes binned by k.  Node 0 takes the limit
+    sum_lam amps_lam * k.
+    """
+    count = len(thetas)
+    k = rows[:, 0] - rows[:, 1] + 1
+    numerator = -np.fft.rfft(np.bincount(k, weights=amps, minlength=2 * count))[:count].imag
+    probe = np.empty(count)
+    probe[0] = amps @ k
+    probe[1:] = numerator[1:] / np.sin(thetas[1:] / 2.0)
+    return probe
+
+
 def _vandermonde(x: np.ndarray) -> np.ndarray:
     """Weyl denominator prod_{i<j} (x_i - x_j) at every row of eigenvalues ``x``."""
     d = x.shape[1]
@@ -202,7 +221,7 @@ def _weyl_numerator(rows: np.ndarray, amps: np.ndarray, d: int, count: int) -> n
 
 def _character_table(rows: np.ndarray, grid: TorusGrid) -> np.ndarray:
     if grid.d == 2:
-        return _su2_character_table(rows, grid.angles[:, 0]).astype(complex)
+        return _su2_character_table(rows, grid.angles[:, 0])
     return _schur_character_table(rows, grid)
 
 
@@ -213,7 +232,9 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
     |chi_defining(U) * sum_lam sqrt(q_lam) chi_lam(U)|^2,
     which for class functions reduces to the torus integral on ``grid``.
 
-    For d >= 3 the probe is the Weyl numerator sum_lam sqrt(q_lam)
+    For d = 2 the probe comes from ``_su2_probe``, one FFT of a sine series,
+    and chi_defining = 2 cos(theta / 2).  For d >= 3 the probe is the Weyl
+    numerator sum_lam sqrt(q_lam)
     det(x_i^(rows_j + d - j)), evaluated at every node by one inverse FFT (see
     ``_weyl_numerator``), over the Vandermonde denominator; nodes where the
     denominator vanishes carry zero weight.  This is exact, not an
@@ -242,8 +263,9 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
 
     amps = np.sqrt(q.probabilities)
     if d == 2:
-        probe = amps @ _character_table(diagram_set.rows, grid)
-        chi_def = _character_table(np.array([[1, 0]]), grid)[0]
+        thetas = grid.angles[:, 0]
+        probe = _su2_probe(diagram_set.rows, amps, thetas)
+        chi_def = 2.0 * np.cos(thetas / 2.0)
     else:
         full = np.column_stack([grid.angles, -grid.angles.sum(axis=1)])
         x = np.exp(1j * full)
@@ -301,15 +323,21 @@ def choi_monte_carlo_su2(
     Simulates the protocol: the error rotation of the estimate has its class
     angle theta drawn from the outcome density |sum_lam sqrt(q_lam) chi_lam|^2
     times the Haar class weight, at the nodes of ``su2_grid(n + 1)``, and its
-    axis drawn uniformly.  Each quaternion (cos(theta/2), sin(theta/2) * axis)
-    enters the 4x4 Choi matrix with unit weight and unit trace; the mean is
-    fitted to the one-parameter covariant form
+    axis drawn uniformly.  Each quaternion r = (cos(theta/2), sin(theta/2) *
+    axis) enters the 4x4 Choi matrix with unit weight and unit trace; the mean
+    is fitted to the one-parameter covariant form
     (1 - a) * Phi+ + a * (I - Phi+) / 3.  Returns the fitted a and the
     Frobenius residual of the fit.
 
     Drawing the angle from grid nodes is exact, not an approximation: averaged
     over the axis, the Choi integrand is an even trigonometric polynomial in
     theta that the grid integrates exactly, as in ``haar_fidelity``.
+
+    Each chunk draws its node counts from one multinomial and repeats every
+    node's angle that many times.  The draws are iid, so grouping them by node
+    leaves their distribution unchanged.  The Choi vector of a sample is
+    M r for a fixed complex 4x4 M, so the samples only enter the real 4x4
+    Gram G = sum r r^T, and the Choi matrix is M G M^dagger / samples.
 
     One call consumes one deterministic stream keyed by ``seed``; parallel
     callers must use distinct seeds.
@@ -322,34 +350,36 @@ def choi_monte_carlo_su2(
     if samples < 10**5:
         raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
 
-    # class-angle distribution; sums to 1 by character orthonormality
+    # class-angle distribution; sums to 1 by character orthonormality up to
+    # rounding, which the renormalisation removes
     grid = su2_grid(n + 1)
     thetas = grid.angles[:, 0]
-    probe = np.sqrt(q.probabilities) @ _su2_character_table(diagram_set.rows, thetas)
+    probe = _su2_probe(diagram_set.rows, np.sqrt(q.probabilities), thetas)
     density = grid.weights * probe**2
+    density /= density.sum()
+    cos_half, sin_half = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
 
     rng = np.random.default_rng(seed)
-    acc = np.zeros((4, 4), dtype=complex)
-    remaining = samples
+    gram = np.zeros((4, 4))
     chunk_size = 250_000
+    buffer = np.empty(4 * min(chunk_size, samples))
+    remaining = samples
     while remaining:
         count = min(chunk_size, remaining)
         remaining -= count
-        half = thetas[rng.choice(len(density), size=count, p=density)] / 2.0
-        axis = rng.standard_normal((count, 3))
-        axis *= (np.sin(half) / np.linalg.norm(axis, axis=1))[:, None]
-        w = np.cos(half)
-        xq, yq, zq = axis.T
+        nodes = rng.multinomial(count, density)
+        quat = buffer[: 4 * count].reshape(4, count)
+        rng.standard_normal(out=quat[1:])
+        scale = np.repeat(sin_half, nodes)
+        scale /= np.sqrt(np.einsum("ij,ij->j", quat[1:], quat[1:]))
+        quat[1:] *= scale
+        quat[0] = np.repeat(cos_half, nodes)
+        gram += quat @ quat.T
 
-        v = np.empty((count, 4), dtype=complex)
-        v[:, 0] = w + 1j * zq
-        v[:, 1] = yq + 1j * xq
-        v[:, 2] = -yq + 1j * xq
-        v[:, 3] = w - 1j * zq
-        v /= math.sqrt(2.0)
-        acc += v.T @ v.conj()
-
-    choi = acc / samples
+    # m r = vec(U) for the SU(2) matrix U of r = (w, x, y, z); the Choi vector
+    # is vec(U) / sqrt(2), hence the factor 2 below
+    m = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]])
+    choi = m @ (gram / (2.0 * samples)) @ m.conj().T
 
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
