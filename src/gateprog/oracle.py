@@ -7,20 +7,20 @@ integrands of interest are trigonometric polynomials, so a sufficiently fine
 grid is exact to rounding; normalizing numerically means the measure constant
 is verified by the identity integral instead of being trusted.
 
-For d >= 3 the Haar fidelity never tabulates characters.  By the Weyl
-character formula the probe sum_lam sqrt(q_lam) chi_lam is a ratio whose
-numerator is a trigonometric polynomial in the d-1 free eigenphases with
-integer frequencies; on the uniform product grid that polynomial is exactly a
-discrete Fourier transform, so one inverse FFT evaluates it at every node in
-O(M log M) time and O(M) memory for M nodes.  For d = 2 the same holds in
-one dimension: chi_k(theta) sin(theta/2) = sin(k theta/2) is a sine series,
-so one FFT gives the probe at every rotation angle of the grid.  The explicit
-character tables stay only for the orthonormality check.
+Every d takes the same route, SU(2) included: its free eigenphase is
+phi = theta / 2 for the rotation angle theta.  The Haar fidelity never
+tabulates characters.  By the Weyl character formula the probe
+sum_lam sqrt(q_lam) chi_lam is a ratio whose numerator is a trigonometric
+polynomial in the d-1 free eigenphases with integer frequencies; on the
+uniform product grid that polynomial is exactly a discrete Fourier transform,
+so one inverse FFT evaluates it at every node in O(M log M) time and O(M)
+memory for M nodes.  The explicit character table stays only for the
+orthonormality check.
 
 Also provides a Monte-Carlo reconstruction of the implemented channel's Choi
-state for SU(2).  It samples the protocol itself: the error rotation's class
-angle comes from the outcome density at the nodes of the SU(2) grid, its axis
-is uniform, and every sample has unit weight.
+state for SU(2).  It samples the protocol itself: the error rotation's
+eigenphase comes from the outcome density at the nodes of the SU(2) grid, its
+axis is uniform, and every sample has unit weight.
 """
 
 from __future__ import annotations
@@ -51,51 +51,52 @@ class TorusGrid:
     nodes_per_dim: int
 
     def __post_init__(self) -> None:
+        self.angles = np.asarray(self.angles, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.angles.shape != (len(self.weights), self.d - 1):
+            raise ValueError(
+                f"angles have shape {self.angles.shape}, expected "
+                f"({len(self.weights)}, {self.d - 1})"
+            )
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0.0)):
+            raise ValueError("weights must be finite and non-negative")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
 
     def resolves(self, max_boxes: int) -> bool:
         return self.nodes_per_dim >= 4 * (max_boxes + 2)
 
 
-def su2_grid(max_boxes: int) -> TorusGrid:
-    """Uniform rotation-angle grid on SU(2) with sin^2(theta/2) class weights.
-
-    8 (max_boxes + 2) nodes integrate every character product of total degree
-    up to ``max_boxes`` exactly (to rounding).
-    """
-    if max_boxes < 0:
-        raise ValueError(f"degree must be non-negative, got {max_boxes}")
-    count = 8 * (max_boxes + 2)
-    thetas = 2.0 * math.pi * np.arange(count) / count
-    weights = np.sin(thetas / 2.0) ** 2
-    weights /= weights.sum()
-    return TorusGrid(d=2, angles=thetas[:, None], weights=weights, nodes_per_dim=count)
+def _eigenphases(angles: np.ndarray) -> np.ndarray:
+    """All d eigenphases at every node: the d-1 free ones, then minus their sum."""
+    return np.column_stack([angles, -angles.sum(axis=1)])
 
 
 def su_torus_grid(d: int, max_boxes: int) -> TorusGrid:
     """Product eigenphase grid for SU(d) with squared-Vandermonde weights.
 
-    Implemented for d in {2, 3}.  The d = 3 grid uses 4 (max_boxes + 8)
-    nodes per direction, enough for character products of the sets built here.
+    Implemented for d in {2, 3}, with 4 (max_boxes + 8) nodes per direction,
+    enough for the character products of the sets built here.  At d = 2 the
+    free eigenphase phi = theta / 2 runs over [0, 2 pi) with weight
+    4 sin^2(phi), the Haar class weight of the rotation angle theta.
     """
-    if d == 2:
-        return su2_grid(max_boxes)
-    if d != 3:
+    if d not in (2, 3):
         raise ValueError(f"torus grid implemented for d in {{2, 3}}, got {d}")
     if max_boxes < 0:
         raise ValueError(f"degree must be non-negative, got {max_boxes}")
     count = 4 * (max_boxes + 8)
     line = 2.0 * math.pi * np.arange(count) / count
-    p1, p2 = np.meshgrid(line, line, indexing="ij")
-    angles = np.column_stack([p1.ravel(), p2.ravel()])
-    full = np.column_stack([angles[:, 0], angles[:, 1], -angles.sum(axis=1)])
-    x = np.exp(1j * full)
-    delta = (x[:, 0] - x[:, 1]) * (x[:, 0] - x[:, 2]) * (x[:, 1] - x[:, 2])
-    weights = np.abs(delta) ** 2
+    axes = np.meshgrid(*[line] * (d - 1), indexing="ij")
+    angles = np.column_stack([axis.ravel() for axis in axes])
+    weights = np.abs(_vandermonde(np.exp(1j * _eigenphases(angles)))) ** 2
     weights /= weights.sum()
-    return TorusGrid(d=3, angles=angles, weights=weights, nodes_per_dim=count)
+    return TorusGrid(d=d, angles=angles, weights=weights, nodes_per_dim=count)
+
+
+def su2_grid(max_boxes: int) -> TorusGrid:
+    """The SU(2) eigenphase grid, ``su_torus_grid(2, max_boxes)``."""
+    return su_torus_grid(2, max_boxes)
 
 
 def schur_character(diagram: YoungDiagram, phases: Sequence[complex]) -> complex:
@@ -140,35 +141,6 @@ def su2_character(diagram: YoungDiagram, theta: float) -> float:
     return math.sin(k * half) / s
 
 
-def _su2_character_table(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    half = thetas / 2.0
-    s = np.sin(half)
-    regular = np.abs(s) > 1e-9
-    out = np.empty((len(rows), len(thetas)))
-    for row, k in enumerate((rows[:, 0] - rows[:, 1] + 1).tolist()):
-        out[row, regular] = np.sin(k * half[regular]) / s[regular]
-        out[row, ~regular] = k * np.cos(k * half[~regular]) / np.cos(half[~regular])
-    return out
-
-
-def _su2_probe(rows: np.ndarray, amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """sum_lam amps_lam * chi_lam(theta) at the ``su2_grid`` nodes, by one FFT.
-
-    ``thetas`` must be the grid's angles 2 pi j / count, j = 0 .. count - 1.
-    With k = rows_0 - rows_1 + 1, chi_k(theta_j) sin(theta_j / 2) =
-    sin(2 pi k j / (2 count)), so the numerator is minus the imaginary part of
-    a length-2 count FFT of the amplitudes binned by k.  Node 0 takes the limit
-    sum_lam amps_lam * k.
-    """
-    count = len(thetas)
-    k = rows[:, 0] - rows[:, 1] + 1
-    numerator = -np.fft.rfft(np.bincount(k, weights=amps, minlength=2 * count))[:count].imag
-    probe = np.empty(count)
-    probe[0] = amps @ k
-    probe[1:] = numerator[1:] / np.sin(thetas[1:] / 2.0)
-    return probe
-
-
 def _vandermonde(x: np.ndarray) -> np.ndarray:
     """Weyl denominator prod_{i<j} (x_i - x_j) at every row of eigenvalues ``x``."""
     d = x.shape[1]
@@ -187,7 +159,7 @@ def _schur_character_table(rows: np.ndarray, grid: TorusGrid) -> np.ndarray:
     unchanged.
     """
     d = grid.d
-    full = np.column_stack([grid.angles, -grid.angles.sum(axis=1)])
+    full = _eigenphases(grid.angles)
     den = _vandermonde(np.exp(1j * full))
     degenerate = np.abs(den) < 1e-9
 
@@ -219,10 +191,26 @@ def _weyl_numerator(rows: np.ndarray, amps: np.ndarray, d: int, count: int) -> n
     return (np.fft.ifftn(coeff.reshape(shape)) * coeff.size).ravel()
 
 
-def _character_table(rows: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    if grid.d == 2:
-        return _su2_character_table(rows, grid.angles[:, 0])
-    return _schur_character_table(rows, grid)
+def _weyl_probe(
+    rows: np.ndarray, amps: np.ndarray, grid: TorusGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues x and sum_lam amps_lam * chi_lam at every node of the product grid.
+
+    The probe is the Weyl numerator (see ``_weyl_numerator``) over the
+    Vandermonde denominator; nodes where the denominator vanishes carry zero
+    weight and get probe zero.  This is exact, not an approximation: the last
+    eigenphase is minus the sum of the others and the nodes sit at multiples of
+    2 pi / nodes_per_dim, so every term of the numerator is one Fourier mode of
+    the grid.  ``grid`` must therefore be the full product grid of
+    nodes_per_dim^(d-1) nodes.
+    """
+    x = np.exp(1j * _eigenphases(grid.angles))
+    den = _vandermonde(x)
+    regular = np.abs(den) >= 1e-9
+    numerator = _weyl_numerator(rows, amps, grid.d, grid.nodes_per_dim)
+    probe = np.zeros(len(x), dtype=complex)
+    probe[regular] = numerator[regular] / den[regular]
+    return x, probe
 
 
 def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> float:
@@ -230,18 +218,9 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
 
     F = (1/d^2) * integral over the group of
     |chi_defining(U) * sum_lam sqrt(q_lam) chi_lam(U)|^2,
-    which for class functions reduces to the torus integral on ``grid``.
-
-    For d = 2 the probe comes from ``_su2_probe``, one FFT of a sine series,
-    and chi_defining = 2 cos(theta / 2).  For d >= 3 the probe is the Weyl
-    numerator sum_lam sqrt(q_lam)
-    det(x_i^(rows_j + d - j)), evaluated at every node by one inverse FFT (see
-    ``_weyl_numerator``), over the Vandermonde denominator; nodes where the
-    denominator vanishes carry zero weight.  This is exact, not an
-    approximation: the last eigenphase is minus the sum of the others and the
-    nodes sit at multiples of 2 pi / nodes_per_dim, so every term of the
-    numerator is one Fourier mode of the grid.  ``grid`` must therefore be the
-    full product grid of nodes_per_dim^(d-1) nodes.
+    which for class functions reduces to the torus integral on ``grid``.  The
+    probe comes from one inverse FFT of the Weyl numerator at every d (see
+    ``_weyl_probe``), and chi_defining is the sum of the eigenvalues.
     """
     if grid.d != diagram_set.d:
         raise ValueError(f"grid is for d={grid.d}, set is for d={diagram_set.d}")
@@ -261,22 +240,8 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
             f"{count}^{d - 1} = {count ** (d - 1)}"
         )
 
-    amps = np.sqrt(q.probabilities)
-    if d == 2:
-        thetas = grid.angles[:, 0]
-        probe = _su2_probe(diagram_set.rows, amps, thetas)
-        chi_def = 2.0 * np.cos(thetas / 2.0)
-    else:
-        full = np.column_stack([grid.angles, -grid.angles.sum(axis=1)])
-        x = np.exp(1j * full)
-        den = _vandermonde(x)
-        regular = np.abs(den) >= 1e-9
-        probe = np.zeros(len(x), dtype=complex)
-        probe[regular] = (
-            _weyl_numerator(diagram_set.rows, amps, d, count)[regular] / den[regular]
-        )
-        chi_def = x.sum(axis=1)
-    integrand = np.abs(chi_def * probe) ** 2
+    x, probe = _weyl_probe(diagram_set.rows, np.sqrt(q.probabilities), grid)
+    integrand = np.abs(x.sum(axis=1) * probe) ** 2
     return float(grid.weights @ integrand) / (d * d)
 
 
@@ -298,7 +263,7 @@ def character_orthonormality_check(
             f"degree-{max_boxes} characters"
         )
     rows = np.array([lam.rows for lam in diagrams]).reshape(-1, grid.d)
-    table = _character_table(rows, grid)
+    table = _schur_character_table(rows, grid)
     gram = (table * grid.weights) @ table.conj().T
     worst = 0.0
     for i, lam in enumerate(diagrams):
@@ -320,18 +285,19 @@ def choi_monte_carlo_su2(
 ) -> ChoiFit:
     """Monte-Carlo Choi state of the measure-and-operate channel at the identity.
 
-    Simulates the protocol: the error rotation of the estimate has its class
-    angle theta drawn from the outcome density |sum_lam sqrt(q_lam) chi_lam|^2
+    Simulates the protocol: the error rotation of the estimate has its
+    eigenphase phi drawn from the outcome density |sum_lam sqrt(q_lam) chi_lam|^2
     times the Haar class weight, at the nodes of ``su2_grid(n + 1)``, and its
-    axis drawn uniformly.  Each quaternion r = (cos(theta/2), sin(theta/2) *
-    axis) enters the 4x4 Choi matrix with unit weight and unit trace; the mean
-    is fitted to the one-parameter covariant form
+    axis drawn uniformly.  Each quaternion r = (cos(phi), sin(phi) * axis)
+    enters the 4x4 Choi matrix with unit weight and unit trace; the mean is
+    fitted to the one-parameter covariant form
     (1 - a) * Phi+ + a * (I - Phi+) / 3.  Returns the fitted a and the
     Frobenius residual of the fit.
 
-    Drawing the angle from grid nodes is exact, not an approximation: averaged
-    over the axis, the Choi integrand is an even trigonometric polynomial in
-    theta that the grid integrates exactly, as in ``haar_fidelity``.
+    Drawing the eigenphase from grid nodes is exact, not an approximation:
+    averaged over the axis, the Choi integrand is an even trigonometric
+    polynomial in phi that the grid integrates exactly, as in ``haar_fidelity``,
+    whose probe it shares.
 
     Each chunk draws its node counts from one multinomial and repeats every
     node's angle that many times.  The draws are iid, so grouping them by node
@@ -350,14 +316,14 @@ def choi_monte_carlo_su2(
     if samples < 10**5:
         raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
 
-    # class-angle distribution; sums to 1 by character orthonormality up to
+    # eigenphase distribution; sums to 1 by character orthonormality up to
     # rounding, which the renormalisation removes
     grid = su2_grid(n + 1)
-    thetas = grid.angles[:, 0]
-    probe = _su2_probe(diagram_set.rows, np.sqrt(q.probabilities), thetas)
-    density = grid.weights * probe**2
+    _, probe = _weyl_probe(diagram_set.rows, np.sqrt(q.probabilities), grid)
+    density = grid.weights * np.abs(probe) ** 2
     density /= density.sum()
-    cos_half, sin_half = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    phis = grid.angles[:, 0]
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
 
     rng = np.random.default_rng(seed)
     gram = np.zeros((4, 4))
@@ -370,10 +336,10 @@ def choi_monte_carlo_su2(
         nodes = rng.multinomial(count, density)
         quat = buffer[: 4 * count].reshape(4, count)
         rng.standard_normal(out=quat[1:])
-        scale = np.repeat(sin_half, nodes)
+        scale = np.repeat(sin_phi, nodes)
         scale /= np.sqrt(np.einsum("ij,ij->j", quat[1:], quat[1:]))
         quat[1:] *= scale
-        quat[0] = np.repeat(cos_half, nodes)
+        quat[0] = np.repeat(cos_phi, nodes)
         gram += quat @ quat.T
 
     # m r = vec(U) for the SU(2) matrix U of r = (w, x, y, z); the Choi vector

@@ -9,9 +9,8 @@ import pytest
 
 from gateprog.oracle import (
     TorusGrid,
-    _character_table,
-    _su2_character_table,
-    _su2_probe,
+    _schur_character_table,
+    _weyl_probe,
     character_orthonormality_check,
     choi_monte_carlo_su2,
     haar_fidelity,
@@ -103,7 +102,8 @@ class TestOrthonormality:
         assert character_orthonormality_check(su_torus_grid(3, 4), diagrams) <= 1e-10
 
     def test_under_resolved_grid_rejected(self):
-        diagrams = [lam for m in range(7) for lam in enumerate_diagrams(m, 2)]
+        # su2_grid(1) has 36 nodes; degree-9 characters need 4 * (9 + 2) = 44
+        diagrams = [lam for m in range(10) for lam in enumerate_diagrams(m, 2)]
         with pytest.raises(ValueError, match="under-resolved"):
             character_orthonormality_check(su2_grid(1), diagrams)
 
@@ -113,17 +113,21 @@ class TestOrthonormality:
             su_torus_grid(d, -3)
 
 
-class TestSu2Probe:
-    @pytest.mark.parametrize("n", [4, 64, 512])
-    def test_matches_character_table(self, n):
-        ds = viable_set(n, 2)
-        thetas = su2_grid(n + 1).angles[:, 0]
-        amps = np.sqrt(sine_weights(ds).probabilities)
-        probe = _su2_probe(ds.rows, amps, thetas)
-        reference = amps @ _su2_character_table(ds.rows, thetas)
-        # node 0 (theta = 0) is the removable singularity, filled by the limit
-        assert np.max(np.abs(probe - reference)) <= 1e-12 * np.max(np.abs(probe))
-        assert probe[0] == pytest.approx(reference[0], rel=1e-12)
+class TestTorusGrid:
+    @pytest.mark.parametrize(
+        "angles, weights, match",
+        [
+            (np.zeros((3, 1)), [math.nan] * 3, "finite and non-negative"),
+            (np.zeros((3, 1)), [math.inf, 0.0, 0.0], "finite and non-negative"),
+            (np.zeros((2, 1)), [1.5, -0.5], "finite and non-negative"),
+            (np.zeros((5, 1)), [0.5, 0.5], "shape"),
+            (np.zeros((2, 2)), [0.5, 0.5], "shape"),
+            (np.zeros((2, 1)), [0.5, 0.4], "sum to"),
+        ],
+    )
+    def test_malformed_grid_rejected(self, angles, weights, match):
+        with pytest.raises(ValueError, match=match):
+            TorusGrid(2, angles, np.array(weights), 3)
 
 
 class TestHaarFidelity:
@@ -163,16 +167,19 @@ class TestHaarFidelity:
             f_matrix = entanglement_fidelity(q, matrix).fidelity
             assert abs(haar_fidelity(ds, q, grid) - f_matrix) <= 1e-10
 
-    @pytest.mark.parametrize("n", [26, 33, 45])
-    def test_su3_fft_matches_character_table(self, n):
-        ds = viable_set(n, 3)
-        grid = su_torus_grid(3, n + 1)
-        chi_def = _character_table(np.array([[1, 0, 0]]), grid)[0]
-        table = _character_table(ds.rows, grid)
+    @pytest.mark.parametrize("d, n", [(2, 4), (2, 64), (2, 512), (3, 26), (3, 33), (3, 45)])
+    def test_fft_probe_matches_character_table(self, d, n):
+        ds = viable_set(n, d)
+        grid = su_torus_grid(d, n + 1)
+        table = _schur_character_table(ds.rows, grid)
+        chi_def = _schur_character_table(np.eye(1, d, dtype=int), grid)[0]
         for q in (sine_weights(ds), optimal_fidelity(score_matrix(ds)).weights_used):
             amps = np.sqrt(q.probabilities)
-            reference = float(grid.weights @ np.abs(chi_def * (amps @ table)) ** 2) / 9.0
-            assert abs(haar_fidelity(ds, q, grid) - reference) <= 1e-13
+            reference = amps @ table
+            _, probe = _weyl_probe(ds.rows, amps, grid)
+            assert np.max(np.abs(probe - reference)) <= 1e-12 * np.max(np.abs(reference))
+            fidelity = float(grid.weights @ np.abs(chi_def * reference) ** 2) / (d * d)
+            assert abs(haar_fidelity(ds, q, grid) - fidelity) <= 1e-13
 
     def test_non_product_grid_rejected(self):
         ds = viable_set(26, 3)
@@ -208,14 +215,14 @@ class TestChoiMonteCarlo:
         assert fit.residual <= tol
         assert abs((1.0 - fit.a) - fidelity) <= tol
 
-        # the fitted a is the sample mean of sin^2(theta/2) under the outcome
-        # density; its moments by quadrature (node 0, theta = 0, has zero weight)
+        # the fitted a is the sample mean of sin^2(phi) under the outcome
+        # density; its moments by quadrature (node 0, phi = 0, has zero weight)
         grid = su2_grid(n + 1)
-        half = grid.angles[1:, 0] / 2.0
+        phis = grid.angles[1:, 0]
         k = ds.rows[:, 0] - ds.rows[:, 1] + 1
-        probe = np.sqrt(q.probabilities) @ (np.sin(np.outer(k, half)) / np.sin(half))
+        probe = np.sqrt(q.probabilities) @ (np.sin(np.outer(k, phis)) / np.sin(phis))
         density = grid.weights[1:] * probe**2
-        s2 = np.sin(half) ** 2
+        s2 = np.sin(phis) ** 2
         mean = float(density @ s2)
         sd = math.sqrt(float(density @ s2**2) - mean**2)
         assert mean == pytest.approx(1.0 - fidelity, rel=1e-9)

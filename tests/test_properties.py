@@ -1,8 +1,8 @@
 """Property tests over random valid (d, n): the lattice, the stencil, the fidelity
 ordering, the eigensolver against the dense distance-built oracle and its
-true-residual stopping rule, the SU(3) Haar quadrature against the matrix route
-and the protocol report's pass flags; and over random phase-gate programs, the
-diamond search against 1 - kappa."""
+true-residual stopping rule, the SU(2) and SU(3) Haar quadrature against the
+matrix route and the protocol report's pass flags; and over random phase-gate
+programs, the diamond search against 1 - kappa."""
 
 import math
 
@@ -58,11 +58,14 @@ def test_members_are_strictly_decreasing_with_n_boxes(ds):
 
 
 @deterministic
-@given(st.integers(13, 120).map(lambda n: viable_set(n, 3)))
-def test_su3_haar_quadrature_matches_matrix_route(ds):
+@given(st.one_of(
+    st.integers(*N_RANGE[2]).map(lambda n: viable_set(n, 2)),
+    st.integers(13, 120).map(lambda n: viable_set(n, 3)),
+))
+def test_haar_quadrature_matches_matrix_route(ds):
     q = sine_weights(ds)
     matrix = entanglement_fidelity(q, score_matrix(ds)).fidelity
-    assert abs(haar_fidelity(ds, q, su_torus_grid(3, ds.n + 1)) - matrix) <= 1e-10
+    assert abs(haar_fidelity(ds, q, su_torus_grid(ds.d, ds.n + 1)) - matrix) <= 1e-10
 
 
 @deterministic
