@@ -17,7 +17,7 @@ from .young import YoungDiagram
 
 
 # Largest lattice viable_set builds.  The score matrix, the weights and the solver
-# hold several float vectors of this length, the Lanczos basis dozens of them.
+# hold float vectors of this length, the LOBPCG eigensolve about ten of them.
 MAX_MEMBERS = 2**20
 
 
@@ -184,9 +184,10 @@ def sine_weights(diagram_set: DiagramSet) -> WeightVector:
 def epsilon_g(big_n: int) -> float:
     """Nearest-neighbour coherence deficit 1 - sum_k sqrt(g_k g_{k+1}).
 
+    The sum is ((N-1) cos(pi/N) + 1) / N, so the deficit is
+    2 (N-1) sin^2(pi/(2N)) / N, computed in that form, without cancellation.
     Lies in (0, 1) and is bounded above by pi^2 / N^2.
     """
-    g = sine_profile(big_n)
-    return 1.0 - math.fsum(
-        math.sqrt(g[k] * g[k + 1]) for k in range(big_n - 1)
-    )
+    if big_n < 2:
+        raise ProtocolError(f"coherence deficit undefined for N={big_n}: it needs N >= 2")
+    return 2.0 * (big_n - 1) * math.sin(math.pi / (2 * big_n)) ** 2 / big_n

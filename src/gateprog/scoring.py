@@ -108,11 +108,15 @@ def _sine_start(diagram_set: DiagramSet) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# The Lanczos basis gets this many floats, clamped to 24 to 64 vectors.  A larger
-# basis converges in fewer matvecs but raises peak memory on the big lattices; a
-# thick restart keeps half of it, and fewer than 24 vectors keep too little on the
-# big d >= 3 lattices (at d=3 n=2000: 721 matvecs with 24 vectors, 1,289 with 16).
-_LANCZOS_BASIS_FLOATS = 2**17
+def _sine_transform(x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Type-I sine transform of x along every axis, times -1 per axis: the imaginary part
+    of the rfft of (0, x, 0, ..., 0), length 2(N+1), built in ``buffer``, axis by axis."""
+    big_n = x.shape[-1]
+    rotate = (x.ndim - 1, *range(x.ndim - 1))
+    for _ in range(x.ndim):
+        buffer[..., 1 : big_n + 1] = x
+        x = np.fft.rfft(buffer)[..., 1 : big_n + 1].imag.transpose(rotate)
+    return x
 
 
 def optimal_fidelity(
@@ -123,89 +127,83 @@ def optimal_fidelity(
 ) -> FidelityResult:
     """Largest eigenvalue of S over d^2, with the principal weights.
 
-    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602;
-    Stathopoulos, Saad & Wu, SIAM J. Sci. Comput. 19 (1998) 227) started from
-    sqrt(sine weights).  Each cycle fills a basis of m vectors, fully
-    reorthogonalised twice; the coefficients of both passes form the projected
-    matrix, so after a restart its arrowhead needs no separate bookkeeping.  A
-    full cycle restarts from its top m/2 Ritz vectors and the residual vector,
-    which keeps the Krylov information the shrinking spectral gap (about 1/N^2)
-    needs.
+    Block-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from sqrt(sine
+    weights): a Rayleigh-Ritz step on S in the span of the iterate x, the
+    preconditioned residual w and the previous step p costs one matvec, S w, as
+    the images of x and p are combined from the basis images.  The next p is the
+    w and p part of the step, not a difference of iterates, which cancels once x
+    converges (Hetmaniuk & Lehoucq, J. Comput. Phys. 218 (2006) 324).  SVQB
+    orthonormalises the basis, which loses rank near convergence, and drops
+    directions below 1e-10 of the largest scaled Gram eigenvalue (Stathopoulos &
+    Wu, SIAM J. Sci. Comput. 23 (2002) 2165).
+
+    The preconditioner is the inverse of the square-lattice Dirichlet Laplacian T
+    on the box, a sine transform along each axis.  T's edges are a subset of those
+    of L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is bounded
+    by two square edges: the two are spectrally equivalent with constants free of
+    N, so the step count does not grow with N.  At d=2, T = L.
 
     We stop only on the true residual ||S v - theta v|| <= ``tol * theta`` of a
-    unit vector v with theta = v^T S v: the start vector's is known after the
-    first matvec, and a cycle's top Ritz vector gets one confirming matvec once
-    its Ritz estimate |beta s_m| meets the same bound.  A cycle also ends when
-    the next Lanczos coefficient falls below ``tol * theta`` (an invariant
-    Krylov space); its top Ritz vector then always gets the confirming matvec,
-    and if it fails the test, the next cycle starts from that vector alone.
-    ``max_iterations`` caps the number of matvecs, the confirming ones
-    included.  S is non-negative and irreducible on the connected lattice, so
-    the principal eigenvector is strictly positive.
+    unit vector v with theta = v^T S v: an iterate whose combined image meets the
+    bound gets one confirming matvec.  ``max_iterations`` caps the number of
+    matvecs, the confirming ones included.  S is non-negative and irreducible on
+    the connected lattice, so the principal eigenvector is strictly positive.
     """
     if max_iterations < 1:
         raise ValueError(f"iteration cap must be positive, got {max_iterations}")
-    dim = s.dimension
-    m = min(dim, 64, max(24, _LANCZOS_BASIS_FLOATS // dim))
-    basis = np.empty((m, dim))
-    projected = np.zeros((m, m))  # upper triangle of basis @ S @ basis.T
-    basis[0] = _sine_start(s.diagram_set)
-    kept = matvecs = restarts = 0
+    d, big_n, dim = s.diagram_set.d, s.diagram_set.N, s.dimension
+    box = (big_n,) * (d - 1)
+    # T's eigenvalues, indexed like the sine transform
+    modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
+    spectrum = functools.reduce(np.add.outer, [modes] * (d - 1))
+    buffer = np.zeros(box[:-1] + (2 * big_n + 2,))
+    # the trial basis x, w, p and its images S x, S w, S p; p = 0 until the first step
+    work = np.zeros((2, 3, dim))
+    (x, w, _), (sx, sw, _) = work
+    x[:] = _sine_start(s.diagram_set)
+    matvecs = 0
 
     def apply(v: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         if matvecs == max_iterations:
             raise ConvergenceError(
-                f"Lanczos on the dimension-{dim} lattice hit the {max_iterations}-matvec "
-                f"cap after {restarts} restarts with residual {residual:.3e} "
-                f"(target {tol * theta:.3e})"
+                f"LOBPCG on the dimension-{dim} lattice hit the {max_iterations}-matvec "
+                f"cap with residual {residual:.3e} (target {tol * theta:.3e})"
             )
         matvecs += 1
         return s.matvec(v)
 
+    sx[:] = apply(x)
+    confirmed = True
     while True:
-        for j in range(kept, m):
-            w = apply(basis[j])
-            if j == 0:
-                theta = float(basis[0] @ w)
-                residual = float(np.linalg.norm(w - theta * basis[0]))
-                if residual <= tol * theta:
-                    return _principal_result(s, basis[0], theta)
-            coefficients = basis[: j + 1] @ w
-            w -= basis[: j + 1].T @ coefficients
-            correction = basis[: j + 1] @ w
-            w -= basis[: j + 1].T @ correction
-            projected[: j + 1, j] = coefficients + correction
-            beta = float(np.linalg.norm(w))
-            if beta <= tol * theta:
-                break
-            if j + 1 < m:
-                basis[j + 1] = w / beta
-        size = j + 1
-        # an invariant Krylov space (to within the tolerance) leaves w / beta as noise,
-        # also when it fills the whole basis
-        invariant = beta <= tol * theta
-        values, vectors = np.linalg.eigh(projected[:size, :size], UPLO="U")
-        theta = float(values[-1])
-        # the Ritz estimate is the residual norm of the top Ritz vector in exact arithmetic
-        residual = abs(beta * float(vectors[-1, -1]))
-        if invariant or residual <= tol * theta:
-            v = vectors[:, -1] @ basis[:size]
-            v /= np.linalg.norm(v)
-            sv = apply(v)
-            theta = float(v @ sv)
-            residual = float(np.linalg.norm(sv - theta * v))
-            if residual <= tol * theta:
-                return _principal_result(s, v, theta)
-        restarts += 1
-        if invariant:  # its top Ritz vector failed the test
-            basis[0] = v
-            kept = 0
+        theta = float(x @ sx)
+        r = sx - theta * x
+        residual = math.sqrt(r @ r)
+        if residual <= tol * theta:
+            if confirmed:
+                return _principal_result(s, x, theta)
+            sx[:] = apply(x)
+            confirmed = True
             continue
-        kept = m // 2
-        basis[:kept] = vectors[:, -kept:].T @ basis[:size]
-        basis[kept] = w / beta
-        projected[:kept, :kept] = np.diag(values[-kept:])
+        w.reshape(box)[...] = _sine_transform(
+            _sine_transform(r.reshape(box), buffer) / spectrum, buffer
+        )
+        sw[:] = apply(w)
+        gram, projected = work @ work[0].T
+        # SVQB: scale to a unit diagonal, then drop the nearly dependent directions;
+        # the zero p of the first step gets scale 0 and is dropped with them
+        norms = np.sqrt(gram.diagonal())
+        scale = np.divide(1.0, norms, out=np.zeros(3), where=norms > 0.0)
+        sigma, u = np.linalg.eigh(gram * scale * scale[:, None])
+        keep = sigma > 1e-10 * sigma[-1]
+        coefficients = scale[:, None] * u[:, keep] / np.sqrt(sigma[keep])
+        ritz = np.linalg.eigh(coefficients.T @ projected @ coefficients)[1][:, -1]
+        # the step is c0 x + c1 w + c2 p; the next p is its w and p part (Hetmaniuk &
+        # Lehoucq), applied to the images alike
+        c0, c1, c2 = coefficients @ ritz
+        work[:, ::2] = np.array(((c0, c1, c2), (0.0, c1, c2))) @ work
+        work[:, 0] /= np.linalg.norm(x)
+        confirmed = False
 
 
 def _principal_result(s: ScoreMatrix, v: np.ndarray, theta: float) -> FidelityResult:

@@ -215,6 +215,17 @@ class TestEpsilonG:
             expected = (big_n - 1) * (1.0 - math.cos(math.pi / big_n)) / big_n
             assert abs(epsilon_g(big_n) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("big_n", [2, 3, 17, 4096])
+    def test_against_mpmath(self, big_n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            angles = [mpmath.pi * (2 * k + 1) / (2 * big_n) for k in range(big_n)]
+            overlap = mpmath.fsum(
+                2 * mpmath.sin(a) * mpmath.sin(b) / big_n for a, b in zip(angles, angles[1:])
+            )
+            exact = 1 - overlap
+        assert abs(epsilon_g(big_n) - exact) <= 1e-15 * exact
+
     def test_upper_bound(self):
         for big_n in range(2, 513):
             value = epsilon_g(big_n)

@@ -9,6 +9,7 @@ import pytest
 from gateprog.protocol import WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import (
     ConvergenceError,
+    _sine_transform,
     entanglement_fidelity,
     lemma3_bound,
     optimal_fidelity,
@@ -18,6 +19,19 @@ from gateprog.scoring import (
 )
 
 from test_protocol import single_member_set
+
+
+def count_matvecs(s):
+    """Wrap ``s.matvec`` to record its calls; returns the list it appends to."""
+    calls = []
+    matvec = s.matvec
+
+    def counted(v):
+        calls.append(None)
+        return matvec(v)
+
+    s.matvec = counted
+    return calls
 
 
 class TestScoreMatrix:
@@ -106,7 +120,7 @@ class TestOptimalFidelity:
             expected = (2.0 + 2.0 * math.cos(math.pi / (big_n + 1))) / 4.0
             assert optimal_fidelity(s).fidelity == pytest.approx(expected, abs=1e-11)
 
-    @pytest.mark.parametrize("n", [4096, 8192])
+    @pytest.mark.parametrize("n", [4096, 8192, 32768])
     def test_chain_closed_form_at_large_n(self, n):
         s = score_matrix(viable_set(n, 2))
         expected = (2.0 + 2.0 * math.cos(math.pi / (s.diagram_set.N + 1))) / 4.0
@@ -131,25 +145,53 @@ class TestOptimalFidelity:
         assert min(result.weights_used.probabilities) > 0.0
 
     def test_iteration_cap_raises(self):
-        with pytest.raises(ConvergenceError, match=r"dimension-16 .* 2-matvec cap after 0 "
-                           r"restarts with residual \d"):
+        with pytest.raises(ConvergenceError,
+                           match=r"dimension-16 .* 2-matvec cap with residual \d"):
             optimal_fidelity(score_matrix(viable_set(32, 2)), max_iterations=2)
 
     @pytest.mark.parametrize("n", [8, 64, 128])
     def test_tolerance_below_rounding_fails_cleanly(self, n):
-        # no vector meets 1e-17: the invariant cycles' Ritz vectors fail their
-        # confirmation, the solver restarts from them alone, and the residual it
-        # reports at the cap stays at the rounding floor
+        # no vector meets 1e-17: the trial basis loses rank at the rounding floor,
+        # SVQB drops the dependent directions, and the residual the solver reports
+        # at the cap stays at that floor
         with pytest.raises(ConvergenceError, match=r"300-matvec cap") as info:
             optimal_fidelity(score_matrix(viable_set(n, 2)), tol=1e-17, max_iterations=300)
         assert float(re.search(r"with residual (\S+) ", str(info.value))[1]) < 1e-13
 
-    def test_iteration_cap_counts_restarts(self):
-        # 2048 members give a 64-vector basis that keeps 32 Ritz vectors: the first
-        # cycle takes matvecs 1-64 and each later one 32 more, so matvec 150 falls
-        # inside the fourth cycle, long before a Ritz estimate asks for a confirmation
-        with pytest.raises(ConvergenceError, match=r"150-matvec cap after 3 restarts"):
-            optimal_fidelity(score_matrix(viable_set(4096, 2)), max_iterations=150)
+    def test_iteration_cap_counts_every_matvec(self):
+        # a solve that takes m matvecs, the confirming one included, succeeds under a
+        # cap of m with the same result and fails under a cap of m - 1
+        for n, d in ((64, 2), (4096, 2), (60, 3), (300, 3), (61, 4)):
+            s = score_matrix(viable_set(n, d))
+            calls = count_matvecs(s)
+            expected = optimal_fidelity(s).fidelity
+            m = len(calls)
+            assert m >= 2
+            assert optimal_fidelity(s, max_iterations=m).fidelity == expected
+            with pytest.raises(ConvergenceError, match=rf"{m - 1}-matvec cap with residual \d"):
+                optimal_fidelity(s, max_iterations=m - 1)
+
+    @pytest.mark.parametrize("n,d", [(300, 3), (2000, 3), (600, 4)])
+    def test_matvec_count_does_not_grow_with_n(self, n, d):
+        # the sine-transform preconditioner is spectrally equivalent to d^2 I - S with
+        # constants free of N, so the solver needs about 20 matvecs at every size
+        s = score_matrix(viable_set(n, d))
+        calls = count_matvecs(s)
+        optimal_fidelity(s)
+        assert len(calls) <= 40
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("big_n,axes", [(1, 1), (5, 1), (6, 2), (4, 3)])
+    def test_matches_dense_sine_matrix(self, big_n, axes):
+        k = np.arange(1, big_n + 1)
+        sines = np.sin(np.pi * np.outer(k, k) / (big_n + 1))
+        x = np.random.default_rng(3).standard_normal((big_n,) * axes)
+        expected = x
+        for axis in range(axes):
+            expected = -np.moveaxis(np.tensordot(sines, expected, axes=(1, axis)), 0, axis)
+        buffer = np.zeros((big_n,) * (axes - 1) + (2 * big_n + 2,))
+        assert np.allclose(_sine_transform(x, buffer), expected, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module", params=[(1200, 3), (600, 4)], ids=["1200-3", "600-4"])
