@@ -5,17 +5,19 @@ periodic grid per eigenphase direction, weighted by the squared Vandermonde of
 the eigenvalues and renormalized numerically so the weights sum to one.  The
 integrands of interest are trigonometric polynomials, so a sufficiently fine
 grid is exact to rounding; normalizing numerically means the measure constant
-is verified by the identity integral instead of being trusted.
+is verified by the identity integral instead of being trusted.  Every
+Vandermonde factor |x_i - x_j|^2 = 4 sin^2(pi (k_i - k_j) / count) of the
+grid is read from one table at the integer node indices k.
 
 Every d takes the same route, SU(2) included: its free eigenphase is
-phi = theta / 2 for the rotation angle theta.  The Haar fidelity never
-tabulates characters.  By the Weyl character formula the probe
-sum_lam sqrt(q_lam) chi_lam is a ratio whose numerator is a trigonometric
-polynomial in the d-1 free eigenphases with integer frequencies; on the
-uniform product grid that polynomial is exactly a discrete Fourier transform,
-so one inverse FFT evaluates it at every node in O(M log M) time and O(M)
-memory for M nodes.  The explicit character table stays only for the
-orthonormality check.
+phi = theta / 2 for the rotation angle theta.  By the Weyl character formula
+the probe sum_lam sqrt(q_lam) chi_lam is a ratio whose numerator is a
+trigonometric polynomial in the d-1 free eigenphases with integer
+frequencies, and the quadrature weight cancels its Vandermonde denominator.
+So the Haar fidelity, by Parseval, is a ratio of sums of squared Fourier
+coefficients and visits no node; the probe at every node, which the
+Monte-Carlo fit samples, is one inverse FFT of the same coefficients.  The
+explicit character table stays only for the orthonormality check.
 
 Also provides a Monte-Carlo reconstruction of the implemented channel's Choi
 state for SU(2).  It samples the protocol itself: the error rotation's
@@ -76,22 +78,35 @@ def _eigenphases(angles: np.ndarray) -> np.ndarray:
 def su_torus_grid(d: int, max_boxes: int) -> TorusGrid:
     """Product eigenphase grid for SU(d) with squared-Vandermonde weights.
 
-    Implemented for d in {2, 3}, with 4 (max_boxes + 8) nodes per direction,
-    enough for the character products of the sets built here.  At d = 2 the
-    free eigenphase phi = theta / 2 runs over [0, 2 pi) with weight
-    4 sin^2(phi), the Haar class weight of the rotation angle theta.
+    Implemented for d in {2, 3}, with count = 4 (max_boxes + 8) nodes per
+    direction, enough for the character products of the sets built here.  Node
+    (k_1, ..., k_{d-1}) sits at the phases 2 pi k_i / count, with
+    k_d = -(k_1 + ... + k_{d-1}).  Each weight factor |x_i - x_j|^2 =
+    4 sin^2(pi (k_i - k_j) / count) is read from one table of count values, so
+    nodes with coincident eigenvalues get weight exactly zero.  At d = 2 the free
+    eigenphase phi = theta / 2 runs over [0, 2 pi) with weight 4 sin^2(phi),
+    the Haar class weight of the rotation angle theta.
     """
     if d not in (2, 3):
         raise ValueError(f"torus grid implemented for d in {{2, 3}}, got {d}")
     if max_boxes < 0:
         raise ValueError(f"degree must be non-negative, got {max_boxes}")
     count = 4 * (max_boxes + 8)
-    line = 2.0 * math.pi * np.arange(count) / count
-    axes = np.meshgrid(*[line] * (d - 1), indexing="ij")
-    angles = np.column_stack([axis.ravel() for axis in axes])
-    weights = np.abs(_vandermonde(np.exp(1j * _eigenphases(angles)))) ** 2
+    shape = (count,) * (d - 1)
+    index = np.ix_(*[np.arange(count)] * (d - 1))
+    sine2 = 4.0 * np.sin(math.pi * np.arange(count) / count) ** 2
+    k = [*index, -sum(index)]
+    weights = np.ones(shape)
+    for i in range(d):
+        for j in range(i + 1, d):
+            weights *= sine2.take(k[i] - k[j], mode="wrap")
     weights /= weights.sum()
-    return TorusGrid(d=d, angles=angles, weights=weights, nodes_per_dim=count)
+    angles = np.empty((*shape, d - 1))
+    for axis, k_axis in enumerate(index):
+        angles[..., axis] = 2.0 * math.pi * k_axis / count
+    return TorusGrid(
+        d=d, angles=angles.reshape(-1, d - 1), weights=weights.reshape(-1), nodes_per_dim=count
+    )
 
 
 def su2_grid(max_boxes: int) -> TorusGrid:
@@ -173,44 +188,46 @@ def _schur_character_table(rows: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def _weyl_numerator(rows: np.ndarray, amps: np.ndarray, d: int, count: int) -> np.ndarray:
-    """sum_lam amps_lam * det(x_i^(e_j)) at every node of the product grid, by one FFT.
+def _weyl_coefficients(rows: np.ndarray, amps: np.ndarray, d: int, count: int) -> np.ndarray:
+    """Fourier coefficients of sum_lam amps_lam * det(x_i^(e_j)) on the product grid.
 
-    With e_j = rows_j + d - j, the permutation s contributes sgn(s) times the
-    Fourier mode of frequencies e_s(i) - e_s(d), i < d, taken modulo ``count``.
-    Values come ravelled in the grid's node order (first phase most significant).
+    With e_j = rows_j + d - j, the permutation s contributes sgn(s) amps_lam
+    at the frequencies e_s(i) - e_s(d), i < d, taken modulo ``count``; one
+    ``bincount`` adds up all d! |set| terms.  Returns a real (count,)*(d-1)
+    array indexed by frequency (first phase first).
     """
     exps = rows + np.arange(d - 1, -1, -1)
     shape = (count,) * (d - 1)
-    coeff = np.zeros(count ** (d - 1))
+    flat, signed = [], []
     for perm in permutations(range(d)):
         inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
         e = exps[:, perm]
-        flat = np.ravel_multi_index(tuple((e[:, :-1] - e[:, -1:]).T % count), shape)
-        coeff += (-1) ** inversions * np.bincount(flat, weights=amps, minlength=coeff.size)
-    return (np.fft.ifftn(coeff.reshape(shape)) * coeff.size).ravel()
+        flat.append(np.ravel_multi_index(tuple((e[:, :-1] - e[:, -1:]).T % count), shape))
+        signed.append((-1) ** inversions * amps)
+    coeff = np.bincount(
+        np.concatenate(flat), weights=np.concatenate(signed), minlength=count ** (d - 1)
+    )
+    return coeff.reshape(shape)
 
 
-def _weyl_probe(
-    rows: np.ndarray, amps: np.ndarray, grid: TorusGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues x and sum_lam amps_lam * chi_lam at every node of the product grid.
+def _weyl_probe(rows: np.ndarray, amps: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """sum_lam amps_lam * chi_lam at every node of the product grid.
 
-    The probe is the Weyl numerator (see ``_weyl_numerator``) over the
-    Vandermonde denominator; nodes where the denominator vanishes carry zero
-    weight and get probe zero.  This is exact, not an approximation: the last
-    eigenphase is minus the sum of the others and the nodes sit at multiples of
-    2 pi / nodes_per_dim, so every term of the numerator is one Fourier mode of
-    the grid.  ``grid`` must therefore be the full product grid of
-    nodes_per_dim^(d-1) nodes.
+    The probe is the Weyl numerator, one inverse FFT of ``_weyl_coefficients``,
+    over the Vandermonde denominator; nodes where the denominator vanishes
+    carry zero weight and get probe zero.  This is exact, not an approximation:
+    the last eigenphase is minus the sum of the others and the nodes sit at
+    multiples of 2 pi / nodes_per_dim, so every term of the numerator is one
+    Fourier mode of the grid.  ``grid`` must therefore be the full product
+    grid of nodes_per_dim^(d-1) nodes.
     """
-    x = np.exp(1j * _eigenphases(grid.angles))
-    den = _vandermonde(x)
+    den = _vandermonde(np.exp(1j * _eigenphases(grid.angles)))
     regular = np.abs(den) >= 1e-9
-    numerator = _weyl_numerator(rows, amps, grid.d, grid.nodes_per_dim)
-    probe = np.zeros(len(x), dtype=complex)
+    coeff = _weyl_coefficients(rows, amps, grid.d, grid.nodes_per_dim)
+    numerator = (np.fft.ifftn(coeff) * coeff.size).ravel()
+    probe = np.zeros(len(den), dtype=complex)
     probe[regular] = numerator[regular] / den[regular]
-    return x, probe
+    return probe
 
 
 def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> float:
@@ -218,9 +235,14 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
 
     F = (1/d^2) * integral over the group of
     |chi_defining(U) * sum_lam sqrt(q_lam) chi_lam(U)|^2,
-    which for class functions reduces to the torus integral on ``grid``.  The
-    probe comes from one inverse FFT of the Weyl numerator at every d (see
-    ``_weyl_probe``), and chi_defining is the sum of the eigenvalues.
+    which for class functions reduces to the torus integral on ``grid``.  On
+    the product grid, weight times integrand is
+    |chi_defining * Weyl numerator|^2 / sum |Vandermonde|^2, so by Parseval
+    both sums are sums of squared Fourier coefficients.  chi_defining =
+    x_1 + ... + x_d shifts frequencies: x_i (i < d) raises the i-th by one and
+    x_d lowers all of them.  The identity integral (d! on a resolving grid) is
+    computed, not trusted.  The full sum over all d! permutations is kept, so
+    nothing here relies on the score-matrix identities.
     """
     if grid.d != diagram_set.d:
         raise ValueError(f"grid is for d={grid.d}, set is for d={diagram_set.d}")
@@ -240,9 +262,14 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
             f"{count}^{d - 1} = {count ** (d - 1)}"
         )
 
-    x, probe = _weyl_probe(diagram_set.rows, np.sqrt(q.probabilities), grid)
-    integrand = np.abs(x.sum(axis=1) * probe) ** 2
-    return float(grid.weights @ integrand) / (d * d)
+    coeff = _weyl_coefficients(diagram_set.rows, np.sqrt(q.probabilities), d, count)
+    product = np.roll(coeff, -1, axis=tuple(range(d - 1)))
+    for axis in range(d - 1):
+        product += np.roll(coeff, 1, axis=axis)
+    vandermonde = _weyl_coefficients(np.zeros((1, d), dtype=int), np.ones(1), d, count)
+    # squares summed by numpy, not BLAS: a threaded dot spins a second core
+    identity = float(np.square(vandermonde).sum())
+    return float(np.square(product).sum()) / (identity * d * d)
 
 
 def character_orthonormality_check(
@@ -319,7 +346,7 @@ def choi_monte_carlo_su2(
     # eigenphase distribution; sums to 1 by character orthonormality up to
     # rounding, which the renormalisation removes
     grid = su2_grid(n + 1)
-    _, probe = _weyl_probe(diagram_set.rows, np.sqrt(q.probabilities), grid)
+    probe = _weyl_probe(diagram_set.rows, np.sqrt(q.probabilities), grid)
     density = grid.weights * np.abs(probe) ** 2
     density /= density.sum()
     phis = grid.angles[:, 0]

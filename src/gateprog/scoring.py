@@ -87,13 +87,22 @@ class FidelityResult:
 
 
 def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
-    """(1/d^2) a^T S a with a = sqrt(q); the quadratic form is in amplitudes."""
+    """(1/d^2) a^T S a with a = sqrt(q); the quadratic form is in amplitudes.
+
+    The error is a^T L a / d^2 with L = d^2 I - S = d(d-1) I - A, the lattice
+    Laplacian with a Dirichlet boundary, so no fidelity near 1 is subtracted
+    from 1.  On the box padded with one layer of zeros, each stencil move sums
+    (a_u - a_v)^2 over its edges and a_u^2 where the move leaves the box on
+    either side; a move and its reverse count every edge and every boundary
+    deficit twice.  The fidelity is 1 - error.
+    """
     if not q.diagram_set.same_as(s.diagram_set):
         raise ValueError("weight vector and score matrix use different diagram sets")
-    amp = np.sqrt(q.probabilities)
-    d = s.diagram_set.d
-    fid = float(amp @ s.matvec(amp)) / (d * d)
-    return FidelityResult(fidelity=fid, error=1.0 - fid, weights_used=q)
+    d, big_n = s.diagram_set.d, s.diagram_set.N
+    padded = np.pad(np.sqrt(q.probabilities).reshape((big_n,) * (d - 1)), 1)
+    twice = sum(float(np.sum((padded[t] - padded[u]) ** 2)) for t, u in _stencil_slices(d))
+    error = twice / (2 * d * d)
+    return FidelityResult(fidelity=1.0 - error, error=error, weights_used=q)
 
 
 def _sine_start(diagram_set: DiagramSet) -> np.ndarray:

@@ -15,7 +15,13 @@ from math import comb
 import numpy as np
 
 from . import bounds as bounds_mod
-from .oracle import character_orthonormality_check, choi_monte_carlo_su2, haar_fidelity, su2_grid
+from .oracle import (
+    character_orthonormality_check,
+    choi_monte_carlo_su2,
+    haar_fidelity,
+    su2_grid,
+    su_torus_grid,
+)
 from .phase import (
     choi_infidelity,
     classical_phase_error,
@@ -75,11 +81,11 @@ def check_dimension_identity() -> CheckResult:
 
 
 def check_oracle_equivalence() -> CheckResult:
-    """Haar-quadrature fidelity vs the score-matrix quadratic form, d = 2."""
+    """Haar-quadrature fidelity vs the score-matrix quadratic form, d in {2, 3}."""
     worst = 0.0
-    for n in (4, 8, 16, 32, 64):
-        ds = viable_set(n, 2)
-        grid = su2_grid(n + 1)
+    for d, n in ((2, 4), (2, 8), (2, 16), (2, 32), (2, 64), (3, 13), (3, 60)):
+        ds = viable_set(n, d)
+        grid = su_torus_grid(d, n + 1)
         matrix = score_matrix(ds)
         for q in (sine_weights(ds), optimal_fidelity(matrix).weights_used):
             f_matrix = entanglement_fidelity(q, matrix).fidelity

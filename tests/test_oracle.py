@@ -9,7 +9,9 @@ import pytest
 
 from gateprog.oracle import (
     TorusGrid,
+    _eigenphases,
     _schur_character_table,
+    _vandermonde,
     _weyl_probe,
     character_orthonormality_check,
     choi_monte_carlo_su2,
@@ -129,6 +131,29 @@ class TestTorusGrid:
         with pytest.raises(ValueError, match=match):
             TorusGrid(2, angles, np.array(weights), 3)
 
+    @pytest.mark.parametrize("d, max_boxes", [(2, 0), (2, 5), (2, 513), (3, 0), (3, 14), (3, 61)])
+    def test_sine_table_matches_vandermonde(self, d, max_boxes):
+        grid = su_torus_grid(d, max_boxes)
+        count = grid.nodes_per_dim
+        line = 2.0 * math.pi * np.arange(count) / count
+        axes = np.meshgrid(*[line] * (d - 1), indexing="ij")
+        angles = np.column_stack([axis.ravel() for axis in axes])
+        assert grid.angles.tobytes() == angles.tobytes()
+
+        reference = np.abs(_vandermonde(np.exp(1j * _eigenphases(angles)))) ** 2
+        reference /= reference.sum()
+        assert np.max(np.abs(grid.weights - reference)) <= 1e-13 * np.max(reference)
+
+        k = np.indices((count,) * (d - 1)).reshape(d - 1, -1).T
+        full = np.column_stack([k, -k.sum(axis=1)])
+        degenerate = np.zeros(len(full), dtype=bool)
+        for i in range(d):
+            for j in range(i + 1, d):
+                degenerate |= (full[:, i] - full[:, j]) % count == 0
+        assert degenerate.any()
+        assert np.all(grid.weights[degenerate] == 0.0)
+        assert np.all(grid.weights[~degenerate] > 0.0)
+
 
 class TestHaarFidelity:
     def test_two_member_set(self):
@@ -157,9 +182,10 @@ class TestHaarFidelity:
         q = WeightVector(diagram_set=ds, probabilities=(1.0,))
         assert haar_fidelity(ds, q, su2_grid(6)) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [26, 33, 120, 300])
+    @pytest.mark.parametrize("n", [26, 33, 120, 300, 600])
     def test_su3_matches_matrix_route(self, n):
-        # n = 300 is 1,849 members on 1.5M nodes: a character table would need ~45 GB
+        # n = 300 is 1,849 members on 1.5M nodes: a character table would need ~45 GB;
+        # n = 600 (7,225 members on 5.9M nodes) is the protocol grid's d = 3 point
         ds = viable_set(n, 3)
         grid = su_torus_grid(3, n + 1)
         matrix = score_matrix(ds)
@@ -176,10 +202,28 @@ class TestHaarFidelity:
         for q in (sine_weights(ds), optimal_fidelity(score_matrix(ds)).weights_used):
             amps = np.sqrt(q.probabilities)
             reference = amps @ table
-            _, probe = _weyl_probe(ds.rows, amps, grid)
+            probe = _weyl_probe(ds.rows, amps, grid)
             assert np.max(np.abs(probe - reference)) <= 1e-12 * np.max(np.abs(reference))
             fidelity = float(grid.weights @ np.abs(chi_def * reference) ** 2) / (d * d)
             assert abs(haar_fidelity(ds, q, grid) - fidelity) <= 1e-13
+
+    def test_memory_stays_bounded_at_su3_n300(self):
+        # 1.53M nodes: the grid reads one sine table and builds no complex array, and
+        # the fidelity works on real Fourier coefficients, never on per-node values
+        ds = viable_set(300, 3)
+        q = sine_weights(ds)
+        tracemalloc.start()
+        try:
+            grid = su_torus_grid(3, 301)
+            grid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            haar_fidelity(ds, q, grid)
+            haar_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert grid_peak <= 100 * 10**6
+        assert haar_peak <= 80 * 10**6
 
     def test_non_product_grid_rejected(self):
         ds = viable_set(26, 3)

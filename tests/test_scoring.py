@@ -101,6 +101,19 @@ class TestEntanglementFidelity:
         with pytest.raises(ValueError):
             entanglement_fidelity(q, s)
 
+    @pytest.mark.parametrize("d, n", [(2, 512), (2, 2048), (2, 8192), (3, 600), (3, 2000)])
+    def test_sine_error_against_mpmath(self, d, n):
+        # closed form ((d-1)(d-2) e (2-e) + 2(d-1) e) / d^2 with e = eps_g; taken as
+        # 1 - F, the error kept only about 16 + log10(error) digits
+        mpmath = pytest.importorskip("mpmath")
+        ds = viable_set(n, d)
+        result = entanglement_fidelity(sine_weights(ds), score_matrix(ds))
+        with mpmath.workdps(50):
+            e = 2 * (ds.N - 1) * mpmath.sin(mpmath.pi / (2 * ds.N)) ** 2 / ds.N
+            exact = ((d - 1) * (d - 2) * e * (2 - e) + 2 * (d - 1) * e) / d**2
+        assert abs(result.error - exact) <= 1e-12 * exact
+        assert result.fidelity == 1.0 - result.error
+
 
 class TestOptimalFidelity:
     def test_two_member_chain(self):
