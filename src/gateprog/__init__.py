@@ -22,8 +22,6 @@ from .oracle import (
     character_orthonormality_check,
     choi_monte_carlo_su2,
     haar_fidelity,
-    schur_character,
-    su2_character,
     su2_grid,
     su_torus_grid,
 )
@@ -104,11 +102,9 @@ __all__ = [
     "protocol_report",
     "qstar_score_closed_form",
     "quantum_phase_error",
-    "schur_character",
     "score_matrix",
     "sine_state",
     "sine_weights",
-    "su2_character",
     "su2_grid",
     "su_torus_grid",
     "sum_squared_dimensions",

@@ -16,6 +16,12 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"error parameter must lie in (0, 1), got {epsilon}")
 
 
+def _finite(quantity: str, value: float, epsilon: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{quantity} is {value} at epsilon={epsilon!r}: out of float range")
+    return value
+
+
 def lower_bound_cost(d: int, epsilon: float, delta: float) -> float:
     """Recycling lower bound on the program cost, in bits.
 
@@ -94,6 +100,8 @@ def upper_bound_cost(d: int, epsilon: float, *, simplified: bool = False) -> flo
 
     ((d^2 - 1) / 2) log2(162 pi^2 (d-1)^4 / (d^2 eps)); with ``simplified``
     the weaker, d-uniform form ((d^2 - 1) / 2) log2(162 pi^2 d^2 / eps).
+    Raises ValueError where the argument leaves float range (eps below about
+    2e-306 at d = 2).
     """
     if d < 2:
         raise ValueError(f"gate dimension must be at least 2, got {d}")
@@ -103,29 +111,31 @@ def upper_bound_cost(d: int, epsilon: float, *, simplified: bool = False) -> flo
         arg = 162.0 * math.pi**2 * d * d / epsilon
     else:
         arg = 162.0 * math.pi**2 * (d - 1) ** 4 / (d * d * epsilon)
-    return (nu / 2.0) * math.log2(arg)
+    return _finite("upper bound cost", (nu / 2.0) * math.log2(arg), epsilon)
 
 
 def table1_rows(d: int, epsilon: float, big_k: float = 1.0) -> list[tuple[str, float]]:
     """Prior-work cost rows, in bits, for side-by-side comparison.
 
     ``big_k`` is a universal constant left unspecified by the sources; it is
-    caller-supplied and defaults to 1.
+    caller-supplied and defaults to 1.  A row that leaves float range raises
+    ValueError naming it; 1/eps^2 does so for eps below about 3e-154 at d = 2.
     """
     if d < 2:
         raise ValueError(f"gate dimension must be at least 2, got {d}")
     _check_epsilon(epsilon)
     if not 0.0 < big_k < math.inf:
         raise ValueError(f"constant K must be positive and finite, got {big_k}")
-    return [
+    rows = [
         ("upper d^2 log(K/eps)", d * d * math.log2(big_k / epsilon)),
-        ("upper 4 d^2 log(d) / eps^2", 4.0 * d * d * math.log2(d) / epsilon**2),
+        ("upper 4 d^2 log(d) / eps^2", 4.0 * d * d * math.log2(d) / epsilon / epsilon),
         ("lower (1-eps) K d - (2/3) log(d)",
          (1.0 - epsilon) * big_k * d - (2.0 / 3.0) * math.log2(d)),
         ("lower log(d^2/eps)", math.log2(d * d / epsilon)),
         ("lower ((d+1)/2) log(1/d) + ((d-1)/2) log(1/eps)",
          ((d + 1) / 2.0) * math.log2(1.0 / d) + ((d - 1) / 2.0) * math.log2(1.0 / epsilon)),
     ]
+    return [(label, _finite(label, bits, epsilon)) for label, bits in rows]
 
 
 def conjecture_cost(nu: int, epsilon: float, big_c: float) -> float:
@@ -135,7 +145,7 @@ def conjecture_cost(nu: int, epsilon: float, big_c: float) -> float:
     _check_epsilon(epsilon)
     if not 0.0 < big_c < math.inf:
         raise ValueError(f"constant must be positive and finite, got {big_c}")
-    return (nu / 2.0) * math.log2(big_c / epsilon)
+    return _finite("conjecture cost", (nu / 2.0) * math.log2(big_c / epsilon), epsilon)
 
 
 @dataclass(frozen=True)

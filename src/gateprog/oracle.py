@@ -15,9 +15,11 @@ the probe sum_lam sqrt(q_lam) chi_lam is a ratio whose numerator is a
 trigonometric polynomial in the d-1 free eigenphases with integer
 frequencies, and the quadrature weight cancels its Vandermonde denominator.
 So the Haar fidelity, by Parseval, is a ratio of sums of squared Fourier
-coefficients and visits no node; the probe at every node, which the
-Monte-Carlo fit samples, is one inverse FFT of the same coefficients.  The
-explicit character table stays only for the orthonormality check.
+coefficients and visits no node.  The outcome density that the Monte-Carlo
+fit samples, weight times |probe|^2, is |Weyl numerator|^2 at every node: the
+squared modulus of one inverse FFT of the same coefficients.  The explicit
+character table, the only route that divides by the Vandermonde, stays for
+the orthonormality check.
 
 Also provides a Monte-Carlo reconstruction of the implemented channel's Choi
 state for SU(2).  It samples the protocol itself: the error rotation's
@@ -27,7 +29,6 @@ axis is uniform, and every sample has unit weight.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -36,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .protocol import DiagramSet, WeightVector
-from .young import YoungDiagram, irrep_dimension
+from .young import YoungDiagram
 
 
 @dataclass(eq=False)
@@ -114,48 +115,6 @@ def su2_grid(max_boxes: int) -> TorusGrid:
     return su_torus_grid(2, max_boxes)
 
 
-def schur_character(diagram: YoungDiagram, phases: Sequence[complex]) -> complex:
-    """Character of the irrep ``diagram`` at the given eigenvalues.
-
-    Bialternant ratio det(x_i^(rows_j + d - j)) / det(x_i^(d - j)).  Coincident
-    eigenvalues are nudged apart by a 1e-9 phase jitter, except the fully
-    degenerate point, which returns dim * (common phase)^boxes exactly.
-    """
-    d = diagram.d
-    if len(phases) != d:
-        raise ValueError(f"need {d} eigenvalues, got {len(phases)}")
-    x = [complex(p) for p in phases]
-
-    if all(abs(x[i] - x[0]) < 1e-12 for i in range(1, d)):
-        return irrep_dimension(diagram.rows) * x[0] ** diagram.boxes()
-
-    if any(
-        abs(x[i] - x[j]) < 1e-9 for i in range(d) for j in range(i + 1, d)
-    ):
-        x = [xi * cmath.exp(1j * 1e-9 * (k + 1)) for k, xi in enumerate(x)]
-
-    exps = [diagram.rows[j] + d - (j + 1) for j in range(d)]
-    num = np.array([[xi**e for e in exps] for xi in x], dtype=complex)
-    den = np.array([[xi ** (d - (j + 1)) for j in range(d)] for xi in x], dtype=complex)
-    return complex(np.linalg.det(num) / np.linalg.det(den))
-
-
-def su2_character(diagram: YoungDiagram, theta: float) -> float:
-    """SU(2) character sin(k theta / 2) / sin(theta / 2) with k = rows[0] - rows[1] + 1.
-
-    The removable singularities at theta = 0 and 2 pi are filled with the
-    analytic limit.
-    """
-    if diagram.d != 2:
-        raise ValueError(f"expected a two-row diagram, got d={diagram.d}")
-    k = diagram.rows[0] - diagram.rows[1] + 1
-    half = theta / 2.0
-    s = math.sin(half)
-    if abs(s) < 1e-9:
-        return k * math.cos(k * half) / math.cos(half)
-    return math.sin(k * half) / s
-
-
 def _vandermonde(x: np.ndarray) -> np.ndarray:
     """Weyl denominator prod_{i<j} (x_i - x_j) at every row of eigenvalues ``x``."""
     d = x.shape[1]
@@ -210,24 +169,21 @@ def _weyl_coefficients(rows: np.ndarray, amps: np.ndarray, d: int, count: int) -
     return coeff.reshape(shape)
 
 
-def _weyl_probe(rows: np.ndarray, amps: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """sum_lam amps_lam * chi_lam at every node of the product grid.
+def _weyl_density(rows: np.ndarray, amps: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Outcome density weights * |sum_lam amps_lam * chi_lam|^2 at every node, summing to one.
 
-    The probe is the Weyl numerator, one inverse FFT of ``_weyl_coefficients``,
-    over the Vandermonde denominator; nodes where the denominator vanishes
-    carry zero weight and get probe zero.  This is exact, not an approximation:
+    The weight is |Vandermonde|^2 up to normalisation and chi_lam is the Weyl
+    numerator over the Vandermonde, so the density is |Weyl numerator|^2, one
+    inverse FFT of ``_weyl_coefficients``, normalised: no division, and nodes
+    with coincident eigenvalues come out zero by themselves.  This is exact:
     the last eigenphase is minus the sum of the others and the nodes sit at
     multiples of 2 pi / nodes_per_dim, so every term of the numerator is one
     Fourier mode of the grid.  ``grid`` must therefore be the full product
     grid of nodes_per_dim^(d-1) nodes.
     """
-    den = _vandermonde(np.exp(1j * _eigenphases(grid.angles)))
-    regular = np.abs(den) >= 1e-9
     coeff = _weyl_coefficients(rows, amps, grid.d, grid.nodes_per_dim)
-    numerator = (np.fft.ifftn(coeff) * coeff.size).ravel()
-    probe = np.zeros(len(den), dtype=complex)
-    probe[regular] = numerator[regular] / den[regular]
-    return probe
+    density = np.abs(np.fft.ifftn(coeff).ravel()) ** 2
+    return density / density.sum()
 
 
 def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> float:
@@ -324,7 +280,7 @@ def choi_monte_carlo_su2(
     Drawing the eigenphase from grid nodes is exact, not an approximation:
     averaged over the axis, the Choi integrand is an even trigonometric
     polynomial in phi that the grid integrates exactly, as in ``haar_fidelity``,
-    whose probe it shares.
+    whose Weyl coefficients it shares (``_weyl_density``).
 
     Each chunk draws its node counts from one multinomial and repeats every
     node's angle that many times.  The draws are iid, so grouping them by node
@@ -343,12 +299,8 @@ def choi_monte_carlo_su2(
     if samples < 10**5:
         raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
 
-    # eigenphase distribution; sums to 1 by character orthonormality up to
-    # rounding, which the renormalisation removes
     grid = su2_grid(n + 1)
-    probe = _weyl_probe(diagram_set.rows, np.sqrt(q.probabilities), grid)
-    density = grid.weights * np.abs(probe) ** 2
-    density /= density.sum()
+    density = _weyl_density(diagram_set.rows, np.sqrt(q.probabilities), grid)
     phis = grid.angles[:, 0]
     cos_phi, sin_phi = np.cos(phis), np.sin(phis)
 

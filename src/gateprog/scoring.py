@@ -157,6 +157,8 @@ def optimal_fidelity(
     bound gets one confirming matvec.  ``max_iterations`` caps the number of
     matvecs, the confirming ones included.  S is non-negative and irreducible on
     the connected lattice, so the principal eigenvector is strictly positive.
+    The result is ``entanglement_fidelity`` of the principal weights: the error
+    a^T L a / d^2 keeps its own digits, where 1 - theta / d^2 would cancel.
     """
     if max_iterations < 1:
         raise ValueError(f"iteration cap must be positive, got {max_iterations}")
@@ -190,7 +192,7 @@ def optimal_fidelity(
         residual = math.sqrt(r @ r)
         if residual <= tol * theta:
             if confirmed:
-                return _principal_result(s, x, theta)
+                return _principal_result(s, x)
             sx[:] = apply(x)
             confirmed = True
             continue
@@ -215,7 +217,8 @@ def optimal_fidelity(
         confirmed = False
 
 
-def _principal_result(s: ScoreMatrix, v: np.ndarray, theta: float) -> FidelityResult:
+def _principal_result(s: ScoreMatrix, v: np.ndarray) -> FidelityResult:
+    """The principal weights v^2 and their fidelity, error first, without cancellation."""
     if v.sum() < 0.0:  # a Ritz vector comes with either sign
         v = -v
     if float(v.min()) < -1e-10:
@@ -223,10 +226,7 @@ def _principal_result(s: ScoreMatrix, v: np.ndarray, theta: float) -> FidelityRe
     v = np.abs(v)
     probs = v * v
     probs /= probs.sum()
-    d = s.diagram_set.d
-    fid = theta / (d * d)
-    weights = WeightVector(diagram_set=s.diagram_set, probabilities=probs)
-    return FidelityResult(fidelity=fid, error=1.0 - fid, weights_used=weights)
+    return entanglement_fidelity(WeightVector(diagram_set=s.diagram_set, probabilities=probs), s)
 
 
 def qstar_score_closed_form(d: int, eps_g: float) -> float:

@@ -1,6 +1,7 @@
 """Lower/upper cost bounds, slack optimization, and the comparison rows."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,12 @@ class TestUpperBound:
             slope = (b2 - b1) / math.log2(1e4)
             assert slope == pytest.approx((d * d - 1) / 2.0, abs=1e-12)
 
+    def test_out_of_float_range_raises(self):
+        # 162 pi^2 / (4 eps) overflows below about 2e-306 at d = 2
+        assert math.isfinite(upper_bound_cost(2, 1e-300))
+        with pytest.raises(ValueError, match=r"upper bound cost is inf at epsilon=1e-307"):
+            upper_bound_cost(2, 1e-307)
+
 
 class TestTable1:
     def test_reference_rows(self):
@@ -118,6 +125,15 @@ class TestTable1:
         for big_k in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 table1_rows(2, 0.01, big_k)
+
+    def test_inverse_square_row_out_of_float_range(self):
+        # 1 / eps^2 overflows below about 3e-154; eps**2 itself underflows to zero
+        # below about 1e-162
+        row = "upper 4 d^2 log(d) / eps^2"
+        assert dict(table1_rows(2, 1e-150))[row] == pytest.approx(1.6e301)
+        for eps in (1e-155, 1e-200):
+            with pytest.raises(ValueError, match=rf"{re.escape(row)} is inf at epsilon={eps}"):
+                table1_rows(2, eps)
 
 
 class TestConjecture:
@@ -136,6 +152,11 @@ class TestConjecture:
     def test_requires_positive_finite_constant(self, big_c):
         with pytest.raises(ValueError, match="positive and finite"):
             conjecture_cost(3, 0.01, big_c)
+
+    def test_out_of_float_range_raises(self):
+        # C / eps overflows although both are finite
+        with pytest.raises(ValueError, match=r"conjecture cost is inf at epsilon=1e-10"):
+            conjecture_cost(3, 1e-10, 1e300)
 
 
 class TestBoundReport:

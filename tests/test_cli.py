@@ -158,6 +158,24 @@ class TestTable1Command:
         assert code == 1 and out == ""
         assert err == f"error: constant K must be positive and finite, got {float(big_k)}\n"
 
+    @pytest.mark.parametrize("command", ["table1", "bounds"])
+    @pytest.mark.parametrize("eps", ["1e-155", "1e-200"])
+    def test_overflowing_epsilon_exits_1(self, capsys, command, eps):
+        # 1 / eps^2 is out of float range, and below about 1e-162 so is eps**2
+        code, out, err = run_capture(
+            capsys, [command, "--d", "2", "--eps", eps, "--format", "json"]
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: upper 4 d^2 log(d) / eps^2 is inf at epsilon={eps}: out of float range\n"
+
+    @pytest.mark.parametrize("command", ["table1", "bounds"])
+    def test_smallest_finite_epsilon(self, capsys, command):
+        code, out, _ = run_capture(
+            capsys, [command, "--d", "2", "--eps", "1e-150", "--format", "json"]
+        )
+        assert code == 0
+        json.loads(out, parse_constant=pytest.fail)
+
 
 class TestConfigFile:
     def test_file_values_used(self, capsys, tmp_path):

@@ -1,6 +1,5 @@
 """Quadrature, characters, and the Monte-Carlo Choi reconstruction."""
 
-import cmath
 import math
 import tracemalloc
 
@@ -12,76 +11,69 @@ from gateprog.oracle import (
     _eigenphases,
     _schur_character_table,
     _vandermonde,
-    _weyl_probe,
+    _weyl_density,
     character_orthonormality_check,
     choi_monte_carlo_su2,
     haar_fidelity,
-    schur_character,
-    su2_character,
     su2_grid,
     su_torus_grid,
 )
 from gateprog.protocol import WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import entanglement_fidelity, optimal_fidelity, score_matrix
-from gateprog.young import YoungDiagram, enumerate_diagrams, irrep_dimension
+from gateprog.young import YoungDiagram, enumerate_diagrams
 
 from test_protocol import single_member_set
 
 
+def regular_nodes(grid):
+    """Nodes without coincident eigenvalues; the others have weight exactly zero."""
+    return grid.weights > 0.0
+
+
 class TestSchurCharacter:
+    # the bialternant table at the regular nodes against closed forms
     def test_defining_rep_is_power_sum(self):
-        x = (0.3 + 0.8j, -0.5 + 0.1j)
-        assert schur_character(YoungDiagram((1, 0)), x) == pytest.approx(x[0] + x[1])
+        for d in (2, 3):
+            grid = su_torus_grid(d, 3)
+            table = _schur_character_table(np.eye(1, d, dtype=int), grid)
+            power_sum = np.exp(1j * _eigenphases(grid.angles)).sum(axis=1)
+            regular = regular_nodes(grid)
+            assert np.max(np.abs(table[0] - power_sum)[regular]) <= 1e-12
 
     def test_determinant_rep(self):
-        x = (0.3 + 0.8j, -0.5 + 0.1j)
-        assert schur_character(YoungDiagram((1, 1)), x) == pytest.approx(x[0] * x[1])
-
-    def test_identity_gives_dimension(self):
-        for m in range(0, 7):
-            for lam in enumerate_diagrams(m, 3):
-                value = schur_character(lam, (1.0, 1.0, 1.0))
-                assert value == pytest.approx(irrep_dimension(lam.rows), abs=1e-9)
-
-    def test_common_phase_scales_by_box_count(self):
-        lam = YoungDiagram((2, 1, 0))
-        w = cmath.exp(0.7j)
-        expected = irrep_dimension(lam.rows) * w ** lam.boxes()
-        assert schur_character(lam, (w, w, w)) == pytest.approx(expected)
-
-    def test_jitter_handles_partial_coincidence(self):
-        lam = YoungDiagram((2, 1, 0))
-        w = cmath.exp(0.9j)
-        value = schur_character(lam, (w, w, cmath.exp(-1.8j)))
-        assert abs(value) < 20.0 and not math.isnan(abs(value))
+        # on SU(d) the product of the eigenvalues is one
+        for d in (2, 3):
+            grid = su_torus_grid(d, 3)
+            table = _schur_character_table(np.ones((1, d), dtype=int), grid)
+            assert np.max(np.abs(table[0] - 1.0)[regular_nodes(grid)]) <= 1e-12
 
 
 class TestSu2Character:
     def test_defining_rep(self):
-        for theta in (0.3, 1.2, 2.9):
-            assert su2_character(YoungDiagram((1, 0)), theta) == pytest.approx(
-                2.0 * math.cos(theta / 2.0)
-            )
-
-    def test_identity_limit(self):
-        for lam in ((4, 1), (7, 0), (3, 3)):
-            diagram = YoungDiagram(lam)
-            expected = lam[0] - lam[1] + 1
-            assert su2_character(diagram, 0.0) == pytest.approx(expected)
-            assert su2_character(diagram, 1e-12) == pytest.approx(expected, abs=1e-9)
+        grid = su2_grid(3)
+        table = _schur_character_table(np.array([[1, 0]]), grid)
+        two_cos = 2.0 * np.cos(grid.angles[:, 0])
+        assert np.max(np.abs(table[0] - two_cos)[regular_nodes(grid)]) <= 1e-12
 
     def test_half_turn(self):
-        assert su2_character(YoungDiagram((2, 0)), math.pi) == pytest.approx(-1.0)
+        # theta = pi is phi = pi / 2, the node a quarter of the way round
+        grid = su2_grid(2)
+        node = grid.nodes_per_dim // 4
+        assert grid.angles[node, 0] == pytest.approx(math.pi / 2.0, abs=1e-15)
+        table = _schur_character_table(np.array([[2, 0]]), grid)
+        assert table[0, node] == pytest.approx(-1.0, abs=1e-12)
 
     def test_agrees_with_schur(self):
-        thetas = np.linspace(0.1, 2 * math.pi - 0.1, 23)
-        for m in range(0, 11):
-            for lam in enumerate_diagrams(m, 2):
-                for theta in thetas:
-                    phases = (cmath.exp(1j * theta / 2), cmath.exp(-1j * theta / 2))
-                    direct = su2_character(lam, float(theta))
-                    via_det = schur_character(lam, phases)
-                    assert abs(direct - via_det) <= 1e-12
+        # every row is sin(k phi) / sin(phi) with k = rows[0] - rows[1] + 1
+        grid = su2_grid(10)
+        rows = np.array([lam.rows for m in range(11) for lam in enumerate_diagrams(m, 2)])
+        table = _schur_character_table(rows, grid)
+        regular = regular_nodes(grid)
+        phi = grid.angles[regular, 0]
+        k = rows[:, 0] - rows[:, 1] + 1
+        closed = np.sin(np.outer(k, phi)) / np.sin(phi)
+        assert np.max(np.abs(table[:, regular] - closed)) <= 1e-12
+        assert np.all(table[:, ~regular] == 0.0)
 
 
 class TestOrthonormality:
@@ -195,15 +187,21 @@ class TestHaarFidelity:
 
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 64), (2, 512), (3, 26), (3, 33), (3, 45)])
     def test_fft_probe_matches_character_table(self, d, n):
+        # the Choi fit's density, |Weyl numerator|^2 by one FFT, against weights times
+        # the squared probe from the bialternant table
         ds = viable_set(n, d)
         grid = su_torus_grid(d, n + 1)
         table = _schur_character_table(ds.rows, grid)
         chi_def = _schur_character_table(np.eye(1, d, dtype=int), grid)[0]
+        degenerate = ~regular_nodes(grid)
         for q in (sine_weights(ds), optimal_fidelity(score_matrix(ds)).weights_used):
             amps = np.sqrt(q.probabilities)
             reference = amps @ table
-            probe = _weyl_probe(ds.rows, amps, grid)
-            assert np.max(np.abs(probe - reference)) <= 1e-12 * np.max(np.abs(reference))
+            expected = grid.weights * np.abs(reference) ** 2
+            expected /= expected.sum()
+            density = _weyl_density(ds.rows, amps, grid)
+            assert np.max(np.abs(density - expected)) <= 1e-12 * np.max(expected)
+            assert np.max(density[degenerate]) <= 1e-30
             fidelity = float(grid.weights @ np.abs(chi_def * reference) ** 2) / (d * d)
             assert abs(haar_fidelity(ds, q, grid) - fidelity) <= 1e-13
 

@@ -42,9 +42,9 @@ class TestProtocolReport:
 
     def test_error_is_exact_complement(self):
         r = protocol_report(16, 2)
-        # the sine-weight error is computed first, without cancellation
+        # both errors are computed first, without cancellation
         assert r.fidelity_qstar == 1.0 - r.epsilon_qstar
-        assert r.epsilon_optimal == 1.0 - r.fidelity_optimal
+        assert r.fidelity_optimal == 1.0 - r.epsilon_optimal
 
     def test_exact_dimension_and_log(self):
         r = protocol_report(8, 2)

@@ -139,6 +139,18 @@ class TestOptimalFidelity:
         expected = (2.0 + 2.0 * math.cos(math.pi / (s.diagram_set.N + 1))) / 4.0
         assert abs(optimal_fidelity(s).fidelity - expected) <= 1e-12
 
+    @pytest.mark.parametrize("n", [512, 2048, 8192])
+    def test_error_against_mpmath(self, n):
+        # at d = 2 the optimal error is sin^2(pi / (2 (N + 1))); taken as 1 - theta / d^2
+        # it would keep only about 16 + log10(error) digits
+        mpmath = pytest.importorskip("mpmath")
+        s = score_matrix(viable_set(n, 2))
+        result = optimal_fidelity(s)
+        with mpmath.workdps(50):
+            exact = mpmath.sin(mpmath.pi / (2 * (s.diagram_set.N + 1))) ** 2
+        assert abs(result.error - exact) <= 1e-12 * exact
+        assert result.fidelity == 1.0 - result.error
+
     @pytest.mark.parametrize("n,d", [(41, 3), (61, 4)])
     def test_against_dense_eigensolver(self, n, d):
         s = score_matrix(viable_set(n, d))
