@@ -30,7 +30,6 @@ from .phase import (
     PhaseReport,
     classical_phase_error,
     choi_infidelity,
-    outcome_density,
     phase_report,
     quantum_phase_error,
     sine_state,
@@ -97,7 +96,6 @@ __all__ = [
     "lower_bound_dimension",
     "optimal_fidelity",
     "optimize_delta",
-    "outcome_density",
     "phase_report",
     "protocol_report",
     "qstar_score_closed_form",

@@ -1,22 +1,25 @@
 """Qubit phase-gate example: sine-state quantum program vs a classical mesh.
 
-The quantum program is the sine state pushed through the unknown phase gate;
-reading it out with the covariant phase measurement and applying the estimate
-turns the overall action on the data qubit into a pure dephasing channel whose
-off-diagonal damping factor is the nearest-neighbour autocorrelation of the
-program amplitudes.  Everything here is exact Fourier algebra: the
-diamond-norm distance to the identity is the closed form 1 - kappa.  Numerical
-quadrature and the direct multi-start maximization of the output trace norm
-(``diamond_distance_search``, run as an oracle by ``verify``) only appear in
-cross-checks.
+The quantum program is the sine state (squared amplitudes: the protocol's sine
+profile at N = dP) pushed through the unknown phase gate; reading it out with
+the covariant phase measurement and applying the estimate turns the overall
+action on the data qubit into a pure dephasing channel whose off-diagonal
+damping factor is the nearest-neighbour autocorrelation kappa of the program
+amplitudes.  Its diamond-norm distance to the identity, 1 - kappa, is the
+protocol's closed form eps_g(dP).  Numerical quadrature and the direct
+multi-start maximization of the output trace norm (``diamond_distance_search``)
+only appear in ``verify``'s cross-checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .protocol import epsilon_g, sine_profile
 
 
 @dataclass(frozen=True)
@@ -40,13 +43,10 @@ class PhaseProtocol:
 
 
 def sine_state(d_p: int) -> PhaseProtocol:
-    """Program state with amplitudes sqrt(2/dP) sin(pi (m + 1/2) / dP)."""
+    """Program state with amplitudes sqrt(g_m) = sqrt(2/dP) sin(pi (m + 1/2) / dP)."""
     if d_p < 2:
         raise ValueError(f"program dimension must be at least 2, got {d_p}")
-    amps = tuple(
-        math.sqrt(2.0 / d_p) * math.sin(math.pi * (m + 0.5) / d_p) for m in range(d_p)
-    )
-    return PhaseProtocol(amplitudes=amps)
+    return PhaseProtocol(amplitudes=tuple(math.sqrt(g) for g in sine_profile(d_p)))
 
 
 def classical_phase_error(d_p: int) -> float:
@@ -75,54 +75,12 @@ def autocorrelation(protocol: PhaseProtocol, lag: int = 1) -> float:
     return math.fsum(c[m] * c[m + lag] for m in range(len(c) - lag))
 
 
-@dataclass(frozen=True)
-class TrigDensity:
-    """A real trigonometric polynomial density on the circle.
-
-    ``coefficients[k + degree]`` is the Fourier coefficient of e^{i k theta}
-    for k in [-degree, degree].
-    """
-
-    coefficients: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return (len(self.coefficients) - 1) // 2
-
-    def coefficient(self, k: int) -> float:
-        if abs(k) > self.degree:
-            return 0.0
-        return self.coefficients[k + self.degree]
-
-    def value(self, theta: float | np.ndarray) -> float | np.ndarray:
-        ks = np.arange(-self.degree, self.degree + 1)
-        theta = np.asarray(theta, dtype=float)
-        vals = np.real(
-            np.exp(1j * np.multiply.outer(theta, ks)) @ np.asarray(self.coefficients)
-        )
-        return float(vals) if vals.ndim == 0 else vals
-
-
-def outcome_density(protocol: PhaseProtocol) -> TrigDensity:
-    """Estimate density p(theta) = |sum_m c_m e^{i m theta}|^2 / (2 pi).
-
-    The Fourier coefficient at k is the lag-k amplitude autocorrelation over
-    2 pi, so the density integrates to exactly 1.
-    """
-    d_p = protocol.dP
-    coeffs = [
-        autocorrelation(protocol, lag=k) / (2.0 * math.pi)
-        for k in range(-(d_p - 1), d_p)
-    ]
-    return TrigDensity(coefficients=tuple(coeffs))
-
-
 def choi_infidelity(protocol: PhaseProtocol) -> float:
     """1 - fidelity of the implemented channel's Choi state with the ideal one.
 
     For the dephasing channel this is (1 - kappa) / 2 with kappa the lag-1
     autocorrelation; it equals the phase-average of sin^2(theta/2) under the
-    outcome density.
+    outcome density |sum_m c_m e^{i m theta}|^2 / (2 pi).
     """
     return (1.0 - autocorrelation(protocol, lag=1)) / 2.0
 
@@ -251,13 +209,23 @@ class PhaseReport:
 
 
 def phase_report(d_p: int) -> PhaseReport:
-    """Mesh error, closed-form quantum error and Choi infidelity at one dP; no search."""
-    protocol = sine_state(d_p)
-    eps_q = quantum_phase_error(protocol)
+    """Mesh error, quantum error eps_g(dP) = 1 - kappa and Choi infidelity at one dP.
+
+    No amplitudes and no search; a dP whose eps_g is not a positive normal
+    double (from about dP = 1.5e154) is refused.
+    """
+    if d_p < 2:
+        raise ValueError(f"program dimension must be at least 2, got {d_p}")
+    try:
+        eps_q = epsilon_g(d_p)
+    except OverflowError:
+        eps_q = 0.0
+    if not eps_q >= sys.float_info.min:
+        raise ValueError(f"quantum phase error at dP={d_p} is below the normal float range")
     return PhaseReport(
         dP=d_p,
         eps_classical=classical_phase_error(d_p),
         eps_quantum=eps_q,
-        choi_infidelity=choi_infidelity(protocol),
+        choi_infidelity=eps_q / 2.0,
         asymptote_ratio=eps_q * 2.0 * d_p * d_p / math.pi**2,
     )

@@ -138,6 +138,28 @@ class TestPhaseCommand:
         assert payload["eps_quantum"] == pytest.approx(0.018013799622)
         assert payload["eps_classical"] == pytest.approx(0.0980171403296)
 
+    def test_small_dimension_exits_1(self, capsys):
+        code, out, err = run_capture(capsys, ["phase", "--dp", "1"])
+        assert code == 1 and out == ""
+        assert "program dimension must be at least 2" in err
+
+    @pytest.mark.parametrize("d_p", [10**9, 10**154], ids=["1e9", "1e154"])
+    def test_large_dimension_is_finite(self, capsys, d_p):
+        code, out, _ = run_capture(capsys, ["phase", "--dp", str(d_p), "--format", "json"])
+        assert code == 0
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert 0.0 < payload["eps_quantum"] < payload["eps_classical"]
+        assert payload["asymptote_ratio"] <= 1.0  # printed to 12 significant digits
+
+    @pytest.mark.parametrize("exponent", [155, 200, 400])
+    def test_out_of_float_range_exits_1(self, capsys, exponent):
+        code, out, err = run_capture(capsys, ["phase", "--dp", str(10**exponent)])
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: quantum phase error at dP={10**exponent} is below the normal "
+            "float range\n"
+        )
+
 
 class TestTable1Command:
     def test_rows(self, capsys):

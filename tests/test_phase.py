@@ -1,4 +1,6 @@
-"""Phase-gate example: sine state, outcome density, mesh vs quantum error."""
+"""Phase-gate example: the sine state and its profile, the closed-form report
+against mpmath, the Choi infidelity against a quadrature of the outcome
+density, the direct diamond search, mesh vs quantum error."""
 
 import cmath
 import math
@@ -12,11 +14,11 @@ from gateprog.phase import (
     choi_infidelity,
     classical_phase_error,
     diamond_distance_search,
-    outcome_density,
     phase_report,
     quantum_phase_error,
     sine_state,
 )
+from gateprog.protocol import sine_profile
 
 
 def dephasing_error_exact(d_p: int) -> float:
@@ -85,8 +87,13 @@ class TestSineState:
         assert min(sine_state(d_p).amplitudes) > 0.0
 
     def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="program dimension must be at least 2"):
             sine_state(1)
+
+    @pytest.mark.parametrize("d_p", [2, 5, 64])
+    def test_squared_amplitudes_are_the_sine_profile(self, d_p):
+        squares = [c * c for c in sine_state(d_p).amplitudes]
+        assert squares == pytest.approx(sine_profile(d_p), rel=1e-15)
 
 
 class TestPhaseProtocol:
@@ -113,32 +120,6 @@ class TestClassicalError:
             classical_phase_error(d_p)  # raises if the two forms disagree
 
 
-class TestOutcomeDensity:
-    def test_two_level_coefficients(self):
-        density = outcome_density(sine_state(2))
-        assert density.coefficient(0) == pytest.approx(1 / (2 * math.pi), abs=1e-15)
-        assert density.coefficient(1) == pytest.approx(1 / (4 * math.pi), abs=1e-15)
-        assert density.coefficient(-1) == pytest.approx(1 / (4 * math.pi), abs=1e-15)
-        assert density.coefficient(5) == 0.0
-
-    @pytest.mark.parametrize("d_p", [2, 3, 17, 128])
-    def test_integrates_to_one(self, d_p):
-        density = outcome_density(sine_state(d_p))
-        assert density.coefficient(0) * 2 * math.pi == pytest.approx(1.0, abs=1e-13)
-
-    def test_two_level_closed_form(self):
-        density = outcome_density(sine_state(2))
-        thetas = np.linspace(0.0, 2 * math.pi, 33)
-        expected = (1.0 + np.cos(thetas)) / (2 * math.pi)
-        assert np.allclose(density.value(thetas), expected, atol=1e-14)
-
-    def test_non_negative_on_grid(self):
-        for d_p in range(2, 257):
-            density = outcome_density(sine_state(d_p))
-            grid = np.arange(4 * d_p) * 2 * math.pi / (4 * d_p)
-            assert float(np.min(density.value(grid))) >= -1e-12
-
-
 class TestChoiInfidelity:
     def test_two_levels(self):
         assert choi_infidelity(sine_state(2)) == pytest.approx(0.25, abs=1e-15)
@@ -148,14 +129,13 @@ class TestChoiInfidelity:
 
     @pytest.mark.parametrize("d_p", [2, 5, 32, 200])
     def test_quadrature_cross_check(self, d_p):
-        # integrate p(theta) sin^2(theta/2) on a grid fine enough to be exact
+        # integrate p(theta) sin^2(theta/2), p = |sum_m c_m e^{i m theta}|^2 / (2 pi),
+        # on a grid fine enough to be exact
         protocol = sine_state(d_p)
-        density = outcome_density(protocol)
         count = 8 * (d_p + 2)
         grid = np.arange(count) * 2 * math.pi / count
-        integral = float(
-            np.mean(density.value(grid) * np.sin(grid / 2.0) ** 2) * 2 * math.pi
-        )
+        amplitude = np.exp(1j * np.outer(grid, np.arange(d_p))) @ np.array(protocol.amplitudes)
+        integral = float(np.mean(np.abs(amplitude) ** 2 * np.sin(grid / 2.0) ** 2))
         assert abs(integral - choi_infidelity(protocol)) <= 1e-12
 
     def test_inverse_square_scaling(self):
@@ -230,3 +210,19 @@ class TestPhaseReport:
         )
         assert 0.0 <= report.eps_quantum <= 1.0
         assert 0.0 <= report.eps_classical <= 1.0
+
+    def test_rejects_small_dimension(self):
+        with pytest.raises(ValueError, match="program dimension must be at least 2"):
+            phase_report(1)
+
+    @pytest.mark.parametrize("d_p", [1024, 4096, 65536, 10**6])
+    def test_quantum_error_against_mpmath(self, d_p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = float(2 * (d_p - 1) * mpmath.sin(mpmath.pi / (2 * d_p)) ** 2 / d_p)
+        assert abs(phase_report(d_p).eps_quantum - exact) <= 1e-12 * exact
+
+    def test_asymptote_ratio_approaches_one_from_below(self):
+        ratios = [phase_report(d_p).asymptote_ratio for d_p in (10**3, 10**6, 10**9)]
+        assert ratios == sorted(ratios) and len(set(ratios)) == 3
+        assert ratios[-1] < 1.0

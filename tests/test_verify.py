@@ -1,9 +1,11 @@
-"""The phase-gate check uses the direct diamond search as its oracle."""
+"""The phase-gate check uses the direct diamond search as the oracle for the
+reported quantum error, and an outcome-density quadrature as the oracle for the
+reported Choi infidelity."""
 
 from dataclasses import replace
 
 import gateprog.verify as verify
-from gateprog.phase import DiamondSearchResult, quantum_phase_error
+from gateprog.phase import DiamondSearchResult, phase_report, quantum_phase_error
 
 
 def _agreeing_search(protocol):
@@ -44,3 +46,14 @@ def test_search_disagreeing_with_closed_form_fails(monkeypatch):
     result = verify.check_phase_gate()
     assert not result.passed
     assert "1 - kappa" in result.detail and "dP=4" in result.detail
+
+
+def test_choi_infidelity_disagreeing_with_quadrature_fails(monkeypatch):
+    def report(d_p):
+        exact = phase_report(d_p)
+        return replace(exact, choi_infidelity=exact.choi_infidelity + 1e-6)
+
+    monkeypatch.setattr(verify, "phase_report", report)
+    result = verify.check_phase_gate()
+    assert not result.passed
+    assert "quadrature" in result.detail and "dP=4" in result.detail
