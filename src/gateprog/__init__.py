@@ -25,15 +25,7 @@ from .oracle import (
     su2_grid,
     su_torus_grid,
 )
-from .phase import (
-    PhaseProtocol,
-    PhaseReport,
-    classical_phase_error,
-    choi_infidelity,
-    phase_report,
-    quantum_phase_error,
-    sine_state,
-)
+from .phase import PhaseReport, classical_phase_error, phase_report, sine_state
 from .protocol import (
     DiagramSet,
     ProtocolError,
@@ -68,7 +60,6 @@ __all__ = [
     "ChoiFit",
     "DiagramSet",
     "FidelityResult",
-    "PhaseProtocol",
     "PhaseReport",
     "ProtocolError",
     "ProtocolReport",
@@ -80,7 +71,6 @@ __all__ = [
     "bound_report",
     "capacity_parameter",
     "character_orthonormality_check",
-    "choi_infidelity",
     "choi_monte_carlo_su2",
     "classical_phase_error",
     "conjecture_cost",
@@ -99,7 +89,6 @@ __all__ = [
     "phase_report",
     "protocol_report",
     "qstar_score_closed_form",
-    "quantum_phase_error",
     "score_matrix",
     "sine_state",
     "sine_weights",

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
@@ -236,15 +236,7 @@ def _cmd_sweep(config: RunConfig) -> tuple[dict, int, list | None]:
 
 def _cmd_phase(config: RunConfig) -> tuple[dict, int, list | None]:
     _require(config, "dp")
-    report = phase_report(config.dp)
-    payload = {
-        "dP": report.dP,
-        "eps_classical": report.eps_classical,
-        "eps_quantum": report.eps_quantum,
-        "choi_infidelity": report.choi_infidelity,
-        "asymptote_ratio": report.asymptote_ratio,
-    }
-    return round_floats(payload), 0, None
+    return round_floats(asdict(phase_report(config.dp))), 0, None
 
 
 def _cmd_table1(config: RunConfig) -> tuple[dict, int, list | None]:

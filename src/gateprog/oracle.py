@@ -298,6 +298,8 @@ def choi_monte_carlo_su2(
         raise ValueError(f"weight vector is for n={diagram_set.n}, not n={n}")
     if samples < 10**5:
         raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
     grid = su2_grid(n + 1)
     density = _weyl_density(diagram_set.rows, np.sqrt(q.probabilities), grid)

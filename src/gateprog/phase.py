@@ -5,10 +5,24 @@ profile at N = dP) pushed through the unknown phase gate; reading it out with
 the covariant phase measurement and applying the estimate turns the overall
 action on the data qubit into a pure dephasing channel whose off-diagonal
 damping factor is the nearest-neighbour autocorrelation kappa of the program
-amplitudes.  Its diamond-norm distance to the identity, 1 - kappa, is the
-protocol's closed form eps_g(dP).  Numerical quadrature and the direct
-multi-start maximization of the output trace norm (``diamond_distance_search``)
-only appear in ``verify``'s cross-checks.
+amplitudes.  For the sine state 1 - kappa is the protocol's closed form
+eps_g(dP), which ``phase_report`` reads.
+
+The channel's diamond-norm distance to the identity is 1 - kappa.  Write a
+pure input on system plus a qubit reference (which suffices) as
+|0>|psi_0> + |1>|psi_1> with ||psi_0||^2 + ||psi_1||^2 = 1.  The dephasing
+channel multiplies the off-diagonal system block by kappa, so the output
+difference is the Hermitian dilation of B = (kappa - 1) psi_0 psi_1*.  B has
+rank one, so the trace norm is 2 |1 - kappa| ||psi_0|| ||psi_1||.  By AM-GM
+this is at most |1 - kappa|, and the maximally entangled input attains it; the
+maximiser does not depend on kappa.  Cauchy-Schwarz gives kappa <= 1, so the
+distance is 1 - kappa (Watrous, The Theory of Quantum Information, sec. 3.3).
+The Choi infidelity of the same channel is (1 - kappa) / 2, the phase-average
+of sin^2(theta/2) under the outcome density |sum_m c_m e^{i m theta}|^2 / (2 pi).
+
+The direct multi-start maximization of the output trace norm
+(``diamond_distance_search``) and a quadrature of the outcome density only
+appear in ``verify``'s cross-checks.
 """
 
 from __future__ import annotations
@@ -22,67 +36,20 @@ import numpy as np
 from .protocol import epsilon_g, sine_profile
 
 
-@dataclass(frozen=True)
-class PhaseProtocol:
-    """A phase-gate program state given by non-negative amplitudes."""
-
-    amplitudes: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.amplitudes:
-            raise ValueError("a program state needs at least one amplitude")
-        if not all(math.isfinite(c) and c >= 0.0 for c in self.amplitudes):
-            raise ValueError("amplitudes must be finite and non-negative")
-        norm = math.fsum(c * c for c in self.amplitudes)
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"amplitudes have squared norm {norm!r}, not 1")
-
-    @property
-    def dP(self) -> int:
-        return len(self.amplitudes)
-
-
-def sine_state(d_p: int) -> PhaseProtocol:
-    """Program state with amplitudes sqrt(g_m) = sqrt(2/dP) sin(pi (m + 1/2) / dP)."""
+def sine_state(d_p: int) -> np.ndarray:
+    """Read-only program amplitudes sqrt(g_m) = sqrt(2/dP) sin(pi (m + 1/2) / dP)."""
     if d_p < 2:
         raise ValueError(f"program dimension must be at least 2, got {d_p}")
-    return PhaseProtocol(amplitudes=tuple(math.sqrt(g) for g in sine_profile(d_p)))
+    amplitudes = np.sqrt(sine_profile(d_p))
+    amplitudes.flags.writeable = False
+    return amplitudes
 
 
 def classical_phase_error(d_p: int) -> float:
-    """Worst-case error of the dP-interval mesh program: sin(pi / (2 dP)).
-
-    Both algebraic forms, sin(pi/(2 dP)) and sqrt((1 - cos(pi/dP)) / 2), are
-    evaluated and cross-checked to guard against transcription slips.  The
-    cosine route cancels near 1, which inflates its rounding error by a factor
-    1/(4 direct); the cross-check tolerance includes that floor.
-    """
+    """Worst-case error of the dP-interval mesh program: sin(pi / (2 dP))."""
     if d_p < 1:
         raise ValueError(f"program dimension must be positive, got {d_p}")
-    direct = math.sin(math.pi / (2.0 * d_p))
-    via_cos = math.sqrt((1.0 - math.cos(math.pi / d_p)) / 2.0)
-    if abs(direct - via_cos) > 1e-15 + 2.5e-16 / (4.0 * direct):
-        raise AssertionError(
-            f"algebraic forms disagree: {direct!r} vs {via_cos!r} at dP={d_p}"
-        )
-    return direct
-
-
-def autocorrelation(protocol: PhaseProtocol, lag: int = 1) -> float:
-    """sum_m c_m c_(m+lag); the lag-1 value is the dephasing factor kappa."""
-    c = protocol.amplitudes
-    lag = abs(lag)
-    return math.fsum(c[m] * c[m + lag] for m in range(len(c) - lag))
-
-
-def choi_infidelity(protocol: PhaseProtocol) -> float:
-    """1 - fidelity of the implemented channel's Choi state with the ideal one.
-
-    For the dephasing channel this is (1 - kappa) / 2 with kappa the lag-1
-    autocorrelation; it equals the phase-average of sin^2(theta/2) under the
-    outcome density |sum_m c_m e^{i m theta}|^2 / (2 pi).
-    """
-    return (1.0 - autocorrelation(protocol, lag=1)) / 2.0
+    return math.sin(math.pi / (2.0 * d_p))
 
 
 def _state_from_angles(x: np.ndarray) -> np.ndarray:
@@ -124,24 +91,23 @@ class DiamondSearchResult:
 
 
 def diamond_distance_search(
-    protocol: PhaseProtocol,
+    kappa: float,
     *,
     starts: int = 32,
     max_evaluations: int = 500,
 ) -> DiamondSearchResult:
-    """Maximize the output trace norm over pure 2x2 inputs by direct search.
+    """Maximize the output trace norm of dephasing with factor ``kappa`` over
+    pure 2x2 inputs by direct search.
 
-    This is the independent oracle for the closed form in
-    ``quantum_phase_error``; it never uses 1 - kappa.  Hill climbing in the
-    fixed six-angle chart runs from the maximally entangled input plus
-    ``starts`` seeded random points, all in lockstep: every step evaluates the
-    candidates of all live starts as one batched 4x4 eigenproblem.  Each start
-    draws its step noise up front from its own generator, widens its step by
-    1.2 (at most 1) on an improvement and shrinks it by 0.9 otherwise, and
-    stops once the step falls below 1e-9.  Every run is deterministic.
+    This is the independent oracle for the closed form 1 - kappa; it never uses
+    that form.  Hill climbing in the fixed six-angle chart runs from the
+    maximally entangled input plus ``starts`` seeded random points, all in
+    lockstep: every step evaluates the candidates of all live starts as one
+    batched 4x4 eigenproblem.  Each start draws its step noise up front from its
+    own generator, widens its step by 1.2 (at most 1) on an improvement and
+    shrinks it by 0.9 otherwise, and stops once the step falls below 1e-9.
+    Every run is deterministic.
     """
-    kappa = autocorrelation(protocol, lag=1)
-
     rngs = [np.random.default_rng(10_000)]
     x = [_ME_ANGLES]
     for seed in range(starts):
@@ -178,23 +144,6 @@ def diamond_distance_search(
         spread=top - min(finals),
         me_is_max=all(v <= me_value + 1e-9 for v in finals),
     )
-
-
-def quantum_phase_error(protocol: PhaseProtocol) -> float:
-    """Diamond-norm distance 1 - kappa between the implemented channel and the identity.
-
-    Write a pure input on system plus a qubit reference (which suffices) as
-    |0>|psi_0> + |1>|psi_1> with ||psi_0||^2 + ||psi_1||^2 = 1.  The dephasing
-    channel multiplies the off-diagonal system block by kappa, so the output
-    difference is the Hermitian dilation of B = (kappa - 1) psi_0 psi_1*.  B
-    has rank one, so the trace norm is 2 |1 - kappa| ||psi_0|| ||psi_1||.  By
-    AM-GM this is at most |1 - kappa|, and the maximally entangled input
-    attains it; the maximiser does not depend on kappa.  Cauchy-Schwarz gives
-    kappa <= 1, so the distance is 1 - kappa (Watrous, The Theory of Quantum
-    Information, sec. 3.3).  ``diamond_distance_search`` checks this by direct
-    maximization inside ``verify``.
-    """
-    return 1.0 - autocorrelation(protocol, lag=1)
 
 
 @dataclass(frozen=True)

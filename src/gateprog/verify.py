@@ -8,6 +8,7 @@ The CLI ``verify`` command and the acceptance test module both run this list.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from math import comb
@@ -203,11 +204,12 @@ def check_eigenvalue_oracle() -> CheckResult:
 
 
 def check_phase_gate() -> CheckResult:
-    """Mesh error closed form, the reported 1 - kappa against the direct diamond
-    search at dP = 4 and 128, the reported Choi infidelity against a quadrature of
-    the outcome density, quantum error scaling and ratio, quantum advantage."""
+    """Mesh error against its chord form, the reported 1 - kappa against the
+    direct diamond search at dP = 4 and 128, the reported Choi infidelity against
+    a quadrature of the outcome density, quantum error scaling and ratio,
+    quantum advantage."""
     worst_classical = max(
-        abs(classical_phase_error(dp) - math.sin(math.pi / (2.0 * dp)))
+        abs(classical_phase_error(dp) - abs(1.0 - cmath.exp(1j * math.pi / dp)) / 2.0)
         for dp in range(1, 257)
     )
     classical_ok = worst_classical <= 1e-15
@@ -216,9 +218,11 @@ def check_phase_gate() -> CheckResult:
     advantage_dps = (*range(4, 17), 32, 64, 128)
     reports = {dp: phase_report(dp) for dp in dps + advantage_dps}
     errors = {dp: report.eps_quantum for dp, report in reports.items()}
-    # the direct search is the oracle for the closed form, at both ends of the range
+    # the direct search is the oracle for the closed form, at both ends of the range;
+    # it takes kappa from the amplitudes, never from epsilon_g
     for dp in (4, 128):
-        search = diamond_distance_search(sine_state(dp))
+        a = sine_state(dp)
+        search = diamond_distance_search(math.fsum(a[:-1] * a[1:]))
         if search.spread > 1e-6:
             return CheckResult(
                 "phase_gate", False, f"search spread {search.spread:.1e} at dP={dp}"
@@ -233,7 +237,7 @@ def check_phase_gate() -> CheckResult:
     # exact for this degree-dP trigonometric polynomial
     for dp in advantage_dps:
         theta = math.pi * np.arange(2 * dp) / dp
-        density = np.abs(np.fft.fft(sine_state(dp).amplitudes, 2 * dp)) ** 2
+        density = np.abs(np.fft.fft(sine_state(dp), 2 * dp)) ** 2
         quadrature = float(np.mean(density * np.sin(theta / 2.0) ** 2))
         if abs(quadrature - reports[dp].choi_infidelity) > 1e-12:
             return CheckResult(

@@ -286,6 +286,12 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["all_passed"] is True
 
+    def test_negative_seed_named(self, capsys):
+        code, out, err = run_capture(capsys, ["verify", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "seed" in err
+
 
 class TestParsing:
     def test_unknown_command_exits_1(self, capsys):

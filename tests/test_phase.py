@@ -1,6 +1,7 @@
-"""Phase-gate example: the sine state and its profile, the closed-form report
-against mpmath, the Choi infidelity against a quadrature of the outcome
-density, the direct diamond search, mesh vs quantum error."""
+"""Phase-gate example: the sine state and its profile, its dephasing factor
+kappa against the closed form, the closed-form report against mpmath, the
+reported Choi infidelity against a quadrature of the outcome density, the direct
+diamond search, mesh vs quantum error."""
 
 import cmath
 import math
@@ -9,13 +10,9 @@ import numpy as np
 import pytest
 
 from gateprog.phase import (
-    PhaseProtocol,
-    autocorrelation,
-    choi_infidelity,
     classical_phase_error,
     diamond_distance_search,
     phase_report,
-    quantum_phase_error,
     sine_state,
 )
 from gateprog.protocol import sine_profile
@@ -26,10 +23,15 @@ def dephasing_error_exact(d_p: int) -> float:
     return (d_p - 1) * (1.0 - math.cos(math.pi / d_p)) / d_p
 
 
-def sequential_climbs(protocol: PhaseProtocol, starts: int, max_evaluations: int) -> list[float]:
+def sine_kappa(d_p: int) -> float:
+    """Dephasing factor of the sine state: the lag-1 autocorrelation of its amplitudes."""
+    a = sine_state(d_p)
+    return math.fsum(a[:-1] * a[1:])
+
+
+def sequential_climbs(kappa: float, starts: int, max_evaluations: int) -> list[float]:
     """Reference for the lockstep search: each start climbs alone, one 4x4
     eigenproblem per step, drawing its step noise as it goes."""
-    kappa = autocorrelation(protocol, lag=1)
 
     def trace_norm(x):
         t1, t2, t3, p1, p2, p3 = x
@@ -69,22 +71,18 @@ def sequential_climbs(protocol: PhaseProtocol, starts: int, max_evaluations: int
 
 class TestSineState:
     def test_two_levels(self):
-        assert sine_state(2).amplitudes == pytest.approx(
-            [1 / math.sqrt(2)] * 2, abs=1e-15
-        )
+        assert sine_state(2) == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
 
     def test_three_levels(self):
-        c = sine_state(3).amplitudes
+        c = sine_state(3)
         raw = [math.sin(math.pi / 6), math.sin(math.pi / 2), math.sin(5 * math.pi / 6)]
         norm = math.sqrt(sum(x * x for x in raw))
         assert c == pytest.approx([x / norm for x in raw], abs=1e-15)
 
     @pytest.mark.parametrize("d_p", [2, 3, 7, 64, 301])
     def test_normalized(self, d_p):
-        assert math.fsum(c * c for c in sine_state(d_p).amplitudes) == pytest.approx(
-            1.0, abs=1e-14
-        )
-        assert min(sine_state(d_p).amplitudes) > 0.0
+        assert math.fsum(sine_state(d_p) ** 2) == pytest.approx(1.0, abs=1e-14)
+        assert min(sine_state(d_p)) > 0.0
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError, match="program dimension must be at least 2"):
@@ -92,17 +90,11 @@ class TestSineState:
 
     @pytest.mark.parametrize("d_p", [2, 5, 64])
     def test_squared_amplitudes_are_the_sine_profile(self, d_p):
-        squares = [c * c for c in sine_state(d_p).amplitudes]
-        assert squares == pytest.approx(sine_profile(d_p), rel=1e-15)
+        assert sine_state(d_p) ** 2 == pytest.approx(sine_profile(d_p), rel=1e-15)
 
-
-class TestPhaseProtocol:
-    @pytest.mark.parametrize(
-        "amplitudes", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
-    )
-    def test_rejects_non_finite_amplitudes(self, amplitudes):
-        with pytest.raises(ValueError, match="finite"):
-            PhaseProtocol(amplitudes)
+    def test_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            sine_state(4)[0] = 1.0
 
 
 class TestClassicalError:
@@ -116,31 +108,33 @@ class TestClassicalError:
         assert abs(ratio - 1.0) <= 1e-3
 
     def test_cross_checked_forms_over_a_range(self):
+        # the cosine form cancels near 1, which inflates its rounding error by a
+        # factor 1/(4 sin(pi/(2 dP))); its tolerance includes that floor
         for d_p in range(1, 600):
-            classical_phase_error(d_p)  # raises if the two forms disagree
+            value = classical_phase_error(d_p)
+            chord = abs(1.0 - cmath.exp(1j * math.pi / d_p)) / 2.0
+            via_cos = math.sqrt((1.0 - math.cos(math.pi / d_p)) / 2.0)
+            assert abs(value - chord) <= 1e-15
+            assert abs(value - via_cos) <= 1e-15 + 2.5e-16 / (4.0 * value)
 
 
 class TestChoiInfidelity:
     def test_two_levels(self):
-        assert choi_infidelity(sine_state(2)) == pytest.approx(0.25, abs=1e-15)
-
-    def test_degenerate_single_amplitude(self):
-        assert choi_infidelity(PhaseProtocol(amplitudes=(1.0,))) == pytest.approx(0.5)
+        assert phase_report(2).choi_infidelity == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("d_p", [2, 5, 32, 200])
     def test_quadrature_cross_check(self, d_p):
         # integrate p(theta) sin^2(theta/2), p = |sum_m c_m e^{i m theta}|^2 / (2 pi),
         # on a grid fine enough to be exact
-        protocol = sine_state(d_p)
         count = 8 * (d_p + 2)
         grid = np.arange(count) * 2 * math.pi / count
-        amplitude = np.exp(1j * np.outer(grid, np.arange(d_p))) @ np.array(protocol.amplitudes)
+        amplitude = np.exp(1j * np.outer(grid, np.arange(d_p))) @ sine_state(d_p)
         integral = float(np.mean(np.abs(amplitude) ** 2 * np.sin(grid / 2.0) ** 2))
-        assert abs(integral - choi_infidelity(protocol)) <= 1e-12
+        assert abs(integral - phase_report(d_p).choi_infidelity) <= 1e-12
 
     def test_inverse_square_scaling(self):
         dps = [16, 32, 64, 128, 256]
-        values = [choi_infidelity(sine_state(dp)) for dp in dps]
+        values = [phase_report(dp).choi_infidelity for dp in dps]
         slope = float(np.polyfit(np.log(dps), np.log(values), 1)[0])
         assert abs(slope + 2.0) <= 0.05
 
@@ -148,35 +142,33 @@ class TestChoiInfidelity:
 class TestQuantumError:
     def test_matches_dephasing_closed_form(self):
         for d_p in range(2, 601):
-            assert quantum_phase_error(sine_state(d_p)) == pytest.approx(
-                dephasing_error_exact(d_p), abs=1e-12
-            )
+            assert 1.0 - sine_kappa(d_p) == pytest.approx(dephasing_error_exact(d_p), abs=1e-12)
 
     @pytest.mark.parametrize("d_p", [2, 4, 16, 64, 128, 256])
     def test_search_matches_closed_form(self, d_p):
-        result = diamond_distance_search(sine_state(d_p))
+        result = diamond_distance_search(sine_kappa(d_p))
         assert result.value == pytest.approx(dephasing_error_exact(d_p), rel=1e-12)
         assert result.me_is_max
 
     def test_log_log_slope(self):
         dps = [16, 23, 32, 45, 64, 91, 128]
-        errors = [quantum_phase_error(sine_state(dp)) for dp in dps]
+        errors = [phase_report(dp).eps_quantum for dp in dps]
         slope = float(np.polyfit(np.log(dps), np.log(errors), 1)[0])
         assert abs(slope + 2.0) <= 0.1
 
     @pytest.mark.parametrize("d_p", [32, 64])
     def test_asymptote_ratio_window(self, d_p):
-        ratio = quantum_phase_error(sine_state(d_p)) * 2 * d_p * d_p / math.pi**2
+        ratio = phase_report(d_p).eps_quantum * 2 * d_p * d_p / math.pi**2
         assert 0.5 <= ratio <= 2.0
 
     def test_beats_classical_from_dp4(self):
         for d_p in list(range(4, 33)) + [64, 128]:
-            assert quantum_phase_error(sine_state(d_p)) < classical_phase_error(d_p)
+            assert phase_report(d_p).eps_quantum < classical_phase_error(d_p)
 
     def test_choi_never_exceeds_diamond(self):
         for d_p in (2, 4, 8, 32, 128):
-            protocol = sine_state(d_p)
-            assert choi_infidelity(protocol) <= quantum_phase_error(protocol) + 1e-12
+            report = phase_report(d_p)
+            assert report.choi_infidelity <= report.eps_quantum + 1e-12
 
     @pytest.mark.parametrize("d_p", [4, 64])
     @pytest.mark.parametrize("evaluations", [25, 500])
@@ -185,16 +177,16 @@ class TestQuantumError:
         # so each start's value may differ from the scalar reference by a few ulps;
         # 25 steps stop the climbs before they meet at the maximum, so the values
         # still depend on every accepted step
-        protocol = sine_state(d_p)
+        kappa = sine_kappa(d_p)
         lockstep = diamond_distance_search(
-            protocol, starts=4, max_evaluations=evaluations
+            kappa, starts=4, max_evaluations=evaluations
         ).start_values
-        reference = sequential_climbs(protocol, starts=4, max_evaluations=evaluations)
+        reference = sequential_climbs(kappa, starts=4, max_evaluations=evaluations)
         assert np.allclose(lockstep, reference, rtol=0, atol=1e-15)
 
     def test_entangled_start_is_never_beaten(self):
         for d_p in (2, 8, 64):
-            result = diamond_distance_search(sine_state(d_p))
+            result = diamond_distance_search(sine_kappa(d_p))
             assert result.me_is_max
             assert result.spread <= 1e-9
 

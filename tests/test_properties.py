@@ -2,16 +2,15 @@
 ordering, the eigensolver against the dense distance-built oracle and its
 true-residual stopping rule, the SU(2) and SU(3) Haar quadrature against the
 matrix route and the protocol report's pass flags; and over random phase-gate
-programs, the diamond search against 1 - kappa."""
+dephasing factors, the diamond search against 1 - kappa."""
 
-import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gateprog.oracle import haar_fidelity, su_torus_grid
-from gateprog.phase import PhaseProtocol, diamond_distance_search, quantum_phase_error
+from gateprog.phase import diamond_distance_search
 from gateprog.protocol import sine_weights, viable_set
 from gateprog.reporting import protocol_report
 from gateprog.scoring import (
@@ -30,21 +29,6 @@ points = st.sampled_from(sorted(N_RANGE)).flatmap(
 )
 lattices = points.map(lambda nd: viable_set(*nd))
 
-
-def _phase_protocol(raw: list[float]) -> PhaseProtocol:
-    """Normalise non-negative raw amplitudes; dividing by the largest first keeps
-    subnormal draws from losing the norm to underflow."""
-    top = max(raw)
-    scaled = [x / top for x in raw]
-    norm = math.sqrt(math.fsum(x * x for x in scaled))
-    return PhaseProtocol(amplitudes=tuple(x / norm for x in scaled))
-
-
-phase_protocols = (
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48)
-    .filter(lambda raw: max(raw) > 0.0)
-    .map(_phase_protocol)
-)
 
 deterministic = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -108,6 +92,8 @@ def test_protocol_report_passes_every_flag(point):
 
 
 @deterministic
-@given(phase_protocols)
-def test_diamond_search_matches_closed_form(protocol):
-    assert abs(diamond_distance_search(protocol).value - quantum_phase_error(protocol)) <= 1e-9
+@given(st.floats(0.0, 1.0))
+def test_diamond_search_matches_closed_form(kappa):
+    result = diamond_distance_search(kappa)
+    assert abs(result.value - (1.0 - kappa)) <= 1e-9
+    assert result.me_is_max

@@ -1,15 +1,17 @@
-"""The phase-gate check uses the direct diamond search as the oracle for the
-reported quantum error, and an outcome-density quadrature as the oracle for the
-reported Choi infidelity."""
+"""The phase-gate check uses the chord form as the oracle for the mesh error,
+the direct diamond search as the oracle for the reported quantum error, and an
+outcome-density quadrature as the oracle for the reported Choi infidelity."""
 
 from dataclasses import replace
 
+import pytest
+
 import gateprog.verify as verify
-from gateprog.phase import DiamondSearchResult, phase_report, quantum_phase_error
+from gateprog.phase import DiamondSearchResult, classical_phase_error, phase_report
 
 
-def _agreeing_search(protocol):
-    value = quantum_phase_error(protocol)
+def _agreeing_search(kappa):
+    value = 1.0 - kappa
     return DiamondSearchResult(
         value=value, me_value=value, start_values=(value,) * 33, spread=0.0, me_is_max=True
     )
@@ -18,28 +20,29 @@ def _agreeing_search(protocol):
 def test_search_runs_at_both_ends_of_the_range(monkeypatch):
     calls = []
 
-    def search(protocol):
-        calls.append(protocol.dP)
-        return _agreeing_search(protocol)
+    def search(kappa):
+        calls.append(kappa)
+        return _agreeing_search(kappa)
 
     monkeypatch.setattr(verify, "diamond_distance_search", search)
     assert verify.check_phase_gate().passed
-    assert calls == [4, 128]
+    expected = [1.0 - phase_report(dp).eps_quantum for dp in (4, 128)]
+    assert calls == pytest.approx(expected, abs=1e-12)
 
 
 def test_unreliable_maximum_fails(monkeypatch):
     fake = DiamondSearchResult(
         value=0.5, me_value=0.4, start_values=(0.5, 0.3), spread=0.2, me_is_max=False
     )
-    monkeypatch.setattr(verify, "diamond_distance_search", lambda p: fake)
+    monkeypatch.setattr(verify, "diamond_distance_search", lambda kappa: fake)
     result = verify.check_phase_gate()
     assert not result.passed
     assert result.detail == "search spread 2.0e-01 at dP=4"
 
 
 def test_search_disagreeing_with_closed_form_fails(monkeypatch):
-    def search(protocol):
-        agreeing = _agreeing_search(protocol)
+    def search(kappa):
+        agreeing = _agreeing_search(kappa)
         return replace(agreeing, value=agreeing.value + 1e-6)
 
     monkeypatch.setattr(verify, "diamond_distance_search", search)
@@ -57,3 +60,10 @@ def test_choi_infidelity_disagreeing_with_quadrature_fails(monkeypatch):
     result = verify.check_phase_gate()
     assert not result.passed
     assert "quadrature" in result.detail and "dP=4" in result.detail
+
+
+def test_mesh_error_off_by_1e_14_fails(monkeypatch):
+    monkeypatch.setattr(verify, "classical_phase_error", lambda dp: classical_phase_error(dp) + 1e-14)
+    result = verify.check_phase_gate()
+    assert not result.passed
+    assert "mesh closed-form deviation = 1.0e-14" in result.detail
