@@ -10,6 +10,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,7 +69,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged and
+    returns a fresh namespace each call."""
     parser = _Parser(prog="gateprog", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -62,7 +62,8 @@ def protocol_report(n: int, d: int) -> ProtocolReport:
     qstar = entanglement_fidelity(weights, matrix)
     optimal = optimal_fidelity(matrix)
 
-    dim_exact = sum(irrep_dimension(rows) ** 2 for rows in diagram_set.rows.tolist())
+    dims = irrep_dimension(diagram_set.rows)
+    dim_exact = (dims * dims).sum()
     dim_log2 = math.log2(dim_exact)
 
     nu = d * d - 1

@@ -105,6 +105,12 @@ def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
     return FidelityResult(fidelity=1.0 - error, error=error, weights_used=q)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b in numpy's own einsum loop, not BLAS: a BLAS reduction over a long vector
+    wakes a second OpenBLAS thread, whose spin-wait costs CPU time and saves no wall time."""
+    return float(np.einsum("i,i", a, b))
+
+
 def _sine_start(diagram_set: DiagramSet) -> np.ndarray:
     """Unit vector sqrt(sine weights), built as an outer product on the lattice box;
     all ones when N < 2, where the sine profile is undefined."""
@@ -114,7 +120,7 @@ def _sine_start(diagram_set: DiagramSet) -> np.ndarray:
     else:
         g = np.sqrt(sine_profile(big_n))
         v = functools.reduce(np.multiply.outer, [g] * (d - 1)).reshape(-1)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(_dot(v, v))
 
 
 def _sine_transform(x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -168,9 +174,11 @@ def optimal_fidelity(
     modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
     spectrum = functools.reduce(np.add.outer, [modes] * (d - 1))
     buffer = np.zeros(box[:-1] + (2 * big_n + 2,))
-    # the trial basis x, w, p and its images S x, S w, S p; p = 0 until the first step
-    work = np.zeros((2, 3, dim))
-    (x, w, _), (sx, sw, _) = work
+    # the trial vectors x, w, p, each beside its image S x, S w, S p, so that a step
+    # updates both alike; p = 0 until the first step
+    work = np.zeros((3, 2, dim))
+    x_pair, w_pair, p_pair = work
+    (x, sx), (w, sw), _ = work
     x[:] = _sine_start(s.diagram_set)
     matvecs = 0
 
@@ -187,9 +195,9 @@ def optimal_fidelity(
     sx[:] = apply(x)
     confirmed = True
     while True:
-        theta = float(x @ sx)
+        theta = _dot(x, sx)
         r = sx - theta * x
-        residual = math.sqrt(r @ r)
+        residual = math.sqrt(_dot(r, r))
         if residual <= tol * theta:
             if confirmed:
                 return _principal_result(s, x)
@@ -200,7 +208,8 @@ def optimal_fidelity(
             _sine_transform(r.reshape(box), buffer) / spectrum, buffer
         )
         sw[:] = apply(w)
-        gram, projected = work @ work[0].T
+        # vector . vector and image . vector over the trial vectors, numpy loops as in _dot
+        gram, projected = np.einsum("aki,bi->kab", work, work[:, 0])
         # SVQB: scale to a unit diagonal, then drop the nearly dependent directions;
         # the zero p of the first step gets scale 0 and is dropped with them
         norms = np.sqrt(gram.diagonal())
@@ -209,11 +218,17 @@ def optimal_fidelity(
         keep = sigma > 1e-10 * sigma[-1]
         coefficients = scale[:, None] * u[:, keep] / np.sqrt(sigma[keep])
         ritz = np.linalg.eigh(coefficients.T @ projected @ coefficients)[1][:, -1]
-        # the step is c0 x + c1 w + c2 p; the next p is its w and p part (Hetmaniuk &
-        # Lehoucq), applied to the images alike
+        # the step is c0 x + c1 w + c2 p, summed in that order; the next p is its w and
+        # p part (Hetmaniuk & Lehoucq).  w and S w are recomputed before they are read
+        # again, so they are scaled in place
         c0, c1, c2 = coefficients @ ritz
-        work[:, ::2] = np.array(((c0, c1, c2), (0.0, c1, c2))) @ work
-        work[:, 0] /= np.linalg.norm(x)
+        w_pair *= c1
+        p_pair *= c2
+        x_pair *= c0
+        x_pair += w_pair
+        x_pair += p_pair
+        p_pair += w_pair
+        x_pair /= math.sqrt(_dot(x, x))
         confirmed = False
 
 

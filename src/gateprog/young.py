@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -67,24 +69,26 @@ def enumerate_diagrams(m: int, d: int) -> list[YoungDiagram]:
     return out
 
 
-def irrep_dimension(rows: Sequence[int]) -> int:
-    """Dimension of the SU(d) irrep with row lengths ``rows``, exactly.
+def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
+    """Exact dimension of the SU(d) irrep with row lengths ``rows``, for one diagram
+    or a stack of shape (..., d) in one array pass.
 
-    Evaluates the product over row pairs of (rows[i] - rows[j] + j - i)
-    divided by 1! 2! ... (d-1)!.  Arbitrary-precision integers throughout;
-    the division is checked to be exact.
+    The product over row pairs of (rows[i] - rows[j] + j - i), divided by
+    1! 2! ... (d-1)!.  Each factor is at most the box count plus d, so the factors
+    are formed in int64; their product is taken in Python integers (object
+    dtype), exact at any size, and the division is checked to be exact.  Returns
+    an ``int`` for one diagram and an object array of ``int`` for a stack.
     """
-    d = len(rows)
-    num = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= rows[i] - rows[j] + j - i
-    den = 1
-    for k in range(1, d):
-        den *= factorial(k)
-    dim, rem = divmod(num, den)
-    if rem:
-        raise ValueError(f"dimension product not divisible for {rows}")
+    rows = np.asarray(rows, dtype=np.int64)
+    d = rows.shape[-1]
+    i, j = np.triu_indices(d, 1)
+    factors = (rows[..., i] - rows[..., j] + (j - i)).astype(object)
+    num = np.prod(factors, axis=-1)
+    den = prod(factorial(k) for k in range(1, d))
+    dim, rem = num // den, num % den
+    if np.any(rem):
+        bad = rows[np.asarray(rem != 0)][0]
+        raise ValueError(f"dimension product not divisible for {tuple(bad.tolist())}")
     return dim
 
 
@@ -103,7 +107,8 @@ def sum_squared_dimensions(m: int, d: int) -> int:
     """
     if d < 2:
         raise ValueError(f"row budget must be at least 2, got {d}")
-    return sum(irrep_dimension(lam.rows) ** 2 for lam in enumerate_diagrams(m, d))
+    dims = irrep_dimension([lam.rows for lam in enumerate_diagrams(m, d)])
+    return (dims * dims).sum()
 
 
 def dm_lower_bound(m: int, d: int) -> float:

@@ -293,6 +293,33 @@ class TestVerifyCommand:
         assert "seed" in err
 
 
+class TestParserReuse:
+    # an error, a csv report, a command that must not inherit --format csv, a json report
+    SEQUENCE = (
+        ["protocol", "--d", "2", "--n", "3"],
+        ["protocol", "--d", "2", "--n", "8", "--format", "csv"],
+        ["bounds", "--d", "2", "--eps", "1e-6"],
+        ["phase", "--dp", "64", "--format", "json"],
+    )
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_each_run_alone(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        in_process = [run_capture(capsys, argv) for argv in self.SEQUENCE]
+        alone = []
+        for argv in self.SEQUENCE:
+            child = subprocess.run(
+                [sys.executable, "-m", "gateprog", *argv], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+            )
+            alone.append((child.returncode, child.stdout, child.stderr))
+        assert in_process == alone
+        assert [code for code, _, _ in in_process] == [1, 0, 0, 0]
+        assert in_process[2][1].startswith("d ")
+
+
 class TestParsing:
     def test_unknown_command_exits_1(self, capsys):
         code, _, err = run_capture(capsys, ["frobnicate"])

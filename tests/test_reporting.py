@@ -20,6 +20,15 @@ from gateprog.young import irrep_dimension
 from gateprog.protocol import viable_set
 
 
+def python_int_dimension(rows):
+    """Independent of numpy: the Weyl product over row pairs, in Python ints."""
+    d = len(rows)
+    num = math.prod(rows[i] - rows[j] + j - i for i in range(d) for j in range(i + 1, d))
+    den = math.prod(math.factorial(k) for k in range(1, d))
+    assert num % den == 0
+    return num // den
+
+
 class TestProtocolReport:
     def test_n4_d2(self):
         r = protocol_report(4, 2)
@@ -48,10 +57,25 @@ class TestProtocolReport:
 
     def test_exact_dimension_and_log(self):
         r = protocol_report(8, 2)
-        expected = sum(irrep_dimension(rows) ** 2 for rows in viable_set(8, 2).rows.tolist())
+        expected = sum(python_int_dimension(rows) ** 2 for rows in viable_set(8, 2).rows.tolist())
         assert r.dP_exact == expected
         assert r.dP_exact_log2 == pytest.approx(math.log2(expected), abs=1e-13)
         assert r.cP_bits == r.dP_exact_log2
+
+    def test_exact_past_int64_in_the_report(self):
+        # every squared dimension at d=5 n=400 exceeds 2^63
+        squares = [python_int_dimension(rows) ** 2 for rows in viable_set(400, 5).rows.tolist()]
+        assert min(squares) >= 2**63
+        assert protocol_report(400, 5).dP_exact == sum(squares)
+
+    def test_exact_past_int64_at_the_member_budget_scale(self):
+        # d=4 n=1200: 512,000 members, each squared dimension past 2^63; the report
+        # sums the same stacked call
+        rows = viable_set(1200, 4).rows
+        squares = [python_int_dimension(r) ** 2 for r in rows.tolist()]
+        assert min(squares) >= 2**63
+        dims = irrep_dimension(rows)
+        assert (dims * dims).sum() == sum(squares)
 
     def test_propagates_preconditions(self):
         with pytest.raises(Exception, match="degenerate weight regime"):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from gateprog.young import (
@@ -93,6 +94,21 @@ class TestIrrepDimension:
         for m in range(0, 9):
             for lam in enumerate_diagrams(m, d):
                 assert irrep_dimension(lam.rows) == hook_content_dimension(lam.rows, d)
+
+    def test_one_diagram_is_plain_int(self):
+        assert type(irrep_dimension((2, 1, 0))) is int
+        assert type(irrep_dimension(np.array([2, 1, 0]))) is int
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_stack_matches_hook_content_oracle(self, d):
+        rows = [lam.rows for m in range(0, 9) for lam in enumerate_diagrams(m, d)]
+        expected = [hook_content_dimension(r, d) for r in rows]
+        got = irrep_dimension(rows)
+        assert got.shape == (len(rows),)
+        assert got.tolist() == expected
+        twice = irrep_dimension(np.stack([np.array(rows), np.array(rows[::-1])]))
+        assert twice.shape == (2, len(rows))
+        assert twice.tolist() == [expected, expected[::-1]]
 
 
 class TestYoungDistance:
