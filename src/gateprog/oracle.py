@@ -24,7 +24,9 @@ the orthonormality check.
 Also provides a Monte-Carlo reconstruction of the implemented channel's Choi
 state for SU(2).  It samples the protocol itself: the error rotation's
 eigenphase comes from the outcome density at the nodes of the SU(2) grid, its
-axis is uniform, and every sample has unit weight.
+axis is uniform, taken from Marsaglia's disc points without Gaussian draws, and
+every sample has unit weight.  The samples are drawn in small chunks whose
+buffers are reused, and only their 4x4 quaternion Gram is kept.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -256,11 +258,77 @@ def character_orthonormality_check(
     return worst
 
 
+_CHUNK = 32_768
+
+
+def _quaternions(
+    cos_phi: np.ndarray,
+    sin_phi: np.ndarray,
+    density: np.ndarray,
+    samples: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """Exactly ``samples`` unit quaternions r = (cos(phi), sin(phi) * axis), in chunks.
+
+    The node of phi follows ``density`` and the axis is uniform on the sphere,
+    from Marsaglia's disc points (Ann. Math. Stat. 43 (1972) 645): a pair v
+    uniform in [-1, 1)^2 with s = |v|^2 < 1 gives the exactly unit, exactly
+    uniform axis (2 v sqrt(1 - s), 1 - 2 s), with no Gaussian draw.  Each
+    chunk draws _CHUNK pairs, keeps the first accepted ones that are still
+    needed (about pi / 4 of them), and draws the node counts of that many
+    samples from one multinomial.  The draws are iid, so grouping them by node
+    leaves their distribution unchanged.
+
+    Every chunk is a (4, count) view of one reused buffer, valid until the
+    next one is drawn.
+    """
+    size = min(_CHUNK, samples)
+    pairs = np.empty((2, size))
+    s = np.empty(size)
+    buffer = np.empty((4, size))
+    remaining = samples
+    while remaining:
+        rng.random(out=pairs)
+        pairs *= 2.0
+        pairs -= 1.0
+        np.einsum("ij,ij->j", pairs, pairs, out=s)
+        keep = np.flatnonzero(s < 1.0)[:remaining]
+        count = len(keep)
+        remaining -= count
+        nodes = rng.multinomial(count, density)
+        quat = buffer[:, :count]
+        w, x, y, z = quat
+        s.take(keep, out=z)
+        pairs[0].take(keep, out=x)
+        pairs[1].take(keep, out=y)
+        sin_rep = np.repeat(sin_phi, nodes)
+        # w holds 2 sin(phi) sqrt(1 - s) until the last line
+        np.subtract(1.0, z, out=w)
+        np.sqrt(w, out=w)
+        w *= 2.0
+        w *= sin_rep
+        x *= w
+        y *= w
+        z *= -2.0
+        z += 1.0
+        z *= sin_rep
+        w[:] = np.repeat(cos_phi, nodes)
+        yield quat
+
+
 class ChoiFit(NamedTuple):
     """Least-squares fit of the Monte-Carlo Choi state to the covariant form."""
 
     a: float
     residual: float
+
+
+def validate_sampling(samples: int, seed: int) -> None:
+    """Reject a Monte-Carlo request too small for a stable fit or with a negative seed."""
+    if samples < 10**5:
+        raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def choi_monte_carlo_su2(
@@ -271,9 +339,9 @@ def choi_monte_carlo_su2(
     Simulates the protocol: the error rotation of the estimate has its
     eigenphase phi drawn from the outcome density |sum_lam sqrt(q_lam) chi_lam|^2
     times the Haar class weight, at the nodes of ``su2_grid(n + 1)``, and its
-    axis drawn uniformly.  Each quaternion r = (cos(phi), sin(phi) * axis)
-    enters the 4x4 Choi matrix with unit weight and unit trace; the mean is
-    fitted to the one-parameter covariant form
+    axis drawn uniformly from Marsaglia's disc points.  Each quaternion
+    r = (cos(phi), sin(phi) * axis) enters the 4x4 Choi matrix with unit
+    weight and unit trace; the mean is fitted to the one-parameter covariant form
     (1 - a) * Phi+ + a * (I - Phi+) / 3.  Returns the fitted a and the
     Frobenius residual of the fit.
 
@@ -282,9 +350,10 @@ def choi_monte_carlo_su2(
     polynomial in phi that the grid integrates exactly, as in ``haar_fidelity``,
     whose Weyl coefficients it shares (``_weyl_density``).
 
-    Each chunk draws its node counts from one multinomial and repeats every
-    node's angle that many times.  The draws are iid, so grouping them by node
-    leaves their distribution unchanged.  The Choi vector of a sample is
+    The samples come in chunks of at most 32768 (``_quaternions``): each chunk
+    draws its node counts from one multinomial and repeats every node's angle
+    that many times, and its few small buffers are reused by the next, so the
+    memory does not grow with ``samples``.  The Choi vector of a sample is
     M r for a fixed complex 4x4 M, so the samples only enter the real 4x4
     Gram G = sum r r^T, and the Choi matrix is M G M^dagger / samples.
 
@@ -296,32 +365,15 @@ def choi_monte_carlo_su2(
         raise ValueError(f"Monte-Carlo check implemented for d=2, got d={diagram_set.d}")
     if diagram_set.n != n:
         raise ValueError(f"weight vector is for n={diagram_set.n}, not n={n}")
-    if samples < 10**5:
-        raise ValueError(f"need at least 1e5 samples for a stable fit, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    validate_sampling(samples, seed)
 
     grid = su2_grid(n + 1)
     density = _weyl_density(diagram_set.rows, np.sqrt(q.probabilities), grid)
     phis = grid.angles[:, 0]
-    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
-
-    rng = np.random.default_rng(seed)
-    gram = np.zeros((4, 4))
-    chunk_size = 250_000
-    buffer = np.empty(4 * min(chunk_size, samples))
-    remaining = samples
-    while remaining:
-        count = min(chunk_size, remaining)
-        remaining -= count
-        nodes = rng.multinomial(count, density)
-        quat = buffer[: 4 * count].reshape(4, count)
-        rng.standard_normal(out=quat[1:])
-        scale = np.repeat(sin_phi, nodes)
-        scale /= np.sqrt(np.einsum("ij,ij->j", quat[1:], quat[1:]))
-        quat[1:] *= scale
-        quat[0] = np.repeat(cos_phi, nodes)
-        gram += quat @ quat.T
+    chunks = _quaternions(
+        np.cos(phis), np.sin(phis), density, samples, np.random.default_rng(seed)
+    )
+    gram = sum(quat @ quat.T for quat in chunks)
 
     # m r = vec(U) for the SU(2) matrix U of r = (w, x, y, z); the Choi vector
     # is vec(U) / sqrt(2), hence the factor 2 below

@@ -22,6 +22,7 @@ from .oracle import (
     haar_fidelity,
     su2_grid,
     su_torus_grid,
+    validate_sampling,
 )
 from .phase import classical_phase_error, diamond_distance_search, phase_report, sine_state
 from .protocol import epsilon_g, sine_weights, viable_set
@@ -297,7 +298,11 @@ CRITERIA = (
 
 
 def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
-    """Run every check once, sharing the protocol reports between them."""
+    """Run every check once, sharing the protocol reports between them.
+
+    ``samples`` and ``seed`` are checked before any work, so a bad request
+    fails at once with the Monte-Carlo oracle's own message."""
+    validate_sampling(samples, seed)
     reports_d2 = {n: protocol_report(n, 2) for n in SMALL_NS_D2}
     reports_d3 = {n: protocol_report(n, 3) for n in NS_D3}
     return [

@@ -292,6 +292,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "seed" in err
 
+    @pytest.mark.parametrize("samples", [0, -5, 99999])
+    def test_too_few_samples_exits_1(self, capsys, samples):
+        code, out, err = run_capture(capsys, ["verify", "--samples", str(samples)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: need at least 1e5 samples for a stable fit, got {samples}\n"
+
 
 class TestParserReuse:
     # an error, a csv report, a command that must not inherit --format csv, a json report

@@ -9,6 +9,7 @@ import pytest
 from gateprog.oracle import (
     TorusGrid,
     _eigenphases,
+    _quaternions,
     _schur_character_table,
     _vandermonde,
     _weyl_density,
@@ -247,12 +248,12 @@ class TestChoiMonteCarlo:
         assert abs((1.0 - fit.a) - 0.75) <= tol
         assert fit.residual <= tol
 
-    def test_recovers_fidelity_n512(self):
-        n, samples = 512, 10**6
+    @staticmethod
+    def assert_recovers_fidelity(n, seed, samples=10**6):
         ds = viable_set(n, 2)
         q = sine_weights(ds)
         fidelity = entanglement_fidelity(q, score_matrix(ds)).fidelity
-        fit = choi_monte_carlo_su2(n, q, samples, seed=1)
+        fit = choi_monte_carlo_su2(n, q, samples, seed=seed)
         tol = 5.0 / math.sqrt(samples)
         assert fit.residual <= tol
         assert abs((1.0 - fit.a) - fidelity) <= tol
@@ -270,6 +271,15 @@ class TestChoiMonteCarlo:
         assert mean == pytest.approx(1.0 - fidelity, rel=1e-9)
         relative = abs(fit.a - (1.0 - fidelity)) / (1.0 - fidelity)
         assert relative <= 5.0 * sd / math.sqrt(samples) / mean
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_recovers_fidelity_n512(self, seed):
+        self.assert_recovers_fidelity(512, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_recovers_fidelity_at_verify_points(self, n, seed):
+        self.assert_recovers_fidelity(n, seed)
 
     def test_concentrated_weights_give_inverse_dimension(self):
         ds = viable_set(4, 2)
@@ -293,7 +303,8 @@ class TestChoiMonteCarlo:
 
     def test_memory_stays_bounded_at_large_n(self):
         # the outcome density needs O(nodes) memory, not a (|set|, nodes) table
-        # (about 134 MB here), and the sample buffers are bounded by the chunk size
+        # (about 134 MB here), and the sample buffers are bounded by the chunk size:
+        # about 3 MB in all
         ds = viable_set(2048, 2)
         q = sine_weights(ds)
         tracemalloc.start()
@@ -302,7 +313,7 @@ class TestChoiMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 10**6
+        assert peak <= 8 * 10**6
 
     def test_sample_floor_enforced(self):
         ds = viable_set(4, 2)
@@ -320,3 +331,52 @@ class TestChoiMonteCarlo:
         fit_a = choi_monte_carlo_su2(4, q, 10**5, seed=11)
         fit_b = choi_monte_carlo_su2(4, q, 10**5, seed=11)
         assert fit_a == fit_b
+
+
+def su2_outcome_density(n):
+    ds = viable_set(n, 2)
+    grid = su2_grid(n + 1)
+    density = _weyl_density(ds.rows, np.sqrt(sine_weights(ds).probabilities), grid)
+    phis = grid.angles[:, 0]
+    return np.cos(phis), np.sin(phis), density
+
+
+class TestQuaternionDraw:
+    # a chunk of 32768 pairs keeps about 25,700: fewer samples than that, and
+    # counts that end inside a later chunk
+    @pytest.mark.parametrize("samples", [1, 1000, 32_768, 100_003, 10**6 + 1])
+    def test_exactly_samples_unit_quaternions(self, samples):
+        chunks = _quaternions(*su2_outcome_density(8), samples, np.random.default_rng(0))
+        widths, traces = zip(*((quat.shape[1], np.trace(quat @ quat.T)) for quat in chunks))
+        assert sum(widths) == samples
+        # the trace of the Gram the fit uses: one per unit quaternion
+        assert sum(traces) == pytest.approx(samples, rel=1e-12)
+
+    def test_axis_moments_match_the_uniform_sphere(self):
+        # one node at phi = pi / 2 makes every quaternion (0, axis)
+        samples = 10**6
+        total = np.zeros(3)
+        second = np.zeros((3, 3))
+        fourth = np.zeros(3)
+        worst_norm = 0.0
+        for quat in _quaternions(np.zeros(1), np.ones(1), np.ones(1), samples,
+                                 np.random.default_rng(0)):
+            assert not quat[0].any()
+            u = quat[1:]
+            total += u.sum(axis=1)
+            second += u @ u.T
+            fourth += (u**4).sum(axis=1)
+            worst_norm = max(worst_norm, float(np.abs(np.einsum("ij,ij->j", u, u) - 1.0).max()))
+        assert worst_norm <= 1e-15
+
+        # 5 sigma from the sample count: Var u_i = 1/3, Var u_i^2 = 1/5 - 1/9,
+        # Var u_i u_j = 1/15 (i != j), Var u_i^4 = 1/9 - 1/25
+        root = math.sqrt(samples)
+        assert np.all(np.abs(total / samples) <= 5.0 * math.sqrt(1.0 / 3.0) / root)
+        off_diagonal = ~np.eye(3, dtype=bool)
+        assert np.all(np.abs(np.diag(second) / samples - 1.0 / 3.0)
+                      <= 5.0 * math.sqrt(1.0 / 5.0 - 1.0 / 9.0) / root)
+        assert np.all(np.abs(second[off_diagonal] / samples)
+                      <= 5.0 * math.sqrt(1.0 / 15.0) / root)
+        assert np.all(np.abs(fourth / samples - 1.0 / 5.0)
+                      <= 5.0 * math.sqrt(1.0 / 9.0 - 1.0 / 25.0) / root)

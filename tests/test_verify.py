@@ -67,3 +67,17 @@ def test_mesh_error_off_by_1e_14_fails(monkeypatch):
     result = verify.check_phase_gate()
     assert not result.passed
     assert "mesh closed-form deviation = 1.0e-14" in result.detail
+
+
+@pytest.mark.parametrize("samples, seed, message", [
+    (0, 0, "need at least 1e5 samples for a stable fit, got 0"),
+    (10**6, -1, "seed must be non-negative, got -1"),
+])
+def test_bad_sampling_rejected_before_any_check(monkeypatch, samples, seed, message):
+    def report(n, d):
+        raise AssertionError("the battery started before its inputs were checked")
+
+    monkeypatch.setattr(verify, "protocol_report", report)
+    with pytest.raises(ValueError) as excinfo:
+        verify.run_all(samples=samples, seed=seed)
+    assert str(excinfo.value) == message
