@@ -47,7 +47,6 @@ from .scoring import (
     score_matrix,
 )
 from .young import (
-    YoungDiagram,
     dm_lower_bound,
     enumerate_diagrams,
     irrep_dimension,
@@ -67,7 +66,6 @@ __all__ = [
     "SweepResult",
     "TorusGrid",
     "WeightVector",
-    "YoungDiagram",
     "bound_report",
     "capacity_parameter",
     "character_orthonormality_check",

@@ -7,6 +7,7 @@ vacuous instead of being clamped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,19 @@ def _finite(quantity: str, value: float, epsilon: float) -> float:
     return value
 
 
+def _float_range(fn):
+    """Report a d too large to convert to float as a ValueError naming d."""
+    @functools.wraps(fn)
+    def checked(d: int, *args, **kwargs):
+        try:
+            return fn(d, *args, **kwargs)
+        except OverflowError:
+            quantity = fn.__name__.replace("_", " ")
+            raise ValueError(f"d={d} is out of float range for the {quantity}") from None
+    return checked
+
+
+@_float_range
 def lower_bound_cost(d: int, epsilon: float, delta: float) -> float:
     """Recycling lower bound on the program cost, in bits.
 
@@ -37,6 +51,7 @@ def lower_bound_cost(d: int, epsilon: float, delta: float) -> float:
     return (1.0 - delta - u) * nu * math.log2(delta / (u * nu)) - 1.0
 
 
+@_float_range
 def lower_bound_dimension(d: int, epsilon: float, delta: float) -> float:
     """log2 of the program-dimension lower bound (1/2) (delta / (4 sqrt(2 eps) (d^2-1)))^k.
 
@@ -54,6 +69,7 @@ def lower_bound_dimension(d: int, epsilon: float, delta: float) -> float:
     return math.log2(0.5) + exponent * math.log2(delta / (u * nu))
 
 
+@_float_range
 def feasible_delta_interval(d: int, epsilon: float) -> tuple[float, float]:
     """Open interval of delta values with a positive exponent and log argument > 1."""
     _check_epsilon(epsilon)
@@ -95,6 +111,7 @@ def optimize_delta(d: int, epsilon: float) -> tuple[float, float]:
     return delta_star, lower_bound_cost(d, epsilon, delta_star)
 
 
+@_float_range
 def upper_bound_cost(d: int, epsilon: float, *, simplified: bool = False) -> float:
     """Achievable cost of the estimation protocol, in bits.
 
@@ -114,6 +131,7 @@ def upper_bound_cost(d: int, epsilon: float, *, simplified: bool = False) -> flo
     return _finite("upper bound cost", (nu / 2.0) * math.log2(arg), epsilon)
 
 
+@_float_range
 def table1_rows(d: int, epsilon: float, big_k: float = 1.0) -> list[tuple[str, float]]:
     """Prior-work cost rows, in bits, for side-by-side comparison.
 

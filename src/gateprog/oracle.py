@@ -31,43 +31,56 @@ buffers are reused, and only their 4x4 quaternion Gram is kept.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .protocol import DiagramSet, WeightVector
-from .young import YoungDiagram
 
 
 @dataclass(eq=False)
 class TorusGrid:
-    """Quadrature nodes on the eigenphase torus of SU(d).
+    """The product eigenphase grid of SU(d), ``nodes_per_dim`` nodes per direction.
 
-    ``angles`` has one row per node holding the d-1 free eigenphases (the last
-    phase is minus their sum); ``weights`` are normalized to sum to one.
+    Node (k_1, ..., k_{d-1}) sits at the phases 2 pi k_i / nodes_per_dim, with
+    k_d = -(k_1 + ... + k_{d-1}).  ``angles`` has one row per node holding the
+    d-1 free eigenphases (the last phase is minus their sum) and ``weights`` are
+    the squared Vandermonde, normalized to sum to one; both are built on first
+    read.  Each weight factor |x_i - x_j|^2 = 4 sin^2(pi (k_i - k_j) / count) is
+    read from one table of count values, so nodes with coincident eigenvalues
+    get weight exactly zero.
     """
 
     d: int
-    angles: np.ndarray
-    weights: np.ndarray
     nodes_per_dim: int
 
-    def __post_init__(self) -> None:
-        self.angles = np.asarray(self.angles, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.angles.shape != (len(self.weights), self.d - 1):
-            raise ValueError(
-                f"angles have shape {self.angles.shape}, expected "
-                f"({len(self.weights)}, {self.d - 1})"
-            )
-        if not np.all(np.isfinite(self.weights) & (self.weights >= 0.0)):
-            raise ValueError("weights must be finite and non-negative")
-        total = float(self.weights.sum())
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+    def _index(self) -> tuple[np.ndarray, ...]:
+        return np.ix_(*[np.arange(self.nodes_per_dim)] * (self.d - 1))
+
+    @functools.cached_property
+    def angles(self) -> np.ndarray:
+        d, count = self.d, self.nodes_per_dim
+        angles = np.empty((count,) * (d - 1) + (d - 1,))
+        for axis, k_axis in enumerate(self._index()):
+            angles[..., axis] = 2.0 * math.pi * k_axis / count
+        return angles.reshape(-1, d - 1)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        d, count = self.d, self.nodes_per_dim
+        index = self._index()
+        sine2 = 4.0 * np.sin(math.pi * np.arange(count) / count) ** 2
+        k = [*index, -sum(index)]
+        weights = np.ones((count,) * (d - 1))
+        for i in range(d):
+            for j in range(i + 1, d):
+                weights *= sine2.take(k[i] - k[j], mode="wrap")
+        weights /= weights.sum()
+        return weights.reshape(-1)
 
     def resolves(self, max_boxes: int) -> bool:
         return self.nodes_per_dim >= 4 * (max_boxes + 2)
@@ -82,34 +95,15 @@ def su_torus_grid(d: int, max_boxes: int) -> TorusGrid:
     """Product eigenphase grid for SU(d) with squared-Vandermonde weights.
 
     Implemented for d in {2, 3}, with count = 4 (max_boxes + 8) nodes per
-    direction, enough for the character products of the sets built here.  Node
-    (k_1, ..., k_{d-1}) sits at the phases 2 pi k_i / count, with
-    k_d = -(k_1 + ... + k_{d-1}).  Each weight factor |x_i - x_j|^2 =
-    4 sin^2(pi (k_i - k_j) / count) is read from one table of count values, so
-    nodes with coincident eigenvalues get weight exactly zero.  At d = 2 the free
-    eigenphase phi = theta / 2 runs over [0, 2 pi) with weight 4 sin^2(phi),
-    the Haar class weight of the rotation angle theta.
+    direction, enough for the character products of the sets built here.  At
+    d = 2 the free eigenphase phi = theta / 2 runs over [0, 2 pi) with weight
+    4 sin^2(phi), the Haar class weight of the rotation angle theta.
     """
     if d not in (2, 3):
         raise ValueError(f"torus grid implemented for d in {{2, 3}}, got {d}")
     if max_boxes < 0:
         raise ValueError(f"degree must be non-negative, got {max_boxes}")
-    count = 4 * (max_boxes + 8)
-    shape = (count,) * (d - 1)
-    index = np.ix_(*[np.arange(count)] * (d - 1))
-    sine2 = 4.0 * np.sin(math.pi * np.arange(count) / count) ** 2
-    k = [*index, -sum(index)]
-    weights = np.ones(shape)
-    for i in range(d):
-        for j in range(i + 1, d):
-            weights *= sine2.take(k[i] - k[j], mode="wrap")
-    weights /= weights.sum()
-    angles = np.empty((*shape, d - 1))
-    for axis, k_axis in enumerate(index):
-        angles[..., axis] = 2.0 * math.pi * k_axis / count
-    return TorusGrid(
-        d=d, angles=angles.reshape(-1, d - 1), weights=weights.reshape(-1), nodes_per_dim=count
-    )
+    return TorusGrid(d=d, nodes_per_dim=4 * (max_boxes + 8))
 
 
 def su2_grid(max_boxes: int) -> TorusGrid:
@@ -180,8 +174,7 @@ def _weyl_density(rows: np.ndarray, amps: np.ndarray, grid: TorusGrid) -> np.nda
     with coincident eigenvalues come out zero by themselves.  This is exact:
     the last eigenphase is minus the sum of the others and the nodes sit at
     multiples of 2 pi / nodes_per_dim, so every term of the numerator is one
-    Fourier mode of the grid.  ``grid`` must therefore be the full product
-    grid of nodes_per_dim^(d-1) nodes.
+    Fourier mode of the grid.
     """
     coeff = _weyl_coefficients(rows, amps, grid.d, grid.nodes_per_dim)
     density = np.abs(np.fft.ifftn(coeff).ravel()) ** 2
@@ -214,12 +207,6 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
 
     d = diagram_set.d
     count = grid.nodes_per_dim
-    if len(grid.weights) != count ** (d - 1):
-        raise ValueError(
-            f"not a product grid: {len(grid.weights)} nodes, expected "
-            f"{count}^{d - 1} = {count ** (d - 1)}"
-        )
-
     coeff = _weyl_coefficients(diagram_set.rows, np.sqrt(q.probabilities), d, count)
     product = np.roll(coeff, -1, axis=tuple(range(d - 1)))
     for axis in range(d - 1):
@@ -230,32 +217,33 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
     return float(np.square(product).sum()) / (identity * d * d)
 
 
-def character_orthonormality_check(
-    grid: TorusGrid, diagrams: Sequence[YoungDiagram]
-) -> float:
-    """Max deviation of quadrature character inner products from orthonormality.
+def character_orthonormality_check(grid: TorusGrid, diagrams: np.ndarray) -> float:
+    """Max deviation of quadrature character inner products from orthonormality,
+    over the rows of an (L, d) array of diagrams.
 
     Two diagrams label the same SU(d) irrep exactly when they differ by full
-    columns, so the target inner product is 1 for equal reduced rows and 0
-    otherwise.
+    columns, so the target inner product is 1 for equal reduced rows (each row
+    minus the last) and 0 otherwise.
     """
-    if any(lam.d != grid.d for lam in diagrams):
-        raise ValueError("all diagrams must match the grid dimension")
-    max_boxes = max((lam.boxes() for lam in diagrams), default=0)
+    rows = np.asarray(diagrams, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != grid.d:
+        raise ValueError(
+            f"diagrams must be an (L, {grid.d}) array of rows to match the grid, "
+            f"got shape {rows.shape}"
+        )
+    if np.any(rows[:, -1:] < 0) or np.any(np.diff(rows, axis=1) > 0):
+        raise ValueError("diagram rows must be non-negative and non-increasing")
+    max_boxes = int(rows.sum(axis=1).max(initial=0))
     if not grid.resolves(max_boxes):
         raise ValueError(
             f"under-resolved grid: {grid.nodes_per_dim} nodes per direction for "
             f"degree-{max_boxes} characters"
         )
-    rows = np.array([lam.rows for lam in diagrams]).reshape(-1, grid.d)
     table = _schur_character_table(rows, grid)
     gram = (table * grid.weights) @ table.conj().T
-    worst = 0.0
-    for i, lam in enumerate(diagrams):
-        for j, mu in enumerate(diagrams):
-            target = 1.0 if lam.reduced_rows() == mu.reduced_rows() else 0.0
-            worst = max(worst, float(abs(gram[i, j] - target)))
-    return worst
+    reduced = rows - rows[:, -1:]
+    target = np.all(reduced[:, None] == reduced[None], axis=-1)
+    return float(np.abs(gram - target).max(initial=0.0))
 
 
 _CHUNK = 32_768

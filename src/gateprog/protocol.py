@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import YoungDiagram
-
 
 # Largest lattice viable_set builds.  The score matrix, the weights and the solver
 # hold float vectors of this length, the LOBPCG eigensolve about ten of them.
@@ -65,14 +63,14 @@ def capacity_parameter(n: int, d: int) -> int:
     return big_n
 
 
-def flat_diagram(n0: int, d: int) -> YoungDiagram:
-    """Most balanced diagram with n0 boxes in d rows; rows differ by at most one."""
+def flat_diagram(n0: int, d: int) -> tuple[int, ...]:
+    """Rows of the most balanced diagram with n0 boxes in d rows; they differ by at most one."""
     if n0 < 0:
         raise ValueError(f"box count must be non-negative, got {n0}")
     if d < 1:
         raise ValueError(f"row budget must be positive, got {d}")
     q, r = divmod(n0, d)
-    return YoungDiagram((q + 1,) * r + (q,) * (d - r))
+    return (q + 1,) * r + (q,) * (d - r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +87,7 @@ class DiagramSet:
     n: int
     N: int
     n0: int
-    mu0: YoungDiagram
+    mu0: tuple[int, ...]
     rows: np.ndarray
 
     def __len__(self) -> int:
@@ -112,16 +110,18 @@ def viable_set(n: int, d: int) -> DiagramSet:
     Lattices of more than ``MAX_MEMBERS`` members are refused before any is built.
     """
     big_n = capacity_parameter(n, d)
-    size = big_n ** (d - 1)
-    if size > MAX_MEMBERS:
+    # N >= 2, so from d - 1 = 21 on the lattice is over budget without forming
+    # N^(d-1), which may run to millions of digits; the count is spelled out when short
+    if d - 1 >= MAX_MEMBERS.bit_length() or big_n ** (d - 1) > MAX_MEMBERS:
+        size = f" = {big_n ** (d - 1)}" if (d - 1) * big_n.bit_length() <= 64 else ""
         raise ProtocolError(
-            f"lattice too large: N^(d-1) = {big_n}^{d - 1} = {size} members at n={n}, "
+            f"lattice too large: N^(d-1) = {big_n}^{d - 1}{size} members at n={n}, "
             f"d={d} exceeds the budget of {MAX_MEMBERS} members"
         )
     _, n0 = _lattice_parameters(n, d)
     mu0 = flat_diagram(n0, d)
     base = tuple(
-        mu0.rows[i - 1] + big_n * (2 * d - 3) + 1 - (big_n + 1) * (i - 1)
+        mu0[i - 1] + big_n * (2 * d - 3) + 1 - (big_n + 1) * (i - 1)
         for i in range(1, d)
     )
 

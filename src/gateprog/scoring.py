@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .protocol import DiagramSet, WeightVector, _check_uses, _lattice_parameters, sine_profile
-from .young import YoungDiagram, young_distance
+from .young import young_distance
 
 
 class ConvergenceError(RuntimeError):
@@ -31,11 +30,10 @@ def _stencil_slices(d: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]]
     """
     shift = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
              0: (slice(None), slice(None))}
-    return tuple(
-        tuple(zip(*(shift[m] for m in move)))
-        for move in product((-1, 0, 1), repeat=d - 1)
-        if sorted(m for m in move if m) in ([-1], [1], [-1, 1])
-    )
+    unit = np.eye(d - 1, dtype=int)
+    i, j = np.nonzero(unit == 0)
+    moves = sorted(map(tuple, np.concatenate([unit, -unit, unit[i] - unit[j]]).tolist()))
+    return tuple(tuple(zip(*(shift[m] for m in move))) for move in moves)
 
 
 @dataclass(eq=False)
@@ -69,12 +67,10 @@ def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:
 
 def score_matrix_by_distance(diagram_set: DiagramSet) -> np.ndarray:
     """Dense score matrix from pairwise Young distances; used for cross-checks."""
-    diagrams = [YoungDiagram(tuple(rows)) for rows in diagram_set.rows.tolist()]
-    return np.array([
-        [diagram_set.d if i == j else young_distance(lam, mu) == 2
-         for j, mu in enumerate(diagrams)]
-        for i, lam in enumerate(diagrams)
-    ], dtype=float)
+    rows = diagram_set.rows
+    matrix = np.array([young_distance(lam, rows) == 2 for lam in rows], dtype=float)
+    np.fill_diagonal(matrix, diagram_set.d)
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +87,21 @@ def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
 
     The error is a^T L a / d^2 with L = d^2 I - S = d(d-1) I - A, the lattice
     Laplacian with a Dirichlet boundary, so no fidelity near 1 is subtracted
-    from 1.  On the box padded with one layer of zeros, each stencil move sums
-    (a_u - a_v)^2 over its edges and a_u^2 where the move leaves the box on
-    either side; a move and its reverse count every edge and every boundary
-    deficit twice.  The fidelity is 1 - error.
+    from 1.  Each stencil move sums (a_u - a_v)^2 over its edges in the box, and
+    a move and its reverse count every edge twice.  A node with fewer than the
+    d(d-1) moves inside the box lies on the boundary: each missing move adds
+    a_u^2, counted twice as well.  The fidelity is 1 - error.
     """
     if not q.diagram_set.same_as(s.diagram_set):
         raise ValueError("weight vector and score matrix use different diagram sets")
     d, big_n = s.diagram_set.d, s.diagram_set.N
-    padded = np.pad(np.sqrt(q.probabilities).reshape((big_n,) * (d - 1)), 1)
-    twice = sum(float(np.sum((padded[t] - padded[u]) ** 2)) for t, u in _stencil_slices(d))
+    a = np.sqrt(q.probabilities).reshape((big_n,) * (d - 1))
+    missing = np.full(a.shape, d * (d - 1))
+    twice = 0.0
+    for t, u in _stencil_slices(d):
+        twice += float(np.sum((a[t] - a[u]) ** 2))
+        missing[t] -= 1
+    twice += 2.0 * float(np.sum(missing * a * a))
     error = twice / (2 * d * d)
     return FidelityResult(fidelity=1.0 - error, error=error, weights_used=q)
 

@@ -87,7 +87,7 @@ def check_oracle_equivalence() -> CheckResult:
             f_matrix = entanglement_fidelity(q, matrix).fidelity
             f_haar = haar_fidelity(ds, q, grid)
             worst = max(worst, abs(f_haar - f_matrix))
-    diagrams = [lam for m in range(7) for lam in enumerate_diagrams(m, 2)]
+    diagrams = np.concatenate([enumerate_diagrams(m, 2) for m in range(7)])
     ortho = character_orthonormality_check(su2_grid(6), diagrams)
     passed = worst <= 1e-10 and ortho <= 1e-10
     return CheckResult(

@@ -2,47 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 from typing import Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
-class YoungDiagram:
-    """A non-increasing integer partition with a fixed row budget.
-
-    Trailing zero rows are kept explicit, so the row budget ``d`` is always
-    ``len(rows)`` and the same partition with different budgets compares
-    unequal.
-    """
-
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("a diagram needs at least one row")
-        if any(r < 0 for r in self.rows):
-            raise ValueError(f"negative row length in {self.rows}")
-        if any(self.rows[i] < self.rows[i + 1] for i in range(len(self.rows) - 1)):
-            raise ValueError(f"rows must be non-increasing, got {self.rows}")
-
-    @property
-    def d(self) -> int:
-        return len(self.rows)
-
-    def boxes(self) -> int:
-        return sum(self.rows)
-
-    def reduced_rows(self) -> tuple[int, ...]:
-        """Rows minus the last row; labels the SU(d) irrep modulo full columns."""
-        last = self.rows[-1]
-        return tuple(r - last for r in self.rows)
-
-
-def enumerate_diagrams(m: int, d: int) -> list[YoungDiagram]:
-    """All partitions of ``m`` into at most ``d`` parts, lexicographically decreasing.
+def enumerate_diagrams(m: int, d: int) -> np.ndarray:
+    """All partitions of ``m`` into at most ``d`` parts, lexicographically decreasing,
+    as a (count, d) int64 array of rows with the trailing zero rows explicit.
 
     ``m == 0`` yields the single all-zero diagram.
     """
@@ -51,12 +19,12 @@ def enumerate_diagrams(m: int, d: int) -> list[YoungDiagram]:
     if d < 1:
         raise ValueError(f"row budget must be positive, got {d}")
 
-    out: list[YoungDiagram] = []
+    out: list[tuple[int, ...]] = []
 
     def descend(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
         slots = d - len(prefix)
         if remaining == 0:
-            out.append(YoungDiagram(prefix + (0,) * slots))
+            out.append(prefix + (0,) * slots)
             return
         if slots == 0:
             return
@@ -66,7 +34,7 @@ def enumerate_diagrams(m: int, d: int) -> list[YoungDiagram]:
                 descend(remaining - part, part, prefix + (part,))
 
     descend(m, m if m else 1, ())
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
@@ -92,11 +60,13 @@ def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     return dim
 
 
-def young_distance(a: YoungDiagram, b: YoungDiagram) -> int:
-    """L1 distance between row-length vectors; both diagrams must share a budget."""
-    if a.d != b.d:
-        raise ValueError(f"row budgets differ: {a.d} vs {b.d}")
-    return sum(abs(x - y) for x, y in zip(a.rows, b.rows))
+def young_distance(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
+    """L1 distance between row-length vectors, broadcast over (..., d) stacks; both
+    sides must share the row budget d."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"row budgets differ: {a.shape[-1]} vs {b.shape[-1]}")
+    return np.abs(a - b).sum(axis=-1)
 
 
 def sum_squared_dimensions(m: int, d: int) -> int:
@@ -107,7 +77,7 @@ def sum_squared_dimensions(m: int, d: int) -> int:
     """
     if d < 2:
         raise ValueError(f"row budget must be at least 2, got {d}")
-    dims = irrep_dimension([lam.rows for lam in enumerate_diagrams(m, d)])
+    dims = irrep_dimension(enumerate_diagrams(m, d))
     return (dims * dims).sum()
 
 

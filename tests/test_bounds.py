@@ -173,3 +173,28 @@ class TestBoundReport:
             except ValueError:
                 continue
             assert lower <= upper_bound_cost(2, float(eps))
+
+
+class TestHugeDimension:
+    @pytest.mark.parametrize(
+        "bound, args, quantity",
+        [
+            (lower_bound_cost, (0.1, 0.5), "lower bound cost"),
+            (lower_bound_dimension, (0.1, 0.5), "lower bound dimension"),
+            (feasible_delta_interval, (0.1,), "feasible delta interval"),
+            (optimize_delta, (0.1,), "feasible delta interval"),
+            (upper_bound_cost, (0.1,), "upper bound cost"),
+            (table1_rows, (0.1,), "table1 rows"),
+        ],
+    )
+    def test_names_d_when_it_leaves_float_range(self, bound, args, quantity):
+        d = 10**200
+        with pytest.raises(ValueError, match=f"^d={d} is out of float range for the {quantity}$"):
+            bound(d, *args)
+
+    def test_upper_bound_leaves_float_range_first(self):
+        # (d-1)^4 overflows from about d = 1.2e77; the other bounds only need d^2
+        assert math.isfinite(upper_bound_cost(10**76, 0.1))
+        with pytest.raises(ValueError, match="out of float range for the upper bound cost"):
+            upper_bound_cost(10**78, 0.1)
+        assert len(table1_rows(10**78, 0.1)) == 5

@@ -45,6 +45,15 @@ class TestProtocolCommand:
         assert out == ""
         assert "lattice too large" in err and "4194304 members" in err
 
+    def test_lattice_of_millions_of_digits_exits_1(self, capsys):
+        # N = 2 and d - 1 = 2999999: the count 2^2999999 is too long to spell out
+        code, out, err = run_capture(capsys, ["protocol", "--d", "3000000", "--n", "30000000000000"])
+        assert code == 1 and out == ""
+        assert err == (
+            "error: lattice too large: N^(d-1) = 2^2999999 members at n=30000000000000, "
+            "d=3000000 exceeds the budget of 1048576 members\n"
+        )
+
     def test_solver_failure_exits_1(self, capsys, monkeypatch):
         def no_convergence(matrix):
             raise ConvergenceError("residual 1.0e-08")
@@ -189,6 +198,18 @@ class TestTable1Command:
         )
         assert code == 1 and out == ""
         assert err == f"error: upper 4 d^2 log(d) / eps^2 is inf at epsilon={eps}: out of float range\n"
+
+    @pytest.mark.parametrize(
+        "command, exponent, quantity",
+        [("bounds", 80, "upper bound cost"), ("table1", 80, "upper bound cost"),
+         ("bounds", 200, "upper bound cost"), ("table1", 200, "table1 rows")],
+    )
+    def test_overflowing_dimension_exits_1(self, capsys, command, exponent, quantity):
+        # (d-1)^4 in the upper bound, and from d ~ 1e154 on d^2 itself, leave float range
+        d = 10**exponent
+        code, out, err = run_capture(capsys, [command, "--d", str(d), "--eps", "0.1"])
+        assert code == 1 and out == ""
+        assert err == f"error: d={d} is out of float range for the {quantity}\n"
 
     @pytest.mark.parametrize("command", ["table1", "bounds"])
     def test_smallest_finite_epsilon(self, capsys, command):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gateprog.oracle import (
-    TorusGrid,
     _eigenphases,
     _quaternions,
     _schur_character_table,
@@ -21,7 +20,7 @@ from gateprog.oracle import (
 )
 from gateprog.protocol import WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import entanglement_fidelity, optimal_fidelity, score_matrix
-from gateprog.young import YoungDiagram, enumerate_diagrams
+from gateprog.young import enumerate_diagrams
 
 from test_protocol import single_member_set
 
@@ -67,7 +66,7 @@ class TestSu2Character:
     def test_agrees_with_schur(self):
         # every row is sin(k phi) / sin(phi) with k = rows[0] - rows[1] + 1
         grid = su2_grid(10)
-        rows = np.array([lam.rows for m in range(11) for lam in enumerate_diagrams(m, 2)])
+        rows = np.concatenate([enumerate_diagrams(m, 2) for m in range(11)])
         table = _schur_character_table(rows, grid)
         regular = regular_nodes(grid)
         phi = grid.angles[regular, 0]
@@ -79,28 +78,42 @@ class TestSu2Character:
 
 class TestOrthonormality:
     def test_su2_diagrams_up_to_six_boxes(self):
-        diagrams = [lam for m in range(7) for lam in enumerate_diagrams(m, 2)]
+        diagrams = np.concatenate([enumerate_diagrams(m, 2) for m in range(7)])
         assert character_orthonormality_check(su2_grid(6), diagrams) <= 1e-10
 
     def test_unit_integral_of_identity(self):
-        empty = [YoungDiagram((0, 0))]
+        empty = np.array([[0, 0]])
         deviation = character_orthonormality_check(su2_grid(2), empty)
         assert isinstance(deviation, float)
         assert deviation <= 1e-12
 
     def test_defining_rep_is_normalized(self):
-        diagrams = [YoungDiagram((1, 0))]
+        diagrams = np.array([[1, 0]])
         assert character_orthonormality_check(su2_grid(2), diagrams) <= 1e-12
 
     def test_su3_diagrams(self):
-        diagrams = [lam for m in range(5) for lam in enumerate_diagrams(m, 3)]
+        diagrams = np.concatenate([enumerate_diagrams(m, 3) for m in range(5)])
         assert character_orthonormality_check(su_torus_grid(3, 4), diagrams) <= 1e-10
 
     def test_under_resolved_grid_rejected(self):
         # su2_grid(1) has 36 nodes; degree-9 characters need 4 * (9 + 2) = 44
-        diagrams = [lam for m in range(10) for lam in enumerate_diagrams(m, 2)]
+        diagrams = np.concatenate([enumerate_diagrams(m, 2) for m in range(10)])
         with pytest.raises(ValueError, match="under-resolved"):
             character_orthonormality_check(su2_grid(1), diagrams)
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([[1, 0, 0]], r"\(L, 2\) array of rows"),
+            ([1, 0], r"\(L, 2\) array of rows"),
+            ([[1, 2]], "non-increasing"),
+            ([[2, 0], [2, -1]], "non-negative"),
+        ],
+        ids=["wrong-d", "flat", "increasing", "negative"],
+    )
+    def test_malformed_rows_rejected(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            character_orthonormality_check(su2_grid(2), rows)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_negative_degree_rejected(self, d):
@@ -109,21 +122,6 @@ class TestOrthonormality:
 
 
 class TestTorusGrid:
-    @pytest.mark.parametrize(
-        "angles, weights, match",
-        [
-            (np.zeros((3, 1)), [math.nan] * 3, "finite and non-negative"),
-            (np.zeros((3, 1)), [math.inf, 0.0, 0.0], "finite and non-negative"),
-            (np.zeros((2, 1)), [1.5, -0.5], "finite and non-negative"),
-            (np.zeros((5, 1)), [0.5, 0.5], "shape"),
-            (np.zeros((2, 2)), [0.5, 0.5], "shape"),
-            (np.zeros((2, 1)), [0.5, 0.4], "sum to"),
-        ],
-    )
-    def test_malformed_grid_rejected(self, angles, weights, match):
-        with pytest.raises(ValueError, match=match):
-            TorusGrid(2, angles, np.array(weights), 3)
-
     @pytest.mark.parametrize("d, max_boxes", [(2, 0), (2, 5), (2, 513), (3, 0), (3, 14), (3, 61)])
     def test_sine_table_matches_vandermonde(self, d, max_boxes):
         grid = su_torus_grid(d, max_boxes)
@@ -207,13 +205,15 @@ class TestHaarFidelity:
             assert abs(haar_fidelity(ds, q, grid) - fidelity) <= 1e-13
 
     def test_memory_stays_bounded_at_su3_n300(self):
-        # 1.53M nodes: the grid reads one sine table and builds no complex array, and
-        # the fidelity works on real Fourier coefficients, never on per-node values
+        # 1.53M nodes: the grid's nodes and weights, built on first read, take one sine
+        # table and no complex array, and the fidelity works on real Fourier
+        # coefficients, never on per-node values
         ds = viable_set(300, 3)
         q = sine_weights(ds)
         tracemalloc.start()
         try:
             grid = su_torus_grid(3, 301)
+            grid.angles, grid.weights
             grid_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
@@ -223,15 +223,6 @@ class TestHaarFidelity:
             tracemalloc.stop()
         assert grid_peak <= 100 * 10**6
         assert haar_peak <= 80 * 10**6
-
-    def test_non_product_grid_rejected(self):
-        ds = viable_set(26, 3)
-        grid = su_torus_grid(3, 27)
-        keep = slice(0, len(grid.weights) - grid.nodes_per_dim)
-        weights = grid.weights[keep] / grid.weights[keep].sum()
-        truncated = TorusGrid(3, grid.angles[keep], weights, grid.nodes_per_dim)
-        with pytest.raises(ValueError, match="not a product grid"):
-            haar_fidelity(ds, sine_weights(ds), truncated)
 
     def test_under_resolved_grid_rejected(self):
         ds = viable_set(32, 2)

@@ -17,7 +17,8 @@ from gateprog.reporting import (
     write_text_atomic,
 )
 from gateprog.young import irrep_dimension
-from gateprog.protocol import viable_set
+from gateprog.protocol import epsilon_g, viable_set
+from gateprog.scoring import qstar_score_closed_form
 
 
 def python_int_dimension(rows):
@@ -76,6 +77,16 @@ class TestProtocolReport:
         assert min(squares) >= 2**63
         dims = irrep_dimension(rows)
         assert (dims * dims).sum() == sum(squares)
+
+    @pytest.mark.parametrize("d, n", [(14, 442), (16, 661)])
+    def test_large_d_at_the_smallest_width(self, d, n):
+        # N = 2: 2^(d-1) members on a box whose every node lies on the boundary
+        r = protocol_report(n, d)
+        assert r.N == 2 and r.set_size == 2 ** (d - 1)
+        expected = 1.0 - qstar_score_closed_form(d, epsilon_g(2)) / d**2
+        assert r.epsilon_qstar == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert r.epsilon_optimal <= r.epsilon_qstar
+        assert all(r.pass_flags.values())
 
     def test_propagates_preconditions(self):
         with pytest.raises(Exception, match="degenerate weight regime"):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gateprog.protocol import WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import (
     ConvergenceError,
     _sine_transform,
+    _stencil_slices,
     entanglement_fidelity,
     lemma3_bound,
     optimal_fidelity,
@@ -57,6 +59,23 @@ class TestScoreMatrix:
         ds = viable_set(n, d)
         assert np.array_equal(score_matrix(ds).dense(), score_matrix_by_distance(ds))
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_stencil_moves_in_ascending_offset_order(self, d):
+        # the 3^(d-1) move tuples filtered for unit and exchange moves, in product order
+        expected = [
+            move for move in product((-1, 0, 1), repeat=d - 1)
+            if sorted(m for m in move if m) in ([-1], [1], [-1, 1])
+        ]
+        step = {(None, -1, 1, None): 1, (1, None, None, -1): -1, (None, None, None, None): 0}
+        moves = [
+            tuple(step[(t.start, t.stop, u.start, u.stop)] for t, u in zip(target, source))
+            for target, source in _stencil_slices(d)
+        ]
+        assert moves == expected
+
+    def test_stencil_at_twenty_one_rows(self):
+        assert len(_stencil_slices(21)) == 21 * 20
+
     @pytest.mark.parametrize("n,d", [(60, 2), (26, 3), (61, 4)])
     def test_matvec_matches_dense(self, n, d):
         ds = viable_set(n, d)
@@ -93,6 +112,19 @@ class TestEntanglementFidelity:
         brute = float(amp @ score_matrix(ds).dense() @ amp) / 9.0
         assert entanglement_fidelity(q, score_matrix(ds)).fidelity == pytest.approx(
             brute, abs=1e-14
+        )
+
+    @pytest.mark.parametrize("n, d", [(26, 3), (61, 4), (80, 5)])
+    def test_error_is_dense_laplacian_form(self, n, d):
+        # random weights: the boundary term counts each node's moves out of the box
+        ds = viable_set(n, d)
+        probs = np.random.default_rng(2).random(len(ds))
+        q = WeightVector(diagram_set=ds, probabilities=probs / probs.sum())
+        amp = np.sqrt(q.probabilities)
+        laplacian = d * d * np.eye(len(ds)) - score_matrix(ds).dense()
+        brute = float(amp @ laplacian @ amp) / (d * d)
+        assert entanglement_fidelity(q, score_matrix(ds)).error == pytest.approx(
+            brute, rel=1e-13
         )
 
     def test_mismatched_sets_rejected(self):

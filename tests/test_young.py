@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gateprog.young import (
-    YoungDiagram,
     dm_lower_bound,
     enumerate_diagrams,
     irrep_dimension,
@@ -38,42 +37,29 @@ def hook_content_dimension(rows, d):
     return int(value)
 
 
-class TestYoungDiagram:
-    def test_rejects_increasing_rows(self):
-        with pytest.raises(ValueError):
-            YoungDiagram((1, 2))
-
-    def test_rejects_negative_rows(self):
-        with pytest.raises(ValueError):
-            YoungDiagram((2, -1))
-
-    def test_boxes_and_budget(self):
-        lam = YoungDiagram((3, 1, 0))
-        assert lam.d == 3
-        assert lam.boxes() == 4
-        assert lam.reduced_rows() == (3, 1, 0)
-        assert YoungDiagram((4, 2, 1)).reduced_rows() == (3, 1, 0)
-
-
 class TestEnumeration:
     def test_single_box(self):
-        assert [x.rows for x in enumerate_diagrams(1, 2)] == [(1, 0)]
+        assert enumerate_diagrams(1, 2).tolist() == [[1, 0]]
 
     def test_two_boxes(self):
-        assert [x.rows for x in enumerate_diagrams(2, 2)] == [(2, 0), (1, 1)]
+        assert enumerate_diagrams(2, 2).tolist() == [[2, 0], [1, 1]]
 
     def test_three_boxes_three_rows(self):
-        assert [x.rows for x in enumerate_diagrams(3, 3)] == [
-            (3, 0, 0), (2, 1, 0), (1, 1, 1),
+        assert enumerate_diagrams(3, 3).tolist() == [
+            [3, 0, 0], [2, 1, 0], [1, 1, 1],
         ]
 
     def test_empty(self):
-        assert [x.rows for x in enumerate_diagrams(0, 3)] == [(0, 0, 0)]
+        assert enumerate_diagrams(0, 3).tolist() == [[0, 0, 0]]
+
+    def test_int64_rows(self):
+        rows = enumerate_diagrams(4, 3)
+        assert rows.dtype == np.int64 and rows.shape == (4, 3)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("m", range(0, 9))
     def test_matches_brute_force(self, m, d):
-        got = [x.rows for x in enumerate_diagrams(m, d)]
+        got = [tuple(row) for row in enumerate_diagrams(m, d).tolist()]
         assert set(got) == brute_force_partitions(m, d)
         assert len(got) == len(set(got))
         assert got == sorted(got, reverse=True)
@@ -92,8 +78,8 @@ class TestIrrepDimension:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_hook_content_oracle(self, d):
         for m in range(0, 9):
-            for lam in enumerate_diagrams(m, d):
-                assert irrep_dimension(lam.rows) == hook_content_dimension(lam.rows, d)
+            for lam in enumerate_diagrams(m, d).tolist():
+                assert irrep_dimension(lam) == hook_content_dimension(lam, d)
 
     def test_one_diagram_is_plain_int(self):
         assert type(irrep_dimension((2, 1, 0))) is int
@@ -101,7 +87,7 @@ class TestIrrepDimension:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_stack_matches_hook_content_oracle(self, d):
-        rows = [lam.rows for m in range(0, 9) for lam in enumerate_diagrams(m, d)]
+        rows = [tuple(lam) for m in range(0, 9) for lam in enumerate_diagrams(m, d).tolist()]
         expected = [hook_content_dimension(r, d) for r in rows]
         got = irrep_dimension(rows)
         assert got.shape == (len(rows),)
@@ -113,27 +99,33 @@ class TestIrrepDimension:
 
 class TestYoungDistance:
     def test_identical(self):
-        assert young_distance(YoungDiagram((3, 1)), YoungDiagram((3, 1))) == 0
+        assert young_distance((3, 1), (3, 1)) == 0
 
     def test_neighbours(self):
-        assert young_distance(YoungDiagram((3, 1)), YoungDiagram((2, 2))) == 2
+        assert young_distance((3, 1), (2, 2)) == 2
 
     def test_further_apart(self):
-        assert young_distance(YoungDiagram((4, 0)), YoungDiagram((2, 2))) == 4
+        assert young_distance((4, 0), (2, 2)) == 4
 
     def test_mismatched_budget(self):
-        with pytest.raises(ValueError):
-            young_distance(YoungDiagram((1, 0)), YoungDiagram((1, 0, 0)))
+        with pytest.raises(ValueError, match="row budgets differ: 2 vs 3"):
+            young_distance((1, 0), (1, 0, 0))
+
+    def test_broadcasts_over_stacks(self):
+        rows = enumerate_diagrams(4, 3)
+        got = young_distance(rows[:, None], rows[None])
+        assert got.shape == (len(rows), len(rows))
+        assert got.tolist() == [[young_distance(a, b) for b in rows] for a in rows]
+        assert young_distance((2, 2, 0), rows).tolist() == got[2].tolist()
 
     def test_triangle_inequality_and_parity(self):
         diagrams = enumerate_diagrams(6, 3)
         for a in diagrams:
-            for b in diagrams:
-                dab = young_distance(a, b)
-                assert dab % 2 == 0  # equal box counts force even distance
-                assert (dab == 0) == (a == b)
-                for c in diagrams:
-                    assert dab <= young_distance(a, c) + young_distance(c, b)
+            dab = young_distance(a, diagrams)
+            assert np.all(dab % 2 == 0)  # equal box counts force even distance
+            assert np.array_equal(dab == 0, np.all(diagrams == a, axis=1))
+            for c in diagrams:
+                assert np.all(dab <= young_distance(a, c) + young_distance(c, diagrams))
 
 
 class TestDimensionSums:
