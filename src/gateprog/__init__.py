@@ -25,7 +25,7 @@ from .oracle import (
     su2_grid,
     su_torus_grid,
 )
-from .phase import PhaseReport, classical_phase_error, phase_report, sine_state
+from .phase import PhaseReport, classical_phase_error, phase_report
 from .protocol import (
     DiagramSet,
     ProtocolError,
@@ -33,6 +33,7 @@ from .protocol import (
     capacity_parameter,
     epsilon_g,
     flat_diagram,
+    sine_amplitudes,
     sine_weights,
     viable_set,
 )
@@ -88,7 +89,7 @@ __all__ = [
     "protocol_report",
     "qstar_score_closed_form",
     "score_matrix",
-    "sine_state",
+    "sine_amplitudes",
     "sine_weights",
     "su2_grid",
     "su_torus_grid",

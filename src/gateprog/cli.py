@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--output", default=None, help="write here atomically instead of stdout")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
 
     p = sub.add_parser("bounds", help="lower/upper cost bounds at one (d, eps) point")
     p.add_argument("--d", type=int, default=None)
@@ -114,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification battery")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None)
 
     return parser
 

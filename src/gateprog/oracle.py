@@ -207,7 +207,7 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
 
     d = diagram_set.d
     count = grid.nodes_per_dim
-    coeff = _weyl_coefficients(diagram_set.rows, np.sqrt(q.probabilities), d, count)
+    coeff = _weyl_coefficients(diagram_set.rows, q.amplitudes, d, count)
     product = np.roll(coeff, -1, axis=tuple(range(d - 1)))
     for axis in range(d - 1):
         product += np.roll(coeff, 1, axis=axis)
@@ -356,7 +356,7 @@ def choi_monte_carlo_su2(
     validate_sampling(samples, seed)
 
     grid = su2_grid(n + 1)
-    density = _weyl_density(diagram_set.rows, np.sqrt(q.probabilities), grid)
+    density = _weyl_density(diagram_set.rows, q.amplitudes, grid)
     phis = grid.angles[:, 0]
     chunks = _quaternions(
         np.cos(phis), np.sin(phis), density, samples, np.random.default_rng(seed)

@@ -1,12 +1,12 @@
 """Qubit phase-gate example: sine-state quantum program vs a classical mesh.
 
-The quantum program is the sine state (squared amplitudes: the protocol's sine
-profile at N = dP) pushed through the unknown phase gate; reading it out with
-the covariant phase measurement and applying the estimate turns the overall
-action on the data qubit into a pure dephasing channel whose off-diagonal
-damping factor is the nearest-neighbour autocorrelation kappa of the program
-amplitudes.  For the sine state 1 - kappa is the protocol's closed form
-eps_g(dP), which ``phase_report`` reads.
+The quantum program is the sine state, the protocol's 1-D sine amplitudes
+``sine_amplitudes(dP)``, pushed through the unknown phase gate; reading it out
+with the covariant phase measurement and applying the estimate turns the
+overall action on the data qubit into a pure dephasing channel whose
+off-diagonal damping factor is the nearest-neighbour autocorrelation kappa of
+the program amplitudes.  For the sine state 1 - kappa is the protocol's closed
+form eps_g(dP), which ``phase_report`` reads.
 
 The channel's diamond-norm distance to the identity is 1 - kappa.  Write a
 pure input on system plus a qubit reference (which suffices) as
@@ -33,16 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import epsilon_g, sine_profile
-
-
-def sine_state(d_p: int) -> np.ndarray:
-    """Read-only program amplitudes sqrt(g_m) = sqrt(2/dP) sin(pi (m + 1/2) / dP)."""
-    if d_p < 2:
-        raise ValueError(f"program dimension must be at least 2, got {d_p}")
-    amplitudes = np.sqrt(sine_profile(d_p))
-    amplitudes.flags.writeable = False
-    return amplitudes
+from .protocol import epsilon_g
 
 
 def classical_phase_error(d_p: int) -> float:

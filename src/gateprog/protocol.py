@@ -1,8 +1,9 @@
 """Construction of the estimation protocol's probe support and weights.
 
 Builds the capacity parameter N, the flat base diagram, the viable lattice of
-strictly-decreasing diagrams with n boxes, and the product sine-squared weight
-distribution over that lattice.
+strictly-decreasing diagrams with n boxes, and the product sine weights over
+that lattice.  Weights q are held as their amplitudes sqrt(q), the form every
+fidelity reads, and the 1-D sine amplitudes are built in one place.
 """
 
 from __future__ import annotations
@@ -37,13 +38,9 @@ def _check_uses(n: int, d: int) -> None:
 def _lattice_parameters(n: int, d: int) -> tuple[int, int]:
     """Raw (N, n0) pair, exact integer arithmetic, no N >= 2 guard."""
     big_n = (2 * n + (d - 2) * (d - 1)) // ((3 * d - 2) * (d - 1))
-    twice_offset = ((3 * d - 2) * big_n - d + 2) * (d - 1)
-    if twice_offset % 2:
-        raise ProtocolError(f"lattice offset is not an integer for n={n}, d={d}")
-    n0 = n - twice_offset // 2
-    if n0 < 0:
-        raise ProtocolError(f"negative residual box count n0={n0} for n={n}, d={d}")
-    return big_n, n0
+    # the offset is an integer, as (d-1) is even for odd d and (3d-2), (d-2) are even
+    # for even d; and n0 >= 0, as the floor makes (3d-2)(d-1)N <= 2n + (d-2)(d-1)
+    return big_n, n - ((3 * d - 2) * big_n - d + 2) * (d - 1) // 2
 
 
 def capacity_parameter(n: int, d: int) -> int:
@@ -141,44 +138,47 @@ def viable_set(n: int, d: int) -> DiagramSet:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """A probability distribution over the members of a DiagramSet, as a read-only copy."""
+    """Weights q over the members of a DiagramSet, held as the amplitudes sqrt(q) in a
+    read-only copy; the squares sum to 1."""
 
     diagram_set: DiagramSet
-    probabilities: np.ndarray
+    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        probabilities = np.array(self.probabilities, dtype=float)
-        probabilities.flags.writeable = False
-        object.__setattr__(self, "probabilities", probabilities)
-        if len(self.probabilities) != len(self.diagram_set):
+        amplitudes = np.array(self.amplitudes, dtype=float)
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
+        if len(amplitudes) != len(self.diagram_set):
             raise ValueError(
-                f"{len(self.probabilities)} probabilities for "
-                f"{len(self.diagram_set)} diagrams"
+                f"{len(amplitudes)} amplitudes for {len(self.diagram_set)} diagrams"
             )
-        if not np.all(np.isfinite(self.probabilities) & (self.probabilities >= 0.0)):
-            raise ValueError("probabilities must be finite and non-negative")
-        total = math.fsum(self.probabilities)
+        if not np.all(np.isfinite(amplitudes) & (amplitudes >= 0.0)):
+            raise ValueError("amplitudes must be finite and non-negative")
+        total = math.fsum(amplitudes * amplitudes)
         if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise ValueError(f"squared amplitudes sum to {total!r}, not 1")
 
 
-def sine_profile(big_n: int) -> list[float]:
-    """The 1-D weight profile g_k = (2/N) sin^2(pi (2k+1) / (2N)), k = 0..N-1."""
+def sine_amplitudes(big_n: int) -> np.ndarray:
+    """Read-only 1-D amplitudes sqrt(g_k) of the sine profile
+    g_k = (2/N) sin^2(pi (2k+1) / (2N)), k = 0..N-1."""
     if big_n < 2:
         raise ProtocolError(
             f"weight profile undefined for N={big_n}: it is only normalized for N >= 2"
         )
-    return [
+    amplitudes = np.sqrt([
         (2.0 / big_n) * math.sin(math.pi * (2 * k + 1) / (2 * big_n)) ** 2
         for k in range(big_n)
-    ]
+    ])
+    amplitudes.flags.writeable = False
+    return amplitudes
 
 
 def sine_weights(diagram_set: DiagramSet) -> WeightVector:
-    """Product of the 1-D sine profile over the lattice coordinates."""
-    g = sine_profile(diagram_set.N)
-    probs = functools.reduce(np.multiply.outer, [g] * (diagram_set.d - 1))
-    return WeightVector(diagram_set=diagram_set, probabilities=np.ravel(probs))
+    """Product of the 1-D sine amplitudes over the lattice coordinates."""
+    a = sine_amplitudes(diagram_set.N)
+    amplitudes = functools.reduce(np.multiply.outer, [a] * (diagram_set.d - 1))
+    return WeightVector(diagram_set=diagram_set, amplitudes=np.ravel(amplitudes))
 
 
 def epsilon_g(big_n: int) -> float:

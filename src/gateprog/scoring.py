@@ -2,9 +2,10 @@
 
 The score matrix has diagonal d and off-diagonal 1 exactly between diagrams at
 Young distance 2; on the viable lattice those are the unit moves +/-e_i and the
-exchange moves +/-(e_i - e_j).  The entanglement fidelity of a weight vector q
-is (1/d^2) sqrt(q)^T S sqrt(q), and the optimum over weights is the largest
-eigenvalue of S divided by d^2.
+exchange moves +/-(e_i - e_j).  The entanglement fidelity of weights q is
+(1/d^2) a^T S a in their amplitudes a = sqrt(q), the form ``WeightVector``
+holds, and the optimum over weights is the largest eigenvalue of S divided by
+d^2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import DiagramSet, WeightVector, _check_uses, _lattice_parameters, sine_profile
+from .protocol import DiagramSet, WeightVector, _check_uses, sine_amplitudes
 from .young import young_distance
 
 
@@ -83,7 +84,7 @@ class FidelityResult:
 
 
 def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
-    """(1/d^2) a^T S a with a = sqrt(q); the quadratic form is in amplitudes.
+    """(1/d^2) a^T S a in the amplitudes a = sqrt(q) of the weights.
 
     The error is a^T L a / d^2 with L = d^2 I - S = d(d-1) I - A, the lattice
     Laplacian with a Dirichlet boundary, so no fidelity near 1 is subtracted
@@ -95,7 +96,7 @@ def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
     if not q.diagram_set.same_as(s.diagram_set):
         raise ValueError("weight vector and score matrix use different diagram sets")
     d, big_n = s.diagram_set.d, s.diagram_set.N
-    a = np.sqrt(q.probabilities).reshape((big_n,) * (d - 1))
+    a = q.amplitudes.reshape((big_n,) * (d - 1))
     missing = np.full(a.shape, d * (d - 1))
     twice = 0.0
     for t, u in _stencil_slices(d):
@@ -110,18 +111,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b in numpy's own einsum loop, not BLAS: a BLAS reduction over a long vector
     wakes a second OpenBLAS thread, whose spin-wait costs CPU time and saves no wall time."""
     return float(np.einsum("i,i", a, b))
-
-
-def _sine_start(diagram_set: DiagramSet) -> np.ndarray:
-    """Unit vector sqrt(sine weights), built as an outer product on the lattice box;
-    all ones when N < 2, where the sine profile is undefined."""
-    d, big_n = diagram_set.d, diagram_set.N
-    if big_n < 2:
-        v = np.ones(len(diagram_set))
-    else:
-        g = np.sqrt(sine_profile(big_n))
-        v = functools.reduce(np.multiply.outer, [g] * (d - 1)).reshape(-1)
-    return v / math.sqrt(_dot(v, v))
 
 
 def _sine_transform(x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -143,8 +132,8 @@ def optimal_fidelity(
 ) -> FidelityResult:
     """Largest eigenvalue of S over d^2, with the principal weights.
 
-    Block-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from sqrt(sine
-    weights): a Rayleigh-Ritz step on S in the span of the iterate x, the
+    Block-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from the sine
+    amplitudes: a Rayleigh-Ritz step on S in the span of the iterate x, the
     preconditioned residual w and the previous step p costs one matvec, S w, as
     the images of x and p are combined from the basis images.  The next p is the
     w and p part of the step, not a difference of iterates, which cancels once x
@@ -180,7 +169,9 @@ def optimal_fidelity(
     work = np.zeros((3, 2, dim))
     x_pair, w_pair, p_pair = work
     (x, sx), (w, sw), _ = work
-    x[:] = _sine_start(s.diagram_set)
+    # the sine amplitudes' outer product, not ``sine_weights``, whose check costs an fsum
+    x[:] = functools.reduce(np.multiply.outer, [sine_amplitudes(big_n)] * (d - 1)).reshape(-1)
+    x /= math.sqrt(_dot(x, x))
     matvecs = 0
 
     def apply(v: np.ndarray) -> np.ndarray:
@@ -234,15 +225,15 @@ def optimal_fidelity(
 
 
 def _principal_result(s: ScoreMatrix, v: np.ndarray) -> FidelityResult:
-    """The principal weights v^2 and their fidelity, error first, without cancellation."""
+    """The principal amplitudes |v| at unit length and their fidelity, error first,
+    without cancellation."""
     if v.sum() < 0.0:  # a Ritz vector comes with either sign
         v = -v
     if float(v.min()) < -1e-10:
         raise ConvergenceError("principal eigenvector came out with negative entries")
     v = np.abs(v)
-    probs = v * v
-    probs /= probs.sum()
-    return entanglement_fidelity(WeightVector(diagram_set=s.diagram_set, probabilities=probs), s)
+    v /= math.sqrt(_dot(v, v))
+    return entanglement_fidelity(WeightVector(diagram_set=s.diagram_set, amplitudes=v), s)
 
 
 def qstar_score_closed_form(d: int, eps_g: float) -> float:
@@ -264,6 +255,5 @@ def lemma3_bound(d: int, n: int) -> float:
     as-is; callers flag them as vacuous rather than clamping.
     """
     _check_uses(n, d)
-    _lattice_parameters(n, d)
     c_min_n = 2.0 * (n - d * (d - 1)) / ((3 * d - 2) * (d - 1))
     return 1.0 - 2.0 * (math.pi * (d - 1) / (d * c_min_n)) ** 2

@@ -24,8 +24,8 @@ from .oracle import (
     su_torus_grid,
     validate_sampling,
 )
-from .phase import classical_phase_error, diamond_distance_search, phase_report, sine_state
-from .protocol import epsilon_g, sine_weights, viable_set
+from .phase import classical_phase_error, diamond_distance_search, phase_report
+from .protocol import epsilon_g, sine_amplitudes, sine_weights, viable_set
 from .reporting import ProtocolReport, protocol_report, sweep
 from .scoring import (
     entanglement_fidelity,
@@ -103,7 +103,7 @@ def check_closed_form_consistency() -> CheckResult:
     for d, n_values in ((2, range(4, 513)), (3, range(13, 61))):
         for n in n_values:
             ds = viable_set(n, d)
-            amps = np.sqrt(sine_weights(ds).probabilities)
+            amps = sine_weights(ds).amplitudes
             quad = float(amps @ score_matrix(ds).matvec(amps))
             closed = qstar_score_closed_form(d, epsilon_g(ds.N))
             worst = max(worst, abs(quad - closed))
@@ -222,7 +222,7 @@ def check_phase_gate() -> CheckResult:
     # the direct search is the oracle for the closed form, at both ends of the range;
     # it takes kappa from the amplitudes, never from epsilon_g
     for dp in (4, 128):
-        a = sine_state(dp)
+        a = sine_amplitudes(dp)
         search = diamond_distance_search(math.fsum(a[:-1] * a[1:]))
         if search.spread > 1e-6:
             return CheckResult(
@@ -238,7 +238,7 @@ def check_phase_gate() -> CheckResult:
     # exact for this degree-dP trigonometric polynomial
     for dp in advantage_dps:
         theta = math.pi * np.arange(2 * dp) / dp
-        density = np.abs(np.fft.fft(sine_state(dp), 2 * dp)) ** 2
+        density = np.abs(np.fft.fft(sine_amplitudes(dp), 2 * dp)) ** 2
         quadrature = float(np.mean(density * np.sin(theta / 2.0) ** 2))
         if abs(quadrature - reports[dp].choi_infidelity) > 1e-12:
             return CheckResult(

@@ -356,3 +356,23 @@ class TestParsing:
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run_capture(capsys, ["protocol", "--d", "2", "--n", "4", "--frob", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--d", "2", "--eps", "0.01"],
+        ["protocol", "--d", "2", "--n", "8"],
+        ["sweep", "--d", "2", "--n-min", "8", "--n-max", "10"],
+        ["phase", "--dp", "8"],
+        ["table1", "--d", "2", "--eps", "0.01"],
+    ], ids=lambda argv: argv[0])
+    def test_sampling_flags_belong_to_verify(self, capsys, argv, flag):
+        code, out, err = run_capture(capsys, [*argv, flag, "0"])
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {flag} 0\n"
+
+    def test_sampling_keys_shared_in_config_file(self, capsys, tmp_path):
+        # the config file's keys stay common to every command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=2\neps=0.01\nseed=3\nsamples=0\n")
+        code, _, err = run_capture(capsys, ["bounds", "--config", str(cfg)])
+        assert (code, err) == (0, "")

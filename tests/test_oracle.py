@@ -170,7 +170,7 @@ class TestHaarFidelity:
 
     def test_single_member_set(self):
         ds = single_member_set()
-        q = WeightVector(diagram_set=ds, probabilities=(1.0,))
+        q = WeightVector(diagram_set=ds, amplitudes=(1.0,))
         assert haar_fidelity(ds, q, su2_grid(6)) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("n", [26, 33, 120, 300, 600])
@@ -194,7 +194,7 @@ class TestHaarFidelity:
         chi_def = _schur_character_table(np.eye(1, d, dtype=int), grid)[0]
         degenerate = ~regular_nodes(grid)
         for q in (sine_weights(ds), optimal_fidelity(score_matrix(ds)).weights_used):
-            amps = np.sqrt(q.probabilities)
+            amps = q.amplitudes
             reference = amps @ table
             expected = grid.weights * np.abs(reference) ** 2
             expected /= expected.sum()
@@ -254,7 +254,7 @@ class TestChoiMonteCarlo:
         grid = su2_grid(n + 1)
         phis = grid.angles[1:, 0]
         k = ds.rows[:, 0] - ds.rows[:, 1] + 1
-        probe = np.sqrt(q.probabilities) @ (np.sin(np.outer(k, phis)) / np.sin(phis))
+        probe = q.amplitudes @ (np.sin(np.outer(k, phis)) / np.sin(phis))
         density = grid.weights[1:] * probe**2
         s2 = np.sin(phis) ** 2
         mean = float(density @ s2)
@@ -274,7 +274,7 @@ class TestChoiMonteCarlo:
 
     def test_concentrated_weights_give_inverse_dimension(self):
         ds = viable_set(4, 2)
-        q = WeightVector(diagram_set=ds, probabilities=(1.0, 0.0))
+        q = WeightVector(diagram_set=ds, amplitudes=(1.0, 0.0))
         fit = choi_monte_carlo_su2(4, q, 10**5, seed=3)
         assert abs((1.0 - fit.a) - 0.5) <= 5.0 / math.sqrt(10**5)
 
@@ -327,7 +327,7 @@ class TestChoiMonteCarlo:
 def su2_outcome_density(n):
     ds = viable_set(n, 2)
     grid = su2_grid(n + 1)
-    density = _weyl_density(ds.rows, np.sqrt(sine_weights(ds).probabilities), grid)
+    density = _weyl_density(ds.rows, sine_weights(ds).amplitudes, grid)
     phis = grid.angles[:, 0]
     return np.cos(phis), np.sin(phis), density
 

@@ -1,4 +1,4 @@
-"""Phase-gate example: the sine state and its profile, its dephasing factor
+"""Phase-gate example: the sine state's amplitudes, its dephasing factor
 kappa against the closed form, the closed-form report against mpmath, the
 reported Choi infidelity against a quadrature of the outcome density, the direct
 diamond search, mesh vs quantum error."""
@@ -13,9 +13,8 @@ from gateprog.phase import (
     classical_phase_error,
     diamond_distance_search,
     phase_report,
-    sine_state,
 )
-from gateprog.protocol import sine_profile
+from gateprog.protocol import ProtocolError, sine_amplitudes
 
 
 def dephasing_error_exact(d_p: int) -> float:
@@ -25,7 +24,7 @@ def dephasing_error_exact(d_p: int) -> float:
 
 def sine_kappa(d_p: int) -> float:
     """Dephasing factor of the sine state: the lag-1 autocorrelation of its amplitudes."""
-    a = sine_state(d_p)
+    a = sine_amplitudes(d_p)
     return math.fsum(a[:-1] * a[1:])
 
 
@@ -71,30 +70,32 @@ def sequential_climbs(kappa: float, starts: int, max_evaluations: int) -> list[f
 
 class TestSineState:
     def test_two_levels(self):
-        assert sine_state(2) == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
+        assert sine_amplitudes(2) == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
 
     def test_three_levels(self):
-        c = sine_state(3)
+        c = sine_amplitudes(3)
         raw = [math.sin(math.pi / 6), math.sin(math.pi / 2), math.sin(5 * math.pi / 6)]
         norm = math.sqrt(sum(x * x for x in raw))
         assert c == pytest.approx([x / norm for x in raw], abs=1e-15)
 
     @pytest.mark.parametrize("d_p", [2, 3, 7, 64, 301])
     def test_normalized(self, d_p):
-        assert math.fsum(sine_state(d_p) ** 2) == pytest.approx(1.0, abs=1e-14)
-        assert min(sine_state(d_p)) > 0.0
+        assert math.fsum(sine_amplitudes(d_p) ** 2) == pytest.approx(1.0, abs=1e-14)
+        assert min(sine_amplitudes(d_p)) > 0.0
 
     def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError, match="program dimension must be at least 2"):
-            sine_state(1)
+        with pytest.raises(ProtocolError, match="only normalized for N >= 2"):
+            sine_amplitudes(1)
 
     @pytest.mark.parametrize("d_p", [2, 5, 64])
     def test_squared_amplitudes_are_the_sine_profile(self, d_p):
-        assert sine_state(d_p) ** 2 == pytest.approx(sine_profile(d_p), rel=1e-15)
+        m = np.arange(d_p)
+        profile = (2.0 / d_p) * np.sin(math.pi * (m + 0.5) / d_p) ** 2
+        assert sine_amplitudes(d_p) ** 2 == pytest.approx(profile, rel=1e-15)
 
     def test_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
-            sine_state(4)[0] = 1.0
+            sine_amplitudes(4)[0] = 1.0
 
 
 class TestClassicalError:
@@ -128,7 +129,7 @@ class TestChoiInfidelity:
         # on a grid fine enough to be exact
         count = 8 * (d_p + 2)
         grid = np.arange(count) * 2 * math.pi / count
-        amplitude = np.exp(1j * np.outer(grid, np.arange(d_p))) @ sine_state(d_p)
+        amplitude = np.exp(1j * np.outer(grid, np.arange(d_p))) @ sine_amplitudes(d_p)
         integral = float(np.mean(np.abs(amplitude) ** 2 * np.sin(grid / 2.0) ** 2))
         assert abs(integral - phase_report(d_p).choi_infidelity) <= 1e-12
 

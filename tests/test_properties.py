@@ -68,7 +68,7 @@ def test_stencil_and_eigensolver_match_distance_oracle(ds):
 def test_solver_stops_on_the_true_residual(ds):
     # the returned weights meet the stopping rule itself, not only a Ritz estimate
     s = score_matrix(ds)
-    a = np.sqrt(optimal_fidelity(s).weights_used.probabilities)
+    a = optimal_fidelity(s).weights_used.amplitudes
     sa = s.matvec(a)
     theta = float(a @ sa)
     assert np.linalg.norm(sa - theta * a) <= (1e-12 + 1e-14) * theta

@@ -16,7 +16,7 @@ from gateprog.protocol import (
     capacity_parameter,
     epsilon_g,
     flat_diagram,
-    sine_profile,
+    sine_amplitudes,
     sine_weights,
     viable_set,
 )
@@ -40,14 +40,17 @@ class TestCapacityParameter:
         with pytest.raises(ProtocolError):
             capacity_parameter(10, 1)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", range(2, 31))
     def test_bracketing_and_residual(self, d):
-        for n in range(2 * d * (d - 1), 201):
+        # the lattice offset ((3d-2)N - (d-2))(d-1)/2 is an integer and at most n
+        least = 2 * d * (d - 1)
+        for n in range(least, least + 3 * (3 * d - 2) * (d - 1)):
             big_n, n0 = _lattice_parameters(n, d)
             c_min_n = 2.0 * (n - d * (d - 1)) / ((3 * d - 2) * (d - 1))
             c_max_n = (2.0 * n + (d - 2) * (d - 1)) / ((3 * d - 2) * (d - 1))
             assert c_min_n - 1e-9 <= big_n <= c_max_n + 1e-9
             assert isinstance(n0, int) and n0 >= 0
+            assert 2 * (n - n0) == ((3 * d - 2) * big_n - (d - 2)) * (d - 1)
 
 
 class TestFlatDiagram:
@@ -146,59 +149,68 @@ class TestViableSet:
 class TestSineWeights:
     def test_two_point_profile(self):
         ds = viable_set(4, 2)
-        probs = sine_weights(ds).probabilities
-        assert probs == pytest.approx([0.5, 0.5], abs=1e-15)
+        amps = sine_weights(ds).amplitudes
+        assert amps == pytest.approx([math.sqrt(0.5)] * 2, abs=1e-15)
 
     def test_three_point_profile(self):
-        g = sine_profile(3)
+        g = sine_amplitudes(3) ** 2
         assert g == pytest.approx([1 / 6, 2 / 3, 1 / 6], abs=1e-15)
 
     def test_product_form_d3(self):
         ds = viable_set(13, 3)  # N = 2
-        probs = sine_weights(ds).probabilities
-        assert probs == pytest.approx([0.25] * 4, abs=1e-15)
+        amps = sine_weights(ds).amplitudes
+        assert amps == pytest.approx([0.5] * 4, abs=1e-15)
 
     @pytest.mark.parametrize("n,d", [(17, 2), (40, 3), (61, 4)])
     def test_outer_product_equals_product_loop(self, n, d):
         ds = viable_set(n, d)
-        g = sine_profile(ds.N)
-        expected = [math.prod(c) for c in product(g, repeat=d - 1)]
-        assert sine_weights(ds).probabilities.tolist() == expected
+        a = sine_amplitudes(ds.N)
+        expected = [math.prod(c) for c in product(a, repeat=d - 1)]
+        assert sine_weights(ds).amplitudes.tolist() == expected
 
     def test_profile_rejects_single_point(self):
-        with pytest.raises(ProtocolError):
-            sine_profile(1)
+        with pytest.raises(ProtocolError, match="N=1"):
+            sine_amplitudes(1)
 
     def test_normalization_across_widths(self):
         for big_n in range(2, 513):
-            assert abs(math.fsum(sine_profile(big_n)) - 1.0) <= 1e-12
+            assert abs(math.fsum(sine_amplitudes(big_n) ** 2) - 1.0) <= 1e-12
 
-    def test_probabilities_are_a_read_only_copy(self):
+    def test_amplitudes_are_a_read_only_copy(self):
         ds = viable_set(4, 2)
-        given = np.array([0.25, 0.75])
-        q = WeightVector(diagram_set=ds, probabilities=given)
+        given = np.array([0.6, 0.8])
+        q = WeightVector(diagram_set=ds, amplitudes=given)
         given[0] = 0.5
-        assert q.probabilities.tolist() == [0.25, 0.75]
-        with pytest.raises(ValueError):
-            q.probabilities[0] = 0.5
-        with pytest.raises(ValueError):
-            sine_weights(ds).probabilities[0] = 0.5
+        assert q.amplitudes.tolist() == [0.6, 0.8]
+        with pytest.raises(ValueError, match="read-only"):
+            q.amplitudes[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            sine_weights(ds).amplitudes[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            sine_amplitudes(4)[0] = 0.5
 
-    def test_weight_vector_validation(self):
-        ds = viable_set(4, 2)
-        with pytest.raises(ValueError):
-            WeightVector(diagram_set=ds, probabilities=(0.9, 0.2))
-        with pytest.raises(ValueError):
-            WeightVector(diagram_set=ds, probabilities=(1.0,))
-        with pytest.raises(ValueError):
-            WeightVector(diagram_set=ds, probabilities=(1.5, -0.5))
+    def test_weight_vector_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="1 amplitudes for 2 diagrams"):
+            WeightVector(diagram_set=viable_set(4, 2), amplitudes=(1.0,))
+
+    def test_weight_vector_rejects_negative_entries(self):
+        # the squares sum to 1: only the sign is wrong
+        with pytest.raises(ValueError, match="non-negative"):
+            WeightVector(diagram_set=viable_set(4, 2), amplitudes=(-0.6, 0.8))
+
+    # at 0.5 the entries are (0.5, 0.5): probabilities that sum to 1 are not amplitudes
+    @pytest.mark.parametrize("total", [0.5, 0.9, 1.1])
+    def test_weight_vector_rejects_squares_off_one(self, total):
+        half = math.sqrt(total / 2.0)
+        with pytest.raises(ValueError, match="squared amplitudes sum to"):
+            WeightVector(diagram_set=viable_set(4, 2), amplitudes=(half, half))
 
     @pytest.mark.parametrize(
-        "probabilities", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
+        "amplitudes", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
     )
-    def test_weight_vector_rejects_non_finite(self, probabilities):
+    def test_weight_vector_rejects_non_finite(self, amplitudes):
         with pytest.raises(ValueError, match="finite"):
-            WeightVector(diagram_set=viable_set(4, 2), probabilities=probabilities)
+            WeightVector(diagram_set=viable_set(4, 2), amplitudes=amplitudes)
 
 
 class TestEpsilonG:

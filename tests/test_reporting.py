@@ -17,7 +17,7 @@ from gateprog.reporting import (
     write_text_atomic,
 )
 from gateprog.young import irrep_dimension
-from gateprog.protocol import epsilon_g, viable_set
+from gateprog.protocol import WeightVector, epsilon_g, viable_set
 from gateprog.scoring import qstar_score_closed_form
 
 
@@ -91,6 +91,16 @@ class TestProtocolReport:
     def test_propagates_preconditions(self):
         with pytest.raises(Exception, match="degenerate weight regime"):
             protocol_report(12, 3)
+
+    @pytest.mark.parametrize("n, d", [(64, 2), (60, 3), (61, 4)])
+    def test_two_validated_weight_vectors(self, monkeypatch, n, d):
+        # each check sums 2^20 squares at the member budget: the sine weights and the
+        # principal weights are validated, the solver's start is not
+        built = []
+        check = WeightVector.__post_init__
+        monkeypatch.setattr(WeightVector, "__post_init__", lambda q: built.append(check(q)))
+        protocol_report(n, d)
+        assert len(built) == 2
 
 
 class TestSweep:

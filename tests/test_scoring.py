@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gateprog.protocol import WeightVector, epsilon_g, sine_weights, viable_set
+from gateprog.protocol import ProtocolError, WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import (
     ConvergenceError,
     _sine_transform,
@@ -88,14 +88,14 @@ class TestScoreMatrix:
 class TestEntanglementFidelity:
     def test_uniform_two_member(self):
         ds = viable_set(4, 2)
-        q = WeightVector(diagram_set=ds, probabilities=(0.5, 0.5))
+        q = WeightVector(diagram_set=ds, amplitudes=(math.sqrt(0.5),) * 2)
         result = entanglement_fidelity(q, score_matrix(ds))
         assert result.fidelity == pytest.approx(0.75, abs=1e-15)
         assert result.error == pytest.approx(0.25, abs=1e-15)
 
     def test_single_member_gives_inverse_dimension(self):
         ds = single_member_set()
-        q = WeightVector(diagram_set=ds, probabilities=(1.0,))
+        q = WeightVector(diagram_set=ds, amplitudes=(1.0,))
         assert entanglement_fidelity(q, score_matrix(ds)).fidelity == pytest.approx(0.5)
 
     def test_sine_weights_n8(self):
@@ -108,7 +108,7 @@ class TestEntanglementFidelity:
     def test_brute_force_dense_route(self):
         ds = viable_set(26, 3)
         q = sine_weights(ds)
-        amp = np.sqrt(q.probabilities)
+        amp = q.amplitudes
         brute = float(amp @ score_matrix(ds).dense() @ amp) / 9.0
         assert entanglement_fidelity(q, score_matrix(ds)).fidelity == pytest.approx(
             brute, abs=1e-14
@@ -118,9 +118,9 @@ class TestEntanglementFidelity:
     def test_error_is_dense_laplacian_form(self, n, d):
         # random weights: the boundary term counts each node's moves out of the box
         ds = viable_set(n, d)
-        probs = np.random.default_rng(2).random(len(ds))
-        q = WeightVector(diagram_set=ds, probabilities=probs / probs.sum())
-        amp = np.sqrt(q.probabilities)
+        amps = np.random.default_rng(2).random(len(ds))
+        q = WeightVector(diagram_set=ds, amplitudes=amps / np.linalg.norm(amps))
+        amp = q.amplitudes
         laplacian = d * d * np.eye(len(ds)) - score_matrix(ds).dense()
         brute = float(amp @ laplacian @ amp) / (d * d)
         assert entanglement_fidelity(q, score_matrix(ds)).error == pytest.approx(
@@ -152,11 +152,11 @@ class TestOptimalFidelity:
         result = optimal_fidelity(score_matrix(viable_set(4, 2)))
         assert result.fidelity == pytest.approx(0.75, abs=1e-12)
 
-    def test_single_member(self):
-        # N = 1: the sine profile is undefined, so the solver starts from all ones
-        result = optimal_fidelity(score_matrix(single_member_set()))
-        assert result.fidelity == pytest.approx(0.5, abs=1e-15)
-        assert result.weights_used.probabilities.tolist() == [1.0]
+    def test_single_member_refused(self):
+        # N = 1, which viable_set never builds: the solver starts from the sine
+        # amplitudes, which need N >= 2
+        with pytest.raises(ProtocolError, match="undefined for N=1"):
+            optimal_fidelity(score_matrix(single_member_set()))
 
     def test_chain_eigenvalue_closed_form(self):
         # largest eigenvalue of the length-N chain is 2 + 2 cos(pi / (N+1))
@@ -197,9 +197,10 @@ class TestOptimalFidelity:
             assert optimal_fidelity(s).fidelity >= sine - 1e-13
 
     @pytest.mark.parametrize("n,d", [(16, 2), (60, 3), (61, 4)])
-    def test_principal_weights_are_positive(self, n, d):
-        result = optimal_fidelity(score_matrix(viable_set(n, d)))
-        assert min(result.weights_used.probabilities) > 0.0
+    def test_principal_amplitudes_are_a_positive_unit_vector(self, n, d):
+        amps = optimal_fidelity(score_matrix(viable_set(n, d))).weights_used.amplitudes
+        assert min(amps) > 0.0
+        assert abs(math.fsum(amps * amps) - 1.0) <= 1e-12
 
     def test_iteration_cap_raises(self):
         with pytest.raises(ConvergenceError,
@@ -275,7 +276,7 @@ class TestFrontier:
         assert result.fidelity >= entanglement_fidelity(sine_weights(s.diagram_set), s).fidelity
 
     def test_principal_weights_are_positive(self, frontier):
-        assert min(frontier[1].weights_used.probabilities) > 0.0
+        assert min(frontier[1].weights_used.amplitudes) > 0.0
 
 
 class TestClosedForm:
@@ -288,7 +289,7 @@ class TestClosedForm:
     def test_matches_quadratic_form(self, d, ns):
         for n in ns:
             ds = viable_set(n, d)
-            amp = np.sqrt(sine_weights(ds).probabilities)
+            amp = sine_weights(ds).amplitudes
             quad = float(amp @ score_matrix(ds).matvec(amp))
             assert abs(quad - qstar_score_closed_form(d, epsilon_g(ds.N))) <= 1e-12
 
