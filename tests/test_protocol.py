@@ -176,7 +176,8 @@ class TestSineWeights:
         for big_n in range(2, 513):
             assert abs(math.fsum(sine_amplitudes(big_n) ** 2) - 1.0) <= 1e-12
 
-    def test_amplitudes_are_a_read_only_copy(self):
+    def test_probabilities_are_a_read_only_copy(self):
+        # the weights are held as amplitudes, the square roots of the probabilities
         ds = viable_set(4, 2)
         given = np.array([0.6, 0.8])
         q = WeightVector(diagram_set=ds, amplitudes=given)
@@ -189,14 +190,17 @@ class TestSineWeights:
         with pytest.raises(ValueError, match="read-only"):
             sine_amplitudes(4)[0] = 0.5
 
-    def test_weight_vector_rejects_wrong_length(self):
+    def test_weight_vector_validation(self):
+        ds = viable_set(4, 2)
+        with pytest.raises(ValueError, match="squared amplitudes sum to"):
+            WeightVector(diagram_set=ds, amplitudes=(0.9, 0.2))
         with pytest.raises(ValueError, match="1 amplitudes for 2 diagrams"):
-            WeightVector(diagram_set=viable_set(4, 2), amplitudes=(1.0,))
-
-    def test_weight_vector_rejects_negative_entries(self):
+            WeightVector(diagram_set=ds, amplitudes=(1.0,))
+        with pytest.raises(ValueError, match="non-negative"):
+            WeightVector(diagram_set=ds, amplitudes=(1.5, -0.5))
         # the squares sum to 1: only the sign is wrong
         with pytest.raises(ValueError, match="non-negative"):
-            WeightVector(diagram_set=viable_set(4, 2), amplitudes=(-0.6, 0.8))
+            WeightVector(diagram_set=ds, amplitudes=(-0.6, 0.8))
 
     # at 0.5 the entries are (0.5, 0.5): probabilities that sum to 1 are not amplitudes
     @pytest.mark.parametrize("total", [0.5, 0.9, 1.1])
@@ -206,11 +210,12 @@ class TestSineWeights:
             WeightVector(diagram_set=viable_set(4, 2), amplitudes=(half, half))
 
     @pytest.mark.parametrize(
-        "amplitudes", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
+        "probabilities", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
     )
-    def test_weight_vector_rejects_non_finite(self, amplitudes):
+    def test_weight_vector_rejects_non_finite(self, probabilities):
+        # a non-finite probability has a non-finite amplitude
         with pytest.raises(ValueError, match="finite"):
-            WeightVector(diagram_set=viable_set(4, 2), amplitudes=amplitudes)
+            WeightVector(diagram_set=viable_set(4, 2), amplitudes=np.sqrt(probabilities))
 
 
 class TestEpsilonG:

@@ -197,7 +197,7 @@ class TestOptimalFidelity:
             assert optimal_fidelity(s).fidelity >= sine - 1e-13
 
     @pytest.mark.parametrize("n,d", [(16, 2), (60, 3), (61, 4)])
-    def test_principal_amplitudes_are_a_positive_unit_vector(self, n, d):
+    def test_principal_weights_are_positive(self, n, d):
         amps = optimal_fidelity(score_matrix(viable_set(n, d))).weights_used.amplitudes
         assert min(amps) > 0.0
         assert abs(math.fsum(amps * amps) - 1.0) <= 1e-12
