@@ -5,16 +5,22 @@ floating output is printed with 12 significant digits, so identical
 configurations produce byte-identical output.  Exit codes: 0 success,
 1 validation error or an eigensolver that did not converge, 2 internal
 verification failure.
+
+Each configuration key's type and default are declared once, in ``_KEYS``, and
+each command's flags, handler and help line once, in ``_COMMANDS``; the parser,
+the config-file reader and the dispatch are built from these two tables.  CSV
+values are quoted where they hold a comma, a quote or a newline.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
@@ -37,31 +43,25 @@ class CliError(ValueError):
     """Bad flags or configuration."""
 
 
-COMMANDS = ("bounds", "protocol", "sweep", "phase", "table1", "verify")
 FORMATS = ("json", "csv", "table")
 
-_INT_KEYS = ("d", "n", "n_min", "n_max", "n_step", "dp", "seed", "samples")
-_FLOAT_KEYS = ("eps", "delta", "K")
-_STR_KEYS = ("format", "output")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
-
-
-@dataclass
-class RunConfig:
-    command: str
-    d: int | None = None
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    n_step: int | None = None
-    eps: float | None = None
-    delta: float | None = None
-    K: float = 1.0
-    dp: int | None = None
-    seed: int = 0
-    samples: int = 10**6
-    format: str = "table"
-    output: str | None = None
+# key -> (type, default when neither a flag nor the config file sets it);
+# the flag of key n_min is --n-min
+_KEYS = {
+    "d": (int, None),
+    "n": (int, None),
+    "n_min": (int, None),
+    "n_max": (int, None),
+    "n_step": (int, None),
+    "eps": (float, None),
+    "delta": (float, None),
+    "K": (float, 1.0),
+    "dp": (int, None),
+    "seed": (int, 0),
+    "samples": (int, 10**6),
+    "format": (str, "table"),
+    "output": (str, None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,52 +69,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _add_flag(parser: argparse.ArgumentParser, key: str, **kwargs) -> None:
+    parser.add_argument(f"--{key.replace('_', '-')}", type=_KEYS[key][0], default=None, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; parsing leaves it unchanged and
     returns a fresh namespace each call."""
-    parser = _Parser(prog="gateprog", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is for readers of the code
+    parser = _Parser(prog="gateprog", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (flags, _, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for key in flags:
+            _add_flag(p, key)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--output", default=None, help="write here atomically instead of stdout")
-
-    p = sub.add_parser("bounds", help="lower/upper cost bounds at one (d, eps) point")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--K", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("protocol", help="full protocol report at one (d, n) point")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("sweep", help="protocol reports over an n range plus the error slope")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n-min", type=int, default=None, dest="n_min")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--n-step", type=int, default=None, dest="n_step")
-    common(p)
-
-    p = sub.add_parser("phase", help="phase-gate comparison at one program dimension")
-    p.add_argument("--dp", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("table1", help="prior-work cost rows next to this protocol's bounds")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--K", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("verify", help="run the full verification battery")
-    common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
+        _add_flag(p, "format", choices=FORMATS)
+        _add_flag(p, "output", help="write here atomically instead of stdout")
     return parser
 
 
@@ -134,9 +106,9 @@ def _parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        kind = _KEYS[key][0]
         try:
             values[key] = kind(value)
         except ValueError:
@@ -146,21 +118,19 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _ALL_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            setattr(config, key, flag_value)
-        elif key in file_values:
-            setattr(config, key, file_values[key])
-    if config.format not in FORMATS:
-        raise CliError(f"unknown format {config.format!r}")
-    return config
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Set every key of ``_KEYS`` on args: its flag, else its config-file value, else its
+    default."""
+    file_values = _parse_config_file(args.config) if args.config else {}
+    for key, (_, default) in _KEYS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, file_values.get(key, default))
+    if args.format not in FORMATS:
+        raise CliError(f"unknown format {args.format!r}")
+    return args
 
 
-def _require(config: RunConfig, *keys: str) -> None:
+def _require(config: argparse.Namespace, *keys: str) -> None:
     for key in keys:
         if getattr(config, key) is None:
             raise CliError(f"{config.command} requires --{key.replace('_', '-')}")
@@ -186,48 +156,36 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
-    rows = _flatten(payload)
+    rows = [
+        (key, format_float(value) if isinstance(value, float) else str(value))
+        for key, value in _flatten(payload)
+    ]
     if fmt == "csv":
-        lines = ["key,value"]
-        for key, value in rows:
-            text = format_float(value) if isinstance(value, float) else str(value)
-            lines.append(f"{key},{text}")
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows(rows)
+        return buf.getvalue()
     width = max((len(k) for k, _ in rows), default=0)
-    lines = []
-    for key, value in rows:
-        text = format_float(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key:<{width}}  {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key:<{width}}  {text}\n" for key, text in rows)
 
 
-def _cmd_bounds(config: RunConfig) -> tuple[dict, int, list | None]:
+def _cmd_bounds(config: argparse.Namespace) -> tuple[dict, int, list | None]:
     _require(config, "d", "eps")
     report = bounds_mod.bound_report(config.d, config.eps, config.delta, config.K)
-    payload = {
-        "d": report.d,
-        "epsilon": report.epsilon,
-        "delta": report.delta,
-        "delta_optimized": report.delta_optimized,
-        "lower_bits": report.lower_bits,
-        "lower_dimension_log2": report.lower_dimension_log2,
-        "upper_bits": report.upper_bits,
-        "upper_bits_simplified": report.upper_bits_simplified,
-        "K": report.big_k,
-        "table1": {label: bits for label, bits in report.table1},
-        "vacuous_flags": report.vacuous_flags,
-    }
+    payload = {("K" if key == "big_k" else key): value for key, value in asdict(report).items()}
+    payload["table1"] = dict(payload["table1"])
     return round_floats(payload), 0, None
 
 
-def _cmd_protocol(config: RunConfig) -> tuple[dict, int, list | None]:
+def _cmd_protocol(config: argparse.Namespace) -> tuple[dict, int, list | None]:
     _require(config, "d", "n")
     report = protocol_report(config.n, config.d)
     code = 0 if all(report.pass_flags.values()) else 2
     return report_to_dict(report), code, [report]
 
 
-def _cmd_sweep(config: RunConfig) -> tuple[dict, int, list | None]:
+def _cmd_sweep(config: argparse.Namespace) -> tuple[dict, int, list | None]:
     _require(config, "d", "n_min", "n_max")
     step = 1 if config.n_step is None else config.n_step
     if step < 1:
@@ -238,19 +196,19 @@ def _cmd_sweep(config: RunConfig) -> tuple[dict, int, list | None]:
     return sweep_to_dict(result), code, result.reports
 
 
-def _cmd_phase(config: RunConfig) -> tuple[dict, int, list | None]:
+def _cmd_phase(config: argparse.Namespace) -> tuple[dict, int, list | None]:
     _require(config, "dp")
     return round_floats(asdict(phase_report(config.dp))), 0, None
 
 
-def _cmd_table1(config: RunConfig) -> tuple[dict, int, list | None]:
+def _cmd_table1(config: argparse.Namespace) -> tuple[dict, int, list | None]:
     _require(config, "d", "eps")
     rows = bounds_mod.table1_rows(config.d, config.eps, config.K)
     payload = {
         "d": config.d,
         "epsilon": config.eps,
         "K": config.K,
-        "prior_work": {label: bits for label, bits in rows},
+        "prior_work": dict(rows),
         "this_work_upper_bits": bounds_mod.upper_bound_cost(config.d, config.eps),
         "this_work_upper_bits_simplified": bounds_mod.upper_bound_cost(
             config.d, config.eps, simplified=True
@@ -259,28 +217,28 @@ def _cmd_table1(config: RunConfig) -> tuple[dict, int, list | None]:
     return round_floats(payload), 0, None
 
 
-def _cmd_verify(config: RunConfig) -> tuple[dict, int, list | None]:
+def _cmd_verify(config: argparse.Namespace) -> tuple[dict, int, list | None]:
     results = verify_mod.run_all(samples=config.samples, seed=config.seed)
-    payload = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
-    return payload, 0 if payload["all_passed"] else 2, None
+    passed = all(r.passed for r in results)
+    return {"checks": [asdict(r) for r in results], "all_passed": passed}, 0 if passed else 2, None
 
 
-_DISPATCH = {
-    "bounds": _cmd_bounds,
-    "protocol": _cmd_protocol,
-    "sweep": _cmd_sweep,
-    "phase": _cmd_phase,
-    "table1": _cmd_table1,
-    "verify": _cmd_verify,
+# command -> (its own flags, handler, help line); every command also takes
+# --config, --format and --output
+_COMMANDS = {
+    "bounds": (("d", "eps", "delta", "K"), _cmd_bounds,
+               "lower/upper cost bounds at one (d, eps) point"),
+    "protocol": (("d", "n"), _cmd_protocol, "full protocol report at one (d, n) point"),
+    "sweep": (("d", "n_min", "n_max", "n_step"), _cmd_sweep,
+              "protocol reports over an n range plus the error slope"),
+    "phase": (("dp",), _cmd_phase, "phase-gate comparison at one program dimension"),
+    "table1": (("d", "eps", "K"), _cmd_table1,
+               "prior-work cost rows next to this protocol's bounds"),
+    "verify": (("seed", "samples"), _cmd_verify, "run the full verification battery"),
 }
 
 
-def _output_text(payload: dict, reports: list | None, config: RunConfig) -> str:
+def _output_text(payload: dict, reports: list | None, config: argparse.Namespace) -> str:
     # protocol/sweep hand back their reports for a dedicated row-per-report CSV schema
     if reports is not None and config.format == "csv":
         return reports_to_csv(reports)
@@ -294,7 +252,7 @@ def _output_text(payload: dict, reports: list | None, config: RunConfig) -> str:
     return _render(payload, config.format)
 
 
-def _emit(text: str, config: RunConfig) -> None:
+def _emit(text: str, config: argparse.Namespace) -> None:
     if not config.output:
         sys.stdout.write(text)
         return
@@ -308,7 +266,7 @@ def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _merge_config(args)
-        payload, code, reports = _DISPATCH[config.command](config)
+        payload, code, reports = _COMMANDS[config.command][1](config)
         _emit(_output_text(payload, reports, config), config)
     except (CliError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,8 +102,9 @@ def viable_set(n: int, d: int) -> DiagramSet:
 
     Row i (1-based, i < d) of the member at coordinate t is
     mu0[i] + N(2d-3) + 1 - (N+1)(i-1) + t[i]; the last row absorbs the
-    remaining boxes.  Every member must come out strictly decreasing with a
-    non-negative last row, otherwise the construction is inconsistent.
+    remaining boxes.  With every t[i] in [0, N-1], consecutive rows differ by at
+    least 2 and the last row is at least mu0[-1] >= 0, so every member is a
+    strictly decreasing diagram without a check.
     Lattices of more than ``MAX_MEMBERS`` members are refused before any is built.
     """
     big_n = capacity_parameter(n, d)
@@ -125,13 +126,6 @@ def viable_set(n: int, d: int) -> DiagramSet:
     coords = np.indices((big_n,) * (d - 1)).reshape(d - 1, -1).T
     head = coords + base
     rows = np.column_stack([head, n - head.sum(axis=1)])
-    bad = (rows[:, -1] < 0) | np.any(np.diff(rows, axis=1) >= 0, axis=1)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise RuntimeError(
-            f"internal consistency error: lattice point {tuple(coords[first].tolist())} "
-            f"yields rows {tuple(rows[first].tolist())}"
-        )
     rows.flags.writeable = False
     return DiagramSet(d=d, n=n, N=big_n, n0=n0, mu0=mu0, rows=rows)
 

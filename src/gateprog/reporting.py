@@ -13,7 +13,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -145,13 +145,7 @@ def round_floats(value):
     return value
 
 
-REPORT_FIELDS = (
-    "d", "n", "N", "n0", "set_size",
-    "fidelity_qstar", "fidelity_optimal", "epsilon_qstar", "epsilon_optimal",
-    "dP_exact", "dP_exact_log2", "cP_bits",
-    "bound_eq5", "bound_eq6_log2", "bound_lemma3", "bound_lemma4_log2",
-    "corollary_bits",
-)
+REPORT_FIELDS = tuple(f.name for f in fields(ProtocolReport) if f.name != "pass_flags")
 
 PASS_FLAG_FIELDS = ("eq5", "eq6", "lemma3", "lemma4", "corollary")
 
@@ -179,17 +173,10 @@ def reports_to_csv(reports: list[ProtocolReport] | tuple[ProtocolReport, ...]) -
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for report in reports:
-        row = []
-        for key in REPORT_FIELDS:
-            value = getattr(report, key)
-            if key == "dP_exact":
-                row.append(str(value))
-            elif isinstance(value, float):
-                row.append(format_float(value))
-            else:
-                row.append(value)
-        row.extend(report.pass_flags[k] for k in PASS_FLAG_FIELDS)
-        writer.writerow(row)
+        values = report_to_dict(report)
+        flags = values.pop("pass_flags")
+        row = (*values.values(), *flags.values())
+        writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 

@@ -1,7 +1,11 @@
 """Command-line interface: dispatch, config handling, formats, exit codes."""
 
+import argparse
+import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -307,6 +311,20 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["all_passed"] is True
 
+    def test_csv_values_are_quoted(self, capsys, monkeypatch):
+        detail = 'exact for d in {2,3}, m <= 8; "tol" 1e-10'
+        fake = [CheckResult(name="alpha", passed=True, detail=detail)]
+        monkeypatch.setattr(cli.verify_mod, "run_all", lambda samples, seed: fake)
+        code, out, _ = run_capture(capsys, ["verify", "--format", "csv"])
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["key", "value"],
+            ["checks[0].name", "alpha"],
+            ["checks[0].passed", "True"],
+            ["checks[0].detail", detail],
+            ["all_passed", "True"],
+        ]
+
     def test_negative_seed_named(self, capsys):
         code, out, err = run_capture(capsys, ["verify", "--seed", "-1"])
         assert code == 1
@@ -376,3 +394,95 @@ class TestParsing:
         cfg.write_text("d=2\neps=0.01\nseed=3\nsamples=0\n")
         code, _, err = run_capture(capsys, ["bounds", "--config", str(cfg)])
         assert (code, err) == (0, "")
+
+
+REPORT_KEYS = [
+    "d", "n", "N", "n0", "set_size", "fidelity_qstar", "fidelity_optimal", "epsilon_qstar",
+    "epsilon_optimal", "dP_exact", "dP_exact_log2", "cP_bits", "bound_eq5", "bound_eq6_log2",
+    "bound_lemma3", "bound_lemma4_log2", "corollary_bits", "pass_flags",
+]
+PASS_FLAG_KEYS = ["eq5", "eq6", "lemma3", "lemma4", "corollary"]
+TABLE1_LABELS = [
+    "upper d^2 log(K/eps)", "upper 4 d^2 log(d) / eps^2", "lower (1-eps) K d - (2/3) log(d)",
+    "lower log(d^2/eps)", "lower ((d+1)/2) log(1/d) + ((d-1)/2) log(1/eps)",
+]
+
+
+def key_order(payload):
+    """The keys of payload, nested dicts and the first dict of a list as sub-lists."""
+    order = []
+    for key, value in payload.items():
+        order.append(key)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = value[0]
+        if isinstance(value, dict):
+            order.append(key_order(value))
+    return order
+
+
+class TestSchemas:
+    """The JSON layouts, flags and config keys the commands have always had."""
+
+    KEY_TYPES = {
+        "d": int, "n": int, "n_min": int, "n_max": int, "n_step": int, "dp": int,
+        "seed": int, "samples": int, "eps": float, "delta": float, "K": float,
+        "format": str, "output": str,
+    }
+    FLAGS = {
+        "bounds": {"--d", "--eps", "--delta", "--K"},
+        "protocol": {"--d", "--n"},
+        "sweep": {"--d", "--n-min", "--n-max", "--n-step"},
+        "phase": {"--dp"},
+        "table1": {"--d", "--eps", "--K"},
+        "verify": {"--seed", "--samples"},
+    }
+    COMMON = {"--config", "--format", "--output"}
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["bounds", "--d", "2", "--eps", "1e-6"], [
+            "d", "epsilon", "delta", "delta_optimized", "lower_bits", "lower_dimension_log2",
+            "upper_bits", "upper_bits_simplified", "K", "table1", TABLE1_LABELS,
+            "vacuous_flags", ["lower", "upper"],
+        ]),
+        (["table1", "--d", "2", "--eps", "0.01"], [
+            "d", "epsilon", "K", "prior_work", TABLE1_LABELS, "this_work_upper_bits",
+            "this_work_upper_bits_simplified",
+        ]),
+        (["phase", "--dp", "16"],
+         ["dP", "eps_classical", "eps_quantum", "choi_infidelity", "asymptote_ratio"]),
+        (["protocol", "--d", "2", "--n", "8"], [*REPORT_KEYS, PASS_FLAG_KEYS]),
+        (["sweep", "--d", "2", "--n-min", "8", "--n-max", "16", "--n-step", "4"],
+         ["reports", [*REPORT_KEYS, PASS_FLAG_KEYS], "slope", "residual"]),
+    ], ids=["bounds", "table1", "phase", "protocol", "sweep"])
+    def test_json_key_order(self, capsys, argv, expected):
+        code, out, _ = run_capture(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert key_order(json.loads(out)) == expected
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_parse_to_their_key_types(self, command):
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = [
+            a for a in subparsers.choices[command]._actions if a.dest not in ("help", "config")
+        ]
+        flags = {a.option_strings[0] for a in options}
+        assert flags == self.FLAGS[command] | {"--format", "--output"}
+        for action in options:
+            kind = self.KEY_TYPES[action.dest]
+            text = "json" if action.dest == "format" else "7"
+            args = cli.build_parser().parse_args([command, action.option_strings[0], text])
+            assert type(getattr(args, action.dest)) is kind
+
+    def test_key_table_types(self):
+        assert {key: kind for key, (kind, _) in cli._KEYS.items()} == self.KEY_TYPES
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_own_flags_and_common_ones(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = re.findall(r"^  (--[A-Za-z-]+)", capsys.readouterr().out, flags=re.M)
+        assert sorted(listed) == sorted(self.FLAGS[command] | self.COMMON)

@@ -6,7 +6,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gateprog import protocol
 from gateprog.protocol import (
     MAX_MEMBERS,
     DiagramSet,
@@ -108,15 +107,21 @@ class TestViableSet:
                 assert member[i - 1] == expected
             assert member[d - 1] == n - sum(member[: d - 1])
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", range(2, 22))
     def test_strictly_decreasing_everywhere(self, d):
-        for n in range(2 * d * (d - 1), 80):
-            try:
+        # widths N from 2 to the largest within the member budget, each at its least n
+        # (n0 = 0) and, below the budget, also at n0 = 1 and the largest n0 with that N
+        top = round(MAX_MEMBERS ** (1 / (d - 1)))
+        top -= top ** (d - 1) > MAX_MEMBERS
+        assert top ** (d - 1) <= MAX_MEMBERS < (top + 1) ** (d - 1)
+        per_width = (3 * d - 2) * (d - 1) // 2  # n0 takes this many values at one N
+        for big_n in sorted({w for w in (2, 3, math.isqrt(top), top) if 2 <= w <= top}):
+            least = ((3 * d - 2) * big_n - (d - 2)) * (d - 1) // 2
+            for n in (least,) if big_n == top else (least, least + 1, least + per_width - 1):
                 ds = viable_set(n, d)
-            except ProtocolError:
-                continue
-            assert len(ds) == ds.N ** (d - 1)
-            assert np.all(np.diff(ds.rows, axis=1) < 0)
+                assert ds.N == big_n and len(ds) == big_n ** (d - 1)
+                assert np.all(ds.rows[:, :-1] > ds.rows[:, 1:])
+                assert ds.rows[:, -1].min() == ds.mu0[-1] >= 0
 
     def test_size_budget_refused_before_building(self):
         # d = 2 has N = n // 2 members: one over the budget
@@ -128,22 +133,6 @@ class TestViableSet:
         with pytest.raises(ValueError):
             ds.rows[0, 0] = 0
         assert ds.rows[0].tolist() == [12, 8, 6]
-
-    def test_negative_last_row_names_the_lattice_point(self, monkeypatch):
-        # a base diagram with too many boxes leaves nothing for the last row
-        monkeypatch.setattr(
-            protocol, "flat_diagram", lambda n0, d: (n0 + 30,) * d
-        )
-        with pytest.raises(RuntimeError, match=r"point \(0, 0\) yields rows \(46, 42, -62\)"):
-            viable_set(26, 3)
-
-    def test_equal_rows_name_the_first_bad_lattice_point(self, monkeypatch):
-        # rows 10 + t0 and 9 + t1 first meet at (0, 1), after the consistent (0, 0)
-        monkeypatch.setattr(
-            protocol, "flat_diagram", lambda n0, d: (0, 3, 0)
-        )
-        with pytest.raises(RuntimeError, match=r"point \(0, 1\) yields rows \(10, 10, 6\)"):
-            viable_set(26, 3)
 
 
 class TestSineWeights:

@@ -9,6 +9,7 @@ import pytest
 
 from gateprog.reporting import (
     CSV_COLUMNS,
+    REPORT_FIELDS,
     protocol_report,
     report_to_dict,
     reports_to_csv,
@@ -123,6 +124,16 @@ class TestSweep:
 
 
 class TestSerialization:
+    def test_report_fields(self):
+        # derived from ProtocolReport's fields; the JSON and CSV layouts follow this order
+        assert REPORT_FIELDS == (
+            "d", "n", "N", "n0", "set_size",
+            "fidelity_qstar", "fidelity_optimal", "epsilon_qstar", "epsilon_optimal",
+            "dP_exact", "dP_exact_log2", "cP_bits",
+            "bound_eq5", "bound_eq6_log2", "bound_lemma3", "bound_lemma4_log2",
+            "corollary_bits",
+        )
+
     def test_report_dict_layout(self):
         payload = report_to_dict(protocol_report(8, 2))
         assert payload["dP_exact"] == "164"
