@@ -132,8 +132,8 @@ def upper_bound_cost(d: int, epsilon: float, *, simplified: bool = False) -> flo
 
 
 @_float_range
-def table1_rows(d: int, epsilon: float, big_k: float = 1.0) -> list[tuple[str, float]]:
-    """Prior-work cost rows, in bits, for side-by-side comparison.
+def table1_rows(d: int, epsilon: float, big_k: float = 1.0) -> dict[str, float]:
+    """Prior-work cost rows, label -> bits, for side-by-side comparison.
 
     ``big_k`` is a universal constant left unspecified by the sources; it is
     caller-supplied and defaults to 1.  A row that leaves float range raises
@@ -144,16 +144,16 @@ def table1_rows(d: int, epsilon: float, big_k: float = 1.0) -> list[tuple[str, f
     _check_epsilon(epsilon)
     if not 0.0 < big_k < math.inf:
         raise ValueError(f"constant K must be positive and finite, got {big_k}")
-    rows = [
-        ("upper d^2 log(K/eps)", d * d * math.log2(big_k / epsilon)),
-        ("upper 4 d^2 log(d) / eps^2", 4.0 * d * d * math.log2(d) / epsilon / epsilon),
-        ("lower (1-eps) K d - (2/3) log(d)",
-         (1.0 - epsilon) * big_k * d - (2.0 / 3.0) * math.log2(d)),
-        ("lower log(d^2/eps)", math.log2(d * d / epsilon)),
-        ("lower ((d+1)/2) log(1/d) + ((d-1)/2) log(1/eps)",
-         ((d + 1) / 2.0) * math.log2(1.0 / d) + ((d - 1) / 2.0) * math.log2(1.0 / epsilon)),
-    ]
-    return [(label, _finite(label, bits, epsilon)) for label, bits in rows]
+    rows = {
+        "upper d^2 log(K/eps)": d * d * math.log2(big_k / epsilon),
+        "upper 4 d^2 log(d) / eps^2": 4.0 * d * d * math.log2(d) / epsilon / epsilon,
+        "lower (1-eps) K d - (2/3) log(d)":
+            (1.0 - epsilon) * big_k * d - (2.0 / 3.0) * math.log2(d),
+        "lower log(d^2/eps)": math.log2(d * d / epsilon),
+        "lower ((d+1)/2) log(1/d) + ((d-1)/2) log(1/eps)":
+            ((d + 1) / 2.0) * math.log2(1.0 / d) + ((d - 1) / 2.0) * math.log2(1.0 / epsilon),
+    }
+    return {label: _finite(label, bits, epsilon) for label, bits in rows.items()}
 
 
 def conjecture_cost(nu: int, epsilon: float, big_c: float) -> float:
@@ -178,8 +178,8 @@ class BoundReport:
     lower_dimension_log2: float
     upper_bits: float
     upper_bits_simplified: float
-    big_k: float
-    table1: list[tuple[str, float]]
+    K: float
+    table1: dict[str, float]
     vacuous_flags: dict[str, bool]
 
 
@@ -219,7 +219,7 @@ def bound_report(
         lower_dimension_log2=lower_dim,
         upper_bits=upper_bound_cost(d, epsilon),
         upper_bits_simplified=upper_bound_cost(d, epsilon, simplified=True),
-        big_k=big_k,
+        K=big_k,
         table1=table1_rows(d, epsilon, big_k),
         vacuous_flags={"lower": lower_vacuous, "upper": False},
     )

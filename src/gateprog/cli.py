@@ -8,16 +8,15 @@ verification failure.
 
 Each configuration key's type and default are declared once, in ``_KEYS``, and
 each command's flags, handler and help line once, in ``_COMMANDS``; the parser,
-the config-file reader and the dispatch are built from these two tables.  CSV
+the config-file reader and the dispatch are built from these two tables.  Handlers
+return their report's fields, which ``_output_text`` alone rounds and renders.  CSV
 values are quoted where they hold a comma, a quote or a newline.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -25,8 +24,8 @@ from dataclasses import asdict
 from . import bounds as bounds_mod
 from . import verify as verify_mod
 from .phase import phase_report
-from .protocol import ProtocolError
 from .reporting import (
+    csv_text,
     format_float,
     protocol_report,
     report_to_dict,
@@ -144,10 +143,7 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
             rows.extend(_flatten(value, prefix=f"{name}."))
         elif isinstance(value, list):
             for idx, item in enumerate(value):
-                if isinstance(item, dict):
-                    rows.extend(_flatten(item, prefix=f"{name}[{idx}]."))
-                else:
-                    rows.append((f"{name}[{idx}]", item))
+                rows.extend(_flatten(item, prefix=f"{name}[{idx}]."))
         else:
             rows.append((name, value))
     return rows
@@ -161,66 +157,55 @@ def _render(payload: dict, fmt: str) -> str:
         for key, value in _flatten(payload)
     ]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        writer.writerows(rows)
-        return buf.getvalue()
+        return csv_text(("key", "value"), rows)
     width = max((len(k) for k, _ in rows), default=0)
     return "".join(f"{key:<{width}}  {text}\n" for key, text in rows)
 
 
-def _cmd_bounds(config: argparse.Namespace) -> tuple[dict, int, list | None]:
+def _cmd_bounds(config: argparse.Namespace) -> tuple[dict, int]:
     _require(config, "d", "eps")
-    report = bounds_mod.bound_report(config.d, config.eps, config.delta, config.K)
-    payload = {("K" if key == "big_k" else key): value for key, value in asdict(report).items()}
-    payload["table1"] = dict(payload["table1"])
-    return round_floats(payload), 0, None
+    return asdict(bounds_mod.bound_report(config.d, config.eps, config.delta, config.K)), 0
 
 
-def _cmd_protocol(config: argparse.Namespace) -> tuple[dict, int, list | None]:
+def _cmd_protocol(config: argparse.Namespace) -> tuple[dict, int]:
     _require(config, "d", "n")
     report = protocol_report(config.n, config.d)
-    code = 0 if all(report.pass_flags.values()) else 2
-    return report_to_dict(report), code, [report]
+    return report_to_dict(report), 0 if all(report.pass_flags.values()) else 2
 
 
-def _cmd_sweep(config: argparse.Namespace) -> tuple[dict, int, list | None]:
+def _cmd_sweep(config: argparse.Namespace) -> tuple[dict, int]:
     _require(config, "d", "n_min", "n_max")
     step = 1 if config.n_step is None else config.n_step
     if step < 1:
         raise CliError(f"n-step must be positive, got {step}")
-    n_values = list(range(config.n_min, config.n_max + 1, step))
-    result = sweep(config.d, n_values)
+    result = sweep(config.d, list(range(config.n_min, config.n_max + 1, step)))
     code = 0 if all(all(r.pass_flags.values()) for r in result.reports) else 2
-    return sweep_to_dict(result), code, result.reports
+    return sweep_to_dict(result), code
 
 
-def _cmd_phase(config: argparse.Namespace) -> tuple[dict, int, list | None]:
+def _cmd_phase(config: argparse.Namespace) -> tuple[dict, int]:
     _require(config, "dp")
-    return round_floats(asdict(phase_report(config.dp))), 0, None
+    return asdict(phase_report(config.dp)), 0
 
 
-def _cmd_table1(config: argparse.Namespace) -> tuple[dict, int, list | None]:
+def _cmd_table1(config: argparse.Namespace) -> tuple[dict, int]:
     _require(config, "d", "eps")
-    rows = bounds_mod.table1_rows(config.d, config.eps, config.K)
-    payload = {
+    return {
         "d": config.d,
         "epsilon": config.eps,
         "K": config.K,
-        "prior_work": dict(rows),
+        "prior_work": bounds_mod.table1_rows(config.d, config.eps, config.K),
         "this_work_upper_bits": bounds_mod.upper_bound_cost(config.d, config.eps),
         "this_work_upper_bits_simplified": bounds_mod.upper_bound_cost(
             config.d, config.eps, simplified=True
         ),
-    }
-    return round_floats(payload), 0, None
+    }, 0
 
 
-def _cmd_verify(config: argparse.Namespace) -> tuple[dict, int, list | None]:
+def _cmd_verify(config: argparse.Namespace) -> tuple[dict, int]:
     results = verify_mod.run_all(samples=config.samples, seed=config.seed)
     passed = all(r.passed for r in results)
-    return {"checks": [asdict(r) for r in results], "all_passed": passed}, 0 if passed else 2, None
+    return {"checks": [asdict(r) for r in results], "all_passed": passed}, 0 if passed else 2
 
 
 # command -> (its own flags, handler, help line); every command also takes
@@ -238,10 +223,11 @@ _COMMANDS = {
 }
 
 
-def _output_text(payload: dict, reports: list | None, config: argparse.Namespace) -> str:
-    # protocol/sweep hand back their reports for a dedicated row-per-report CSV schema
-    if reports is not None and config.format == "csv":
-        return reports_to_csv(reports)
+def _output_text(payload: dict, config: argparse.Namespace) -> str:
+    """The one place a payload becomes text: floats at 12 digits, then its schema."""
+    payload = round_floats(payload)
+    if config.format == "csv" and config.command in ("protocol", "sweep"):
+        return reports_to_csv(payload["reports"] if config.command == "sweep" else [payload])
     if config.command == "verify" and config.format == "table":
         lines = [
             ("PASS " if check["passed"] else "FAIL ") + f"{check['name']}: {check['detail']}"
@@ -266,9 +252,9 @@ def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _merge_config(args)
-        payload, code, reports = _COMMANDS[config.command][1](config)
-        _emit(_output_text(payload, reports, config), config)
-    except (CliError, ProtocolError, ValueError) as exc:
+        payload, code = _COMMANDS[config.command][1](config)
+        _emit(_output_text(payload, config), config)
+    except ValueError as exc:  # CliError and ProtocolError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -123,9 +123,17 @@ def viable_set(n: int, d: int) -> DiagramSet:
         for i in range(1, d)
     )
 
-    coords = np.indices((big_n,) * (d - 1)).reshape(d - 1, -1).T
-    head = coords + base
-    rows = np.column_stack([head, n - head.sum(axis=1)])
+    # filled in place, least significant coordinate first: for k = d-2 down to 0, the
+    # members with t[:k] = 0 are N copies of those with t[:k+1] = 0, copy j adding j
+    # to column k and taking it from the last column
+    rows = np.empty((big_n ** (d - 1), d), dtype=np.int64)
+    rows[0] = (*base, n - sum(base))
+    steps = np.arange(big_n)[:, None]
+    for k in reversed(range(d - 1)):
+        block = rows[: big_n ** (d - 1 - k)].reshape(big_n, -1, d)
+        block[1:] = block[0]
+        block[..., k] += steps
+        block[..., -1] -= steps
     rows.flags.writeable = False
     return DiagramSet(d=d, n=n, N=big_n, n0=n0, mu0=mu0, rows=rows)
 

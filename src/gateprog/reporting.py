@@ -13,7 +13,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -153,31 +153,35 @@ CSV_COLUMNS = REPORT_FIELDS + tuple(f"pass_{k}" for k in PASS_FLAG_FIELDS)
 
 
 def report_to_dict(report: ProtocolReport) -> dict:
-    """Stable-key mapping; exact dimension as a decimal string, floats at 12 digits."""
-    out = {key: round_floats(getattr(report, key)) for key in REPORT_FIELDS}
-    out["dP_exact"] = str(report.dP_exact)
-    out["pass_flags"] = {k: report.pass_flags[k] for k in PASS_FLAG_FIELDS}
-    return out
+    """The report's fields in order, the exact dimension as a decimal string; floats are
+    left unrounded for the one rounding pass of the CLI."""
+    return {**asdict(report), "dP_exact": str(report.dP_exact)}
 
 
 def sweep_to_dict(result: SweepResult) -> dict:
     return {
         "reports": [report_to_dict(r) for r in result.reports],
-        "slope": round_floats(result.slope),
-        "residual": round_floats(result.residual),
+        "slope": result.slope,
+        "residual": result.residual,
     }
 
 
-def reports_to_csv(reports: list[ProtocolReport] | tuple[ProtocolReport, ...]) -> str:
+def csv_text(header: tuple[str, ...], rows: list) -> str:
+    """Header and rows as CSV, floats through ``format_float``, values quoted where
+    they hold a comma, a quote or a newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        values = report_to_dict(report)
-        flags = values.pop("pass_flags")
-        row = (*values.values(), *flags.values())
-        writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+    writer.writerow(header)
+    writer.writerows([format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
+
+
+def reports_to_csv(reports: list[dict]) -> str:
+    """One row per ``report_to_dict`` mapping, its pass flags as the last columns."""
+    return csv_text(CSV_COLUMNS, [
+        [*(r[k] for k in REPORT_FIELDS), *(r["pass_flags"][k] for k in PASS_FLAG_FIELDS)]
+        for r in reports
+    ])
 
 
 def write_text_atomic(text: str, path: str) -> None:

@@ -26,7 +26,7 @@ from .oracle import (
 )
 from .phase import classical_phase_error, diamond_distance_search, phase_report
 from .protocol import epsilon_g, sine_amplitudes, sine_weights, viable_set
-from .reporting import ProtocolReport, protocol_report, sweep
+from .reporting import ProtocolReport, protocol_report
 from .scoring import (
     entanglement_fidelity,
     optimal_fidelity,

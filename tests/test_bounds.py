@@ -112,13 +112,13 @@ class TestUpperBound:
 
 class TestTable1:
     def test_reference_rows(self):
-        rows = dict(table1_rows(2, 0.01, 1.0))
+        rows = table1_rows(2, 0.01, 1.0)
         assert rows["upper d^2 log(K/eps)"] == pytest.approx(26.575424759098897, abs=1e-10)
         assert rows["lower log(d^2/eps)"] == pytest.approx(8.643856189774725, abs=1e-10)
 
     def test_new_upper_beats_prior_upper_in_small_error_regime(self):
         for eps in (1e-6, 1e-8, 1e-10):
-            prior = dict(table1_rows(2, eps, 1.0))["upper d^2 log(K/eps)"]
+            prior = table1_rows(2, eps, 1.0)["upper d^2 log(K/eps)"]
             assert upper_bound_cost(2, eps, simplified=True) < prior
 
     def test_requires_positive_k(self):
@@ -130,7 +130,7 @@ class TestTable1:
         # 1 / eps^2 overflows below about 3e-154; eps**2 itself underflows to zero
         # below about 1e-162
         row = "upper 4 d^2 log(d) / eps^2"
-        assert dict(table1_rows(2, 1e-150))[row] == pytest.approx(1.6e301)
+        assert table1_rows(2, 1e-150)[row] == pytest.approx(1.6e301)
         for eps in (1e-155, 1e-200):
             with pytest.raises(ValueError, match=rf"{re.escape(row)} is inf at epsilon={eps}"):
                 table1_rows(2, eps)

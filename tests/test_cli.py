@@ -134,6 +134,34 @@ class TestSweepCommand:
         assert code == 1
         assert "at least 3" in err
 
+    SWEEP_CSV = ["sweep", "--d", "2", "--n-min", "8", "--n-max", "16", "--n-step", "4",
+                 "--format", "csv"]
+
+    def test_csv_builds_each_report_dict_once(self, capsys, monkeypatch):
+        calls = []
+        original = reporting.report_to_dict
+
+        def counted(report):
+            calls.append(report.n)
+            return original(report)
+
+        monkeypatch.setattr(reporting, "report_to_dict", counted)
+        code, out, _ = run_capture(capsys, self.SWEEP_CSV)
+        assert code == 0
+        assert calls == [8, 12, 16]
+        assert len(out.splitlines()) == 4
+
+    def test_csv_rows_match_protocol_rows(self, capsys):
+        code, sweep_out, _ = run_capture(capsys, self.SWEEP_CSV)
+        assert code == 0
+        header, *rows = sweep_out.splitlines()
+        for n, row in zip((8, 12, 16), rows):
+            code, out, _ = run_capture(
+                capsys, ["protocol", "--d", "2", "--n", str(n), "--format", "csv"]
+            )
+            assert code == 0
+            assert out.splitlines() == [header, row]
+
     @pytest.mark.parametrize("step", ["0", "-4"])
     def test_nonpositive_step_exits_1(self, capsys, step):
         code, _, err = run_capture(

@@ -1,6 +1,7 @@
 """Capacity parameter, viable lattice construction, and sine weights."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -133,6 +134,19 @@ class TestViableSet:
         with pytest.raises(ValueError):
             ds.rows[0, 0] = 0
         assert ds.rows[0].tolist() == [12, 8, 6]
+
+    @pytest.mark.parametrize("n,d", [(2000, 3), (400, 5)])
+    def test_builds_without_lattice_sized_copies(self, n, d):
+        # at most one extra column's worth of memory over the (M, d) result while building
+        # it; three full-size copies would read (3d - 1) / d
+        tracemalloc.start()
+        try:
+            rows = viable_set(n, d).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) > 50_000
+        assert peak <= (d + 1) / d * rows.nbytes
 
 
 class TestSineWeights:

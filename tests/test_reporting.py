@@ -141,7 +141,7 @@ class TestSerialization:
         assert payload["fidelity_qstar"] == pytest.approx(0.890165042945, abs=1e-12)
 
     def test_csv_layout(self):
-        text = reports_to_csv([protocol_report(8, 2)])
+        text = reports_to_csv([report_to_dict(protocol_report(8, 2))])
         header, row = text.strip().splitlines()
         assert header == ",".join(CSV_COLUMNS)
         cells = row.split(",")
@@ -162,7 +162,9 @@ class TestSerialization:
         assert parsed["reports"][0]["dP_exact"] == "164"
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        write_text_atomic(reports_to_csv([protocol_report(4, 2)]), str(tmp_path / "out.csv"))
+        write_text_atomic(
+            reports_to_csv([report_to_dict(protocol_report(4, 2))]), str(tmp_path / "out.csv")
+        )
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
         text = (tmp_path / "out.csv").read_text()
         assert text.startswith(",".join(CSV_COLUMNS))
