@@ -28,6 +28,9 @@ class ConvergenceError(RuntimeError):
 def _stencil_slices(d: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
     """(target, source) slice pairs on the (N,)*(d-1) box, one per move +/-e_i or
     +/-(e_i - e_j), in lexicographic order of the move, i.e. ascending flat offset.
+
+    ``entanglement_fidelity`` sums its edge differences over these moves; the matvec
+    uses the Pieri form instead.
     """
     shift = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
              0: (slice(None), slice(None))}
@@ -39,7 +42,15 @@ def _stencil_slices(d: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]]
 
 @dataclass(eq=False)
 class ScoreMatrix:
-    """Sparse symmetric score matrix, applied as a stencil on the (N,)*(d-1) lattice box."""
+    """Sparse symmetric score matrix on the (N,)*(d-1) lattice box, applied in its
+    Pieri form.
+
+    B, the Pieri map that removes one box, sends a to y[t] = a[t] + sum_j a[t + e_j],
+    and its transpose sends y to y[t] + sum_j y[t - e_j], both sums taken inside the
+    box.  B^T B has every unit and exchange move once and a[t] d - c(t) times, c(t)
+    being the number of coordinates of t that are 0, so S = B^T B + c: the matvec is
+    3(d-1) slice adds, where the stencil's moves take d(d-1).
+    """
 
     diagram_set: DiagramSet
 
@@ -49,13 +60,18 @@ class ScoreMatrix:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         d, big_n = self.diagram_set.d, self.diagram_set.N
-        x = v.reshape((big_n,) * (d - 1))
-        neighbours = np.zeros(x.shape)
-        # adding neighbours in ascending index order and the diagonal last gives, for
-        # d <= 3, the same float sums as a gather over sorted adjacency rows
-        for target, source in _stencil_slices(d):
-            neighbours[target] += x[source]
-        return (d * x + neighbours).reshape(-1)
+        a = v.reshape((big_n,) * (d - 1))
+        y = a.copy()
+        for j in range(d - 1):
+            head = (slice(None),) * j
+            y[head + (slice(None, -1),)] += a[head + (slice(1, None),)]
+        z = y.copy()
+        # z[t] += y[t - e_j] inside the box, and a[t] on the face t_j = 0 it leaves
+        for j in range(d - 1):
+            head = (slice(None),) * j
+            z[head + (slice(1, None),)] += y[head + (slice(None, -1),)]
+            z[head + (0,)] += a[head + (0,)]
+        return z.reshape(-1)
 
     def dense(self) -> np.ndarray:
         return np.column_stack([self.matvec(col) for col in np.eye(self.dimension)])
@@ -113,14 +129,53 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
-def _sine_transform(x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """Type-I sine transform of x along every axis, times -1 per axis: the imaginary part
-    of the rfft of (0, x, 0, ..., 0), length 2(N+1), built in ``buffer``, axis by axis."""
+# the largest N whose sine transforms multiply by the N x N sine matrix: timed at
+# d = 2-5, the product beats the padded rfft at every N up to 148, and from N = 159
+# on the rfft wins at d = 3 wherever 2(N+1) has only small prime factors
+_DENSE_SINE_MAX_N = 148
+
+# multiply-adds per matmul call, so at least 23 rows up to the crossover: OpenBLAS
+# (0.3.31, 2 cores) runs a call of fewer than about 2^20 on one thread, and a
+# larger one wakes a second thread, which spin-waits for about 0.1 s after it
+_MATMUL_BLOCK = 2**19
+
+
+def _sine_work(box: tuple[int, ...]) -> np.ndarray:
+    """What ``_sine_transform`` needs on ``box``: up to ``_DENSE_SINE_MAX_N``, the
+    N x N matrix -sin(pi j k / (N+1)); above it, the zero rfft buffer, 2(N+1) long
+    on the last axis."""
+    big_n = box[-1]
+    if big_n <= _DENSE_SINE_MAX_N:
+        k = np.arange(1, big_n + 1)
+        # j k reduced modulo 2(N+1) keeps the argument within one period
+        return -np.sin(np.pi * (np.outer(k, k) % (2 * big_n + 2)) / (big_n + 1))
+    return np.zeros(box[:-1] + (2 * big_n + 2,))
+
+
+def _sine_transform(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Type-I sine transform of x along every axis, times -1 per axis, with the
+    ``work`` array of ``_sine_work(x.shape)``.
+
+    Up to ``_DENSE_SINE_MAX_N`` each axis is one product with the sine matrix: the
+    first axis is contracted and its image put last, in row blocks of at most
+    ``_MATMUL_BLOCK`` multiply-adds, so that no matmul wakes a second BLAS thread.
+    Above it each axis is the imaginary part of the rfft of (0, x, 0, ..., 0),
+    length 2(N+1), built in ``work``.
+    """
     big_n = x.shape[-1]
+    if big_n <= _DENSE_SINE_MAX_N:
+        rows = _MATMUL_BLOCK // (big_n * big_n)
+        shape = x.shape
+        for _ in range(x.ndim):
+            columns = x.reshape(big_n, -1)
+            x = np.empty((columns.shape[1], big_n))
+            for start in range(0, x.shape[0], rows):
+                np.matmul(columns[:, start : start + rows].T, work, out=x[start : start + rows])
+        return x.reshape(shape)
     rotate = (x.ndim - 1, *range(x.ndim - 1))
     for _ in range(x.ndim):
-        buffer[..., 1 : big_n + 1] = x
-        x = np.fft.rfft(buffer)[..., 1 : big_n + 1].imag.transpose(rotate)
+        work[..., 1 : big_n + 1] = x
+        x = np.fft.rfft(work)[..., 1 : big_n + 1].imag.transpose(rotate)
     return x
 
 
@@ -143,10 +198,12 @@ def optimal_fidelity(
     Wu, SIAM J. Sci. Comput. 23 (2002) 2165).
 
     The preconditioner is the inverse of the square-lattice Dirichlet Laplacian T
-    on the box, a sine transform along each axis.  T's edges are a subset of those
-    of L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is bounded
-    by two square edges: the two are spectrally equivalent with constants free of
-    N, so the step count does not grow with N.  At d=2, T = L.
+    on the box, a sine transform along each axis: a product with the N x N sine
+    matrix, built once per call, up to ``_DENSE_SINE_MAX_N``, and a padded rfft
+    above it (``_sine_transform``).  T's edges are a subset of those of
+    L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is bounded by
+    two square edges: the two are spectrally equivalent with constants free of N,
+    so the step count does not grow with N.  At d=2, T = L.
 
     We stop only on the true residual ||S v - theta v|| <= ``tol * theta`` of a
     unit vector v with theta = v^T S v: an iterate whose combined image meets the
@@ -163,7 +220,7 @@ def optimal_fidelity(
     # T's eigenvalues, indexed like the sine transform
     modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
     spectrum = functools.reduce(np.add.outer, [modes] * (d - 1))
-    buffer = np.zeros(box[:-1] + (2 * big_n + 2,))
+    sine_work = _sine_work(box)
     # the trial vectors x, w, p, each beside its image S x, S w, S p, so that a step
     # updates both alike; p = 0 until the first step
     work = np.zeros((3, 2, dim))
@@ -197,7 +254,7 @@ def optimal_fidelity(
             confirmed = True
             continue
         w.reshape(box)[...] = _sine_transform(
-            _sine_transform(r.reshape(box), buffer) / spectrum, buffer
+            _sine_transform(r.reshape(box), sine_work) / spectrum, sine_work
         )
         sw[:] = apply(w)
         # vector . vector and image . vector over the trial vectors, numpy loops as in _dot

@@ -9,8 +9,10 @@ import pytest
 
 from gateprog.protocol import ProtocolError, WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import (
+    _DENSE_SINE_MAX_N,
     ConvergenceError,
     _sine_transform,
+    _sine_work,
     _stencil_slices,
     entanglement_fidelity,
     lemma3_bound,
@@ -36,6 +38,16 @@ def count_matvecs(s):
     return calls
 
 
+def stencil_matvec(s, v):
+    """S v as d v plus the neighbour sum over ``_stencil_slices``, one move at a time."""
+    d, big_n = s.diagram_set.d, s.diagram_set.N
+    x = v.reshape((big_n,) * (d - 1))
+    neighbours = np.zeros(x.shape)
+    for target, source in _stencil_slices(d):
+        neighbours[target] += x[source]
+    return (d * x + neighbours).reshape(-1)
+
+
 class TestScoreMatrix:
     def test_two_member_chain(self):
         s = score_matrix(viable_set(4, 2))
@@ -53,7 +65,7 @@ class TestScoreMatrix:
     @pytest.mark.parametrize(
         "n,d",
         [(4, 2), (9, 2), (20, 2), (60, 2), (13, 3), (26, 3), (41, 3), (60, 3),
-         (40, 4), (61, 4)],
+         (27, 4), (40, 4), (61, 4), (46, 5), (80, 5), (70, 6)],
     )
     def test_lattice_equals_distance_construction(self, n, d):
         ds = viable_set(n, d)
@@ -76,13 +88,24 @@ class TestScoreMatrix:
     def test_stencil_at_twenty_one_rows(self):
         assert len(_stencil_slices(21)) == 21 * 20
 
-    @pytest.mark.parametrize("n,d", [(60, 2), (26, 3), (61, 4)])
+    # N = 2 boxes, where every node lies on a face, at n = 4, 13, 27, 46, 70 and 1030
+    @pytest.mark.parametrize(
+        "n,d",
+        [(4, 2), (60, 2), (13, 3), (26, 3), (27, 4), (61, 4), (46, 5), (80, 5), (70, 6),
+         (300, 6), (1030, 21)],
+    )
     def test_matvec_matches_dense(self, n, d):
+        # the Pieri form against the stencil's neighbour sum, within a few ulps of the
+        # sum of absolute terms |S| |v|, and against the dense matrix where it fits
         ds = viable_set(n, d)
         s = score_matrix(ds)
         rng = np.random.default_rng(1)
         v = rng.standard_normal(len(ds))
-        assert np.allclose(s.matvec(v), s.dense() @ v, atol=1e-13)
+        pieri = s.matvec(v)
+        ulps = 4 * np.finfo(float).eps * stencil_matvec(s, np.abs(v))
+        assert np.all(np.abs(pieri - stencil_matvec(s, v)) <= ulps)
+        if len(ds) <= 1000:
+            assert np.allclose(pieri, s.dense() @ v, atol=1e-13)
 
 
 class TestEntanglementFidelity:
@@ -229,10 +252,11 @@ class TestOptimalFidelity:
             with pytest.raises(ConvergenceError, match=rf"{m - 1}-matvec cap with residual \d"):
                 optimal_fidelity(s, max_iterations=m - 1)
 
-    @pytest.mark.parametrize("n,d", [(300, 3), (2000, 3), (600, 4)])
+    @pytest.mark.parametrize("n,d", [(300, 3), (1035, 3), (1042, 3), (2000, 3), (600, 4)])
     def test_matvec_count_does_not_grow_with_n(self, n, d):
         # the sine-transform preconditioner is spectrally equivalent to d^2 I - S with
-        # constants free of N, so the solver needs about 20 matvecs at every size
+        # constants free of N, so the solver needs about 20 matvecs at every size; at
+        # d=3, n=1035 (N=148) and n=1042 (N=149) lie either side of the dense crossover
         s = score_matrix(viable_set(n, d))
         calls = count_matvecs(s)
         optimal_fidelity(s)
@@ -240,7 +264,12 @@ class TestOptimalFidelity:
 
 
 class TestSineTransform:
-    @pytest.mark.parametrize("big_n,axes", [(1, 1), (5, 1), (6, 2), (4, 3)])
+    # up to the crossover by the sine matrix, above it by the padded rfft
+    @pytest.mark.parametrize(
+        "big_n,axes",
+        [(1, 1), (5, 1), (6, 2), (4, 3)]
+        + [(n, axes) for n in (_DENSE_SINE_MAX_N, _DENSE_SINE_MAX_N + 1) for axes in (1, 2, 3)],
+    )
     def test_matches_dense_sine_matrix(self, big_n, axes):
         k = np.arange(1, big_n + 1)
         sines = np.sin(np.pi * np.outer(k, k) / (big_n + 1))
@@ -248,8 +277,9 @@ class TestSineTransform:
         expected = x
         for axis in range(axes):
             expected = -np.moveaxis(np.tensordot(sines, expected, axes=(1, axis)), 0, axis)
-        buffer = np.zeros((big_n,) * (axes - 1) + (2 * big_n + 2,))
-        assert np.allclose(_sine_transform(x, buffer), expected, rtol=0, atol=1e-12)
+        # each axis sums N terms, so rounding stays within N ulps of the largest entry per axis
+        bound = 4 * np.finfo(float).eps * axes * big_n * np.abs(expected).max()
+        assert np.abs(_sine_transform(x, _sine_work(x.shape)) - expected).max() <= bound
 
 
 @pytest.fixture(scope="module", params=[(1200, 3), (600, 4)], ids=["1200-3", "600-4"])
