@@ -44,7 +44,7 @@ from .scoring import (
     entanglement_fidelity,
     lemma3_bound,
     optimal_fidelity,
-    qstar_score_closed_form,
+    qstar_error_closed_form,
     score_matrix,
 )
 from .young import (
@@ -87,7 +87,7 @@ __all__ = [
     "optimize_delta",
     "phase_report",
     "protocol_report",
-    "qstar_score_closed_form",
+    "qstar_error_closed_form",
     "score_matrix",
     "sine_amplitudes",
     "sine_weights",

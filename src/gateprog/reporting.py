@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import bounds as bounds_mod
-from .protocol import sine_weights, viable_set
-from .scoring import entanglement_fidelity, lemma3_bound, optimal_fidelity, score_matrix
+from .protocol import viable_set
+from .scoring import lemma3_bound, optimal_fidelity, qstar_error_closed_form, score_matrix
 from .young import irrep_dimension
 
 
@@ -57,10 +57,9 @@ def protocol_report(n: int, d: int) -> ProtocolReport:
     the achieved error.
     """
     diagram_set = viable_set(n, d)
-    weights = sine_weights(diagram_set)
-    matrix = score_matrix(diagram_set)
-    qstar = entanglement_fidelity(weights, matrix)
-    optimal = optimal_fidelity(matrix)
+    epsilon_qstar = qstar_error_closed_form(d, diagram_set.N)
+    fidelity_qstar = 1.0 - epsilon_qstar
+    optimal = optimal_fidelity(score_matrix(diagram_set))
 
     dims = irrep_dimension(diagram_set.rows)
     dim_exact = (dims * dims).sum()
@@ -72,12 +71,12 @@ def protocol_report(n: int, d: int) -> ProtocolReport:
     bound_l3 = lemma3_bound(d, n)
     c_max_n = (2.0 * n + (d - 2) * (d - 1)) / ((3 * d - 2) * (d - 1))
     bound_l4_log2 = nu * math.log2(2.0 * (d - 1) * c_max_n + 3.0)
-    corollary = bounds_mod.upper_bound_cost(d, qstar.error)
+    corollary = bounds_mod.upper_bound_cost(d, epsilon_qstar)
 
     flags = {
-        "eq5": qstar.error <= bound_eq5,
+        "eq5": epsilon_qstar <= bound_eq5,
         "eq6": dim_log2 <= bound_eq6_log2,
-        "lemma3": qstar.fidelity >= bound_l3,
+        "lemma3": fidelity_qstar >= bound_l3,
         "lemma4": dim_log2 <= bound_l4_log2,
         "corollary": dim_log2 <= corollary,
     }
@@ -88,9 +87,9 @@ def protocol_report(n: int, d: int) -> ProtocolReport:
         N=diagram_set.N,
         n0=diagram_set.n0,
         set_size=len(diagram_set),
-        fidelity_qstar=qstar.fidelity,
+        fidelity_qstar=fidelity_qstar,
         fidelity_optimal=optimal.fidelity,
-        epsilon_qstar=qstar.error,
+        epsilon_qstar=epsilon_qstar,
         epsilon_optimal=optimal.error,
         dP_exact=dim_exact,
         dP_exact_log2=dim_log2,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import DiagramSet, WeightVector, _check_uses, sine_amplitudes
+from .protocol import DiagramSet, WeightVector, _check_uses, epsilon_g, sine_weights
 from .young import young_distance
 
 
@@ -226,8 +226,7 @@ def optimal_fidelity(
     work = np.zeros((3, 2, dim))
     x_pair, w_pair, p_pair = work
     (x, sx), (w, sw), _ = work
-    # the sine amplitudes' outer product, not ``sine_weights``, whose check costs an fsum
-    x[:] = functools.reduce(np.multiply.outer, [sine_amplitudes(big_n)] * (d - 1)).reshape(-1)
+    x[:] = sine_weights(s.diagram_set).amplitudes
     x /= math.sqrt(_dot(x, x))
     matvecs = 0
 
@@ -293,16 +292,14 @@ def _principal_result(s: ScoreMatrix, v: np.ndarray) -> FidelityResult:
     return entanglement_fidelity(WeightVector(diagram_set=s.diagram_set, amplitudes=v), s)
 
 
-def qstar_score_closed_form(d: int, eps_g: float) -> float:
-    """Closed form of the sine-weight quadratic form:
-    d + (d-1)(d-2)(1-eps_g)^2 + 2(d-1)(1-eps_g).
-    """
+def qstar_error_closed_form(d: int, big_n: int) -> float:
+    """Error of the sine weights, (d-1)((d-2) e(2-e) + 2e) / d^2 with e = epsilon_g(N):
+    d^2 minus their score d + (d-1)(d-2)(1-e)^2 + 2(d-1)(1-e), taken term by term
+    without cancellation.  ``entanglement_fidelity`` sums it over the lattice."""
     if d < 2:
         raise ValueError(f"gate dimension must be at least 2, got {d}")
-    if not 0.0 <= eps_g <= 1.0:
-        raise ValueError(f"coherence deficit must lie in [0, 1], got {eps_g}")
-    c = 1.0 - eps_g
-    return d + (d - 1) * (d - 2) * c * c + 2 * (d - 1) * c
+    e = epsilon_g(big_n)
+    return (d - 1) * ((d - 2) * e * (2.0 - e) + 2.0 * e) / (d * d)
 
 
 def lemma3_bound(d: int, n: int) -> float:

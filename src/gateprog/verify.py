@@ -25,12 +25,12 @@ from .oracle import (
     validate_sampling,
 )
 from .phase import classical_phase_error, diamond_distance_search, phase_report
-from .protocol import epsilon_g, sine_amplitudes, sine_weights, viable_set
+from .protocol import sine_amplitudes, sine_weights, viable_set
 from .reporting import ProtocolReport, protocol_report
 from .scoring import (
     entanglement_fidelity,
     optimal_fidelity,
-    qstar_score_closed_form,
+    qstar_error_closed_form,
     score_matrix,
 )
 from .young import dm_lower_bound, enumerate_diagrams, sum_squared_dimensions
@@ -98,15 +98,14 @@ def check_oracle_equivalence() -> CheckResult:
 
 
 def check_closed_form_consistency() -> CheckResult:
-    """Matrix quadratic form vs its closed form, all valid n per dimension."""
+    """Sine-weight error summed over the lattice vs the closed form the report reads,
+    all valid n per dimension; the difference is shown times d^2, on the score scale."""
     worst = 0.0
     for d, n_values in ((2, range(4, 513)), (3, range(13, 61))):
         for n in n_values:
             ds = viable_set(n, d)
-            amps = sine_weights(ds).amplitudes
-            quad = float(amps @ score_matrix(ds).matvec(amps))
-            closed = qstar_score_closed_form(d, epsilon_g(ds.N))
-            worst = max(worst, abs(quad - closed))
+            lattice = entanglement_fidelity(sine_weights(ds), score_matrix(ds)).error
+            worst = max(worst, d * d * abs(lattice - qstar_error_closed_form(d, ds.N)))
     passed = worst <= 1e-12
     return CheckResult(
         "closed_form_consistency", passed,

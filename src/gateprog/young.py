@@ -42,16 +42,26 @@ def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     or a stack of shape (..., d) in one array pass.
 
     The product over row pairs of (rows[i] - rows[j] + j - i), divided by
-    1! 2! ... (d-1)!.  Each factor is at most the box count plus d, so the factors
-    are formed in int64; their product is taken in Python integers (object
-    dtype), exact at any size, and the division is checked to be exact.  Returns
-    an ``int`` for one diagram and an object array of ``int`` for a stack.
+    1! 2! ... (d-1)!.  No factor exceeds the widest row spread plus d - 1 in
+    absolute value, so the factors are formed one row pair at a time in int64 and
+    multiplied into a running int64 group of as many factors as that bound keeps
+    below 2^63.  Each full group is multiplied into the product in Python integers
+    (object dtype), exact at any size, and the division is checked to be exact.
+    Returns an ``int`` for one diagram and an object array of ``int`` for a stack.
     """
     rows = np.asarray(rows, dtype=np.int64)
     d = rows.shape[-1]
-    i, j = np.triu_indices(d, 1)
-    factors = (rows[..., i] - rows[..., j] + (j - i)).astype(object)
-    num = np.prod(factors, axis=-1)
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    largest = int(np.max(rows.max(axis=-1) - rows.min(axis=-1), initial=0)) + d - 1
+    group = 1
+    while group < len(pairs) and largest ** (group + 1) < 2**63:
+        group += 1
+    num = np.ones(rows.shape[:-1], dtype=object)
+    for start in range(0, len(pairs), group):
+        run = np.ones(rows.shape[:-1], dtype=np.int64)
+        for i, j in pairs[start : start + group]:
+            run *= rows[..., i] - rows[..., j] + (j - i)
+        num *= run.astype(object)
     den = prod(factorial(k) for k in range(1, d))
     dim, rem = num // den, num % den
     if np.any(rem):

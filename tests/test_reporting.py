@@ -18,8 +18,8 @@ from gateprog.reporting import (
     write_text_atomic,
 )
 from gateprog.young import irrep_dimension
-from gateprog.protocol import WeightVector, epsilon_g, viable_set
-from gateprog.scoring import qstar_score_closed_form
+from gateprog.protocol import WeightVector, sine_weights, viable_set
+from gateprog.scoring import entanglement_fidelity, score_matrix
 
 
 def python_int_dimension(rows):
@@ -84,8 +84,10 @@ class TestProtocolReport:
         # N = 2: 2^(d-1) members on a box whose every node lies on the boundary
         r = protocol_report(n, d)
         assert r.N == 2 and r.set_size == 2 ** (d - 1)
-        expected = 1.0 - qstar_score_closed_form(d, epsilon_g(2)) / d**2
-        assert r.epsilon_qstar == pytest.approx(expected, rel=1e-12, abs=0.0)
+        ds = viable_set(n, d)
+        lattice = entanglement_fidelity(sine_weights(ds), score_matrix(ds))
+        assert r.epsilon_qstar == pytest.approx(lattice.error, rel=1e-12, abs=0.0)
+        assert r.fidelity_qstar == pytest.approx(lattice.fidelity, rel=1e-12, abs=0.0)
         assert r.epsilon_optimal <= r.epsilon_qstar
         assert all(r.pass_flags.values())
 
@@ -95,8 +97,9 @@ class TestProtocolReport:
 
     @pytest.mark.parametrize("n, d", [(64, 2), (60, 3), (61, 4)])
     def test_two_validated_weight_vectors(self, monkeypatch, n, d):
-        # each check sums 2^20 squares at the member budget: the sine weights and the
-        # principal weights are validated, the solver's start is not
+        # each check sums 2^20 squares at the member budget: the sine weights, which
+        # start the solver, and the principal weights are validated; the report's
+        # sine-weight error comes from the closed form and builds none
         built = []
         check = WeightVector.__post_init__
         monkeypatch.setattr(WeightVector, "__post_init__", lambda q: built.append(check(q)))

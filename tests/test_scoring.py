@@ -17,7 +17,7 @@ from gateprog.scoring import (
     entanglement_fidelity,
     lemma3_bound,
     optimal_fidelity,
-    qstar_score_closed_form,
+    qstar_error_closed_form,
     score_matrix,
     score_matrix_by_distance,
 )
@@ -311,17 +311,36 @@ class TestFrontier:
 
 class TestClosedForm:
     def test_values(self):
-        assert qstar_score_closed_form(2, 0.5) == pytest.approx(3.0)
-        assert qstar_score_closed_form(2, 0.0) == pytest.approx(4.0)
-        assert qstar_score_closed_form(3, 0.0) == pytest.approx(9.0)
+        # epsilon_g(2) = 1/2 and epsilon_g(3) = 1/3
+        assert qstar_error_closed_form(2, 2) == pytest.approx(0.25, rel=1e-15)
+        assert qstar_error_closed_form(3, 2) == pytest.approx(3.5 / 9, rel=1e-15)
+        assert qstar_error_closed_form(2, 3) == pytest.approx(1 / 6, rel=1e-15)
+        assert qstar_error_closed_form(3, 3) == pytest.approx((10 / 9 + 4 / 3) / 9, rel=1e-15)
+
+    def test_refuses_invalid_arguments(self):
+        with pytest.raises(ValueError, match="gate dimension must be at least 2"):
+            qstar_error_closed_form(1, 4)
+        with pytest.raises(ProtocolError, match="coherence deficit undefined for N=1"):
+            qstar_error_closed_form(2, 1)
 
     @pytest.mark.parametrize("d,ns", [(2, range(4, 65)), (3, range(13, 41))])
     def test_matches_quadratic_form(self, d, ns):
+        # the Pieri matvec's score, on the score scale d^2 (1 - epsilon)
         for n in ns:
             ds = viable_set(n, d)
             amp = sine_weights(ds).amplitudes
             quad = float(amp @ score_matrix(ds).matvec(amp))
-            assert abs(quad - qstar_score_closed_form(d, epsilon_g(ds.N))) <= 1e-12
+            assert abs(quad - d * d * (1.0 - qstar_error_closed_form(d, ds.N))) <= 1e-12
+
+    @pytest.mark.parametrize("d, n", [(2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300),
+                                      (14, 442), (16, 661)])
+    def test_matches_lattice_sum(self, d, n):
+        # the error as the report read it before the closed form: both sides keep their
+        # digits, and the lattice sum's rounding grows with its depth, log2 |set|
+        ds = viable_set(n, d)
+        lattice = entanglement_fidelity(sine_weights(ds), score_matrix(ds)).error
+        closed = qstar_error_closed_form(d, ds.N)
+        assert abs(lattice - closed) <= (math.log2(len(ds)) + 4) * np.finfo(float).eps * closed
 
 
 class TestLemma3Bound:

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from gateprog.protocol import viable_set
 from gateprog.young import (
     dm_lower_bound,
     enumerate_diagrams,
@@ -14,6 +15,8 @@ from gateprog.young import (
     sum_squared_dimensions,
     young_distance,
 )
+
+from test_reporting import python_int_dimension
 
 
 def brute_force_partitions(m, d):
@@ -95,6 +98,26 @@ class TestIrrepDimension:
         twice = irrep_dimension(np.stack([np.array(rows), np.array(rows[::-1])]))
         assert twice.shape == (2, len(rows))
         assert twice.tolist() == [expected, expected[::-1]]
+
+    @pytest.mark.parametrize("rows", [
+        # the widest spread plus d - 1 is 2^40 + 3, whose square passes 2^63: each
+        # int64 group holds one factor
+        [(2**40, 2**39 + 7, 2**31, 0), (3 * 2**35, 2**33, 5, 1), (9, 5, 2, 0)],
+        # factors 2^21, 2^21 + 1 and 2^21 + 2, whose product passes 2^63: a group holds two
+        [(2**21 - 1, 0, 0, 0), (2**21 - 1, 2**20, 7, 0)],
+    ])
+    def test_factors_past_int32(self, rows):
+        expected = [python_int_dimension(r) for r in rows]
+        assert irrep_dimension(rows).tolist() == expected
+        assert [irrep_dimension(r) for r in rows] == expected
+
+    def test_slice_at_d21(self):
+        # 210 factors a diagram, several int64 groups each; one diagram is still an int
+        rows = viable_set(1030, 21).rows[::1021]
+        assert irrep_dimension(rows).tolist() == [python_int_dimension(r) for r in rows.tolist()]
+        for row in (rows[0], rows[-1]):
+            dim = irrep_dimension(row)
+            assert type(dim) is int and dim == python_int_dimension(row.tolist())
 
 
 class TestYoungDistance:
