@@ -24,11 +24,15 @@ def _finite(quantity: str, value: float, epsilon: float) -> float:
 
 
 def _float_range(fn):
-    """Report a d too large to convert to float as a ValueError naming d."""
+    """Check d >= 2, then 0 < eps < 1, before calling ``fn``; report a d too
+    large to convert to float as a ValueError naming d."""
     @functools.wraps(fn)
-    def checked(d: int, *args, **kwargs):
+    def checked(d: int, epsilon: float, *args, **kwargs):
+        if d < 2:
+            raise ValueError(f"gate dimension must be at least 2, got {d}")
+        _check_epsilon(epsilon)
         try:
-            return fn(d, *args, **kwargs)
+            return fn(d, epsilon, *args, **kwargs)
         except OverflowError:
             quantity = fn.__name__.replace("_", " ")
             raise ValueError(f"d={d} is out of float range for the {quantity}") from None
@@ -41,9 +45,6 @@ def lower_bound_cost(d: int, epsilon: float, delta: float) -> float:
 
     (1 - delta - 4 sqrt(2 eps)) (d^2 - 1) log2(delta / (4 sqrt(2 eps) (d^2 - 1))) - 1
     """
-    if d < 2:
-        raise ValueError(f"gate dimension must be at least 2, got {d}")
-    _check_epsilon(epsilon)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"slack parameter must lie in (0, 1), got {delta}")
     u = 4.0 * math.sqrt(2.0 * epsilon)
@@ -58,9 +59,6 @@ def lower_bound_dimension(d: int, epsilon: float, delta: float) -> float:
     Algebraically identical to :func:`lower_bound_cost`; implemented separately
     so the identity can be checked numerically.
     """
-    if d < 2:
-        raise ValueError(f"gate dimension must be at least 2, got {d}")
-    _check_epsilon(epsilon)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"slack parameter must lie in (0, 1), got {delta}")
     u = 4.0 * math.sqrt(2.0 * epsilon)
@@ -72,18 +70,36 @@ def lower_bound_dimension(d: int, epsilon: float, delta: float) -> float:
 @_float_range
 def feasible_delta_interval(d: int, epsilon: float) -> tuple[float, float]:
     """Open interval of delta values with a positive exponent and log argument > 1."""
-    _check_epsilon(epsilon)
     u = 4.0 * math.sqrt(2.0 * epsilon)
     lo = u * (d * d - 1) * (1.0 + 1e-9)
     hi = 1.0 - u
     return lo, hi
 
 
-def optimize_delta(d: int, epsilon: float) -> tuple[float, float]:
-    """Golden-section maximization of the lower bound over the feasible delta.
+def _lambert_w(log_a: float) -> float:
+    """Principal Lambert W(A) for A >= e, from ln A.
 
-    Returns (delta_star, bits).  Raises when no delta gives a non-vacuous
-    bound, which happens once epsilon reaches 1 / (32 d^4) scale.
+    Newton's method on w + ln w = ln A (Corless et al., Adv. Comput. Math. 5
+    (1996) 329), started at ln A - ln ln A, which is a lower bound on W(A) for
+    A >= e.  The left side is concave in w, so the iterates rise monotonically
+    to the root; the first step that does not rise ends the iteration.
+    """
+    w = log_a - math.log(log_a)
+    while (step := w - (w + math.log(w) - log_a) * w / (1.0 + w)) > w:
+        w = step
+    return w
+
+
+def optimize_delta(d: int, epsilon: float) -> tuple[float, float]:
+    """The slack that maximizes the lower bound, in closed form.
+
+    With u = 4 sqrt(2 eps) and nu = d^2 - 1 the bound is concave in delta, and
+    its stationary point solves delta ln(e delta / (u nu)) = 1 - u, so
+    delta* = (1 - u) / W(A) with A = e (1 - u) / (u nu).  Returns
+    (delta*, bits).  Raises when the feasible interval is empty: from
+    epsilon = 1 / (32 d^4) on, where u d^2 reaches 1 (less the interval's
+    relative margin of 1e-9).  Just below that threshold the optimum is still
+    negative, about -1, and :func:`bound_report` flags it vacuous.
     """
     lo, hi = feasible_delta_interval(d, epsilon)
     if lo >= hi:
@@ -91,23 +107,8 @@ def optimize_delta(d: int, epsilon: float) -> tuple[float, float]:
             f"bound vacuous for all delta: feasible interval ({lo:.6g}, {hi:.6g}) "
             f"is empty at epsilon={epsilon:.6g}, d={d}"
         )
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    e = a + inv_phi * (b - a)
-    fc = lower_bound_cost(d, epsilon, c)
-    fe = lower_bound_cost(d, epsilon, e)
-    while b - a > 1e-9:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - inv_phi * (b - a)
-            fc = lower_bound_cost(d, epsilon, c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + inv_phi * (b - a)
-            fe = lower_bound_cost(d, epsilon, e)
-    delta_star = (a + b) / 2.0
+    u = 4.0 * math.sqrt(2.0 * epsilon)
+    delta_star = (1.0 - u) / _lambert_w(1.0 + math.log1p(-u) - math.log(u * (d * d - 1)))
     return delta_star, lower_bound_cost(d, epsilon, delta_star)
 
 
@@ -120,9 +121,6 @@ def upper_bound_cost(d: int, epsilon: float, *, simplified: bool = False) -> flo
     Raises ValueError where the argument leaves float range (eps below about
     2e-306 at d = 2).
     """
-    if d < 2:
-        raise ValueError(f"gate dimension must be at least 2, got {d}")
-    _check_epsilon(epsilon)
     nu = d * d - 1
     if simplified:
         arg = 162.0 * math.pi**2 * d * d / epsilon
@@ -139,9 +137,6 @@ def table1_rows(d: int, epsilon: float, big_k: float = 1.0) -> dict[str, float]:
     caller-supplied and defaults to 1.  A row that leaves float range raises
     ValueError naming it; 1/eps^2 does so for eps below about 3e-154 at d = 2.
     """
-    if d < 2:
-        raise ValueError(f"gate dimension must be at least 2, got {d}")
-    _check_epsilon(epsilon)
     if not 0.0 < big_k < math.inf:
         raise ValueError(f"constant K must be positive and finite, got {big_k}")
     rows = {
@@ -191,9 +186,9 @@ def bound_report(
 ) -> BoundReport:
     """Assemble lower/upper bounds plus the prior-work rows for one point.
 
-    With ``delta`` absent, the slack is optimized by golden-section search;
-    if even that is infeasible the lower bound is reported at a midpoint-free
-    sentinel of -inf and flagged vacuous.
+    With ``delta`` absent, the slack is the closed-form optimum of
+    :func:`optimize_delta`; where no slack is feasible, the lower bound is
+    reported as -inf at delta = nan and flagged vacuous.
     """
     optimized = delta is None
     if delta is None:

@@ -305,7 +305,9 @@ def _quaternions(
 
 
 class ChoiFit(NamedTuple):
-    """Least-squares fit of the Monte-Carlo Choi state to the covariant form."""
+    """Least-squares fit of the Monte-Carlo Choi state to the covariant form:
+    a is the quaternion Gram's vector share, and the residual its Frobenius
+    distance from diag(1 - a, a/3, a/3, a/3)."""
 
     a: float
     residual: float
@@ -330,7 +332,7 @@ def choi_monte_carlo_su2(
     axis drawn uniformly from Marsaglia's disc points.  Each quaternion
     r = (cos(phi), sin(phi) * axis) enters the 4x4 Choi matrix with unit
     weight and unit trace; the mean is fitted to the one-parameter covariant form
-    (1 - a) * Phi+ + a * (I - Phi+) / 3.  Returns the fitted a and the
+    (1 - a) * Phi+ + a * (I - Phi+) / 3.  Returns the least-squares a and the
     Frobenius residual of the fit.
 
     Drawing the eigenphase from grid nodes is exact, not an approximation:
@@ -342,8 +344,12 @@ def choi_monte_carlo_su2(
     draws its node counts from one multinomial and repeats every node's angle
     that many times, and its few small buffers are reused by the next, so the
     memory does not grow with ``samples``.  The Choi vector of a sample is
-    M r for a fixed complex 4x4 M, so the samples only enter the real 4x4
-    Gram G = sum r r^T, and the Choi matrix is M G M^dagger / samples.
+    vec(U) / sqrt(2) = V r for the SU(2) matrix U of r, where the fixed 4x4
+    V is unitary and sends e_0 to Phi+.  So in quaternion coordinates the
+    Choi matrix is G / samples, for the real Gram G = sum r r^T, and the
+    covariant form is diag(1 - a, a/3, a/3, a/3).  For a unit-trace Gram the
+    least-squares a is the vector share (G_11 + G_22 + G_33) / samples, the
+    mean of sin^2(phi), formed without cancellation.
 
     One call consumes one deterministic stream keyed by ``seed``; parallel
     callers must use distinct seeds.
@@ -363,19 +369,7 @@ def choi_monte_carlo_su2(
     )
     gram = sum(quat @ quat.T for quat in chunks)
 
-    # m r = vec(U) for the SU(2) matrix U of r = (w, x, y, z); the Choi vector
-    # is vec(U) / sqrt(2), hence the factor 2 below
-    m = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]])
-    choi = m @ (gram / (2.0 * samples)) @ m.conj().T
-
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
-    proj = np.outer(phi, phi.conj())
-    rho_perp = (np.eye(4) - proj) / 3.0
-    direction = rho_perp - proj
-    a_fit = float(
-        np.real(np.vdot(direction, choi - proj)) / np.real(np.vdot(direction, direction))
-    )
-    model = (1.0 - a_fit) * proj + a_fit * rho_perp
-    residual = float(np.linalg.norm(choi - model))
+    a_fit = float(gram[1, 1] + gram[2, 2] + gram[3, 3]) / samples
+    model = np.diag([1.0 - a_fit, a_fit / 3.0, a_fit / 3.0, a_fit / 3.0])
+    residual = float(np.linalg.norm(gram / samples - model))
     return ChoiFit(a=a_fit, residual=residual)

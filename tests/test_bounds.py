@@ -79,11 +79,70 @@ class TestOptimizeDelta:
         values = [optimize_delta(2, e)[1] for e in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6)]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_no_grid_point_beats_the_closed_form(self, d):
+        for eps in (1e-3, 1e-12, 1e-100, 1e-300):
+            lo, hi = feasible_delta_interval(d, eps)
+            if lo >= hi:
+                continue
+            delta_star, bits = optimize_delta(d, eps)
+            assert bits == lower_bound_cost(d, eps, delta_star)
+            grid = np.linspace(lo, hi, 10**4 + 2)[1:-1]
+            assert bits >= max(lower_bound_cost(d, eps, float(x)) for x in grid)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 10, 21])
+    def test_matches_lambert_w(self, d):
+        # delta* = (1 - u) / W(A), A = e (1 - u) / (u nu), against scipy's W
+        special = pytest.importorskip("scipy.special")
+        for eps in (0.9 / (32.0 * d**4), 1e-9, 1e-12, 1e-50, 1e-100, 1e-300):
+            u = 4.0 * math.sqrt(2.0 * eps)
+            big_a = math.e * (1.0 - u) / (u * (d * d - 1))
+            expected = (1.0 - u) / special.lambertw(big_a).real
+            assert abs(optimize_delta(d, eps)[0] - expected) <= 4 * math.ulp(expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_empty_interval_threshold(self, d):
+        # the interval empties where 4 sqrt(2 eps) d^2 reaches 1; just below,
+        # the optimum exists but is still a vacuous -1 + o(1)
+        threshold = 1.0 / (32.0 * d**4)
+        lo, hi = feasible_delta_interval(d, (1.0 - 1e-3) * threshold)
+        delta_star, bits = optimize_delta(d, (1.0 - 1e-3) * threshold)
+        assert lo < delta_star < hi
+        assert -1.0 < bits < -0.999
+        with pytest.raises(ValueError, match="vacuous for all delta"):
+            optimize_delta(d, (1.0 + 1e-3) * threshold)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_empty_interval_raises(self, d):
         eps = 1.0 / (32.0 * (d * d - 1) ** 2)
         with pytest.raises(ValueError, match="vacuous for all delta"):
             optimize_delta(d, eps)
+
+
+_D_MESSAGE = "gate dimension must be at least 2, got 1"
+
+
+class TestInputChecks:
+    # d is checked first, then epsilon, then the function's own argument
+    @pytest.mark.parametrize(
+        "bound, extra",
+        [
+            (lower_bound_cost, (1.5,)),
+            (lower_bound_dimension, (1.5,)),
+            (feasible_delta_interval, ()),
+            (upper_bound_cost, ()),
+            (table1_rows, (0.0,)),
+        ],
+    )
+    @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
+    def test_d_then_epsilon(self, bound, extra, eps):
+        with pytest.raises(ValueError, match=f"^{_D_MESSAGE}$"):
+            bound(1, eps, *extra)
+        with pytest.raises(ValueError, match=f"^{_D_MESSAGE}$"):
+            bound(1, 0.1, *extra)
+        message = re.escape(f"error parameter must lie in (0, 1), got {eps}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bound(2, eps, *extra)
 
 
 class TestUpperBound:

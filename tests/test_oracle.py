@@ -272,6 +272,33 @@ class TestChoiMonteCarlo:
     def test_recovers_fidelity_at_verify_points(self, n, seed):
         self.assert_recovers_fidelity(n, seed)
 
+    @pytest.mark.parametrize("n", [4, 8, 512])
+    def test_vector_share_is_the_complex_projection_fit(self, n):
+        # the fit by projection onto the covariant form in the Bell basis, run
+        # on the same quaternion stream, is the reference for the closed form
+        samples, seed = 2 * 10**5, 7
+        ds = viable_set(n, 2)
+        q = sine_weights(ds)
+        cos_phi, sin_phi, density = su2_outcome_density(n)
+        chunks = _quaternions(cos_phi, sin_phi, density, samples, np.random.default_rng(seed))
+        gram = sum(quat @ quat.T for quat in chunks)
+        # m r = vec(U) for the SU(2) matrix U of r = (w, x, y, z)
+        m = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]])
+        choi = m @ (gram / (2.0 * samples)) @ m.conj().T
+        phi = np.zeros(4, dtype=complex)
+        phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
+        proj = np.outer(phi, phi.conj())
+        rho_perp = (np.eye(4) - proj) / 3.0
+        direction = rho_perp - proj
+        a = float(
+            np.real(np.vdot(direction, choi - proj)) / np.real(np.vdot(direction, direction))
+        )
+        residual = float(np.linalg.norm(choi - ((1.0 - a) * proj + a * rho_perp)))
+
+        fit = choi_monte_carlo_su2(n, q, samples, seed=seed)
+        assert abs(fit.a - a) <= 1e-14
+        assert abs(fit.residual - residual) <= 1e-12 * residual
+
     def test_concentrated_weights_give_inverse_dimension(self):
         ds = viable_set(4, 2)
         q = WeightVector(diagram_set=ds, amplitudes=(1.0, 0.0))
