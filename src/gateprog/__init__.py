@@ -37,7 +37,13 @@ from .protocol import (
     sine_weights,
     viable_set,
 )
-from .reporting import ProtocolReport, SweepResult, protocol_report, sweep
+from .reporting import (
+    ProtocolReport,
+    SweepResult,
+    protocol_report,
+    protocol_reports,
+    sweep,
+)
 from .scoring import (
     FidelityResult,
     ScoreMatrix,
@@ -87,6 +93,7 @@ __all__ = [
     "optimize_delta",
     "phase_report",
     "protocol_report",
+    "protocol_reports",
     "qstar_error_closed_form",
     "score_matrix",
     "sine_amplitudes",

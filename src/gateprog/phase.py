@@ -62,12 +62,17 @@ _ME_ANGLES = np.array([math.pi / 4, math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0])
 
 
 def _difference_output_trace_norm(kappa: float, psi: np.ndarray) -> np.ndarray:
-    """||((E - I) (x) I)(psi psi*)||_1 for each row psi, E dephasing with factor kappa."""
-    block = (kappa - 1.0) * psi[:, :2, None] * psi[:, None, 2:].conj()
-    x = np.zeros((len(psi), 4, 4), dtype=complex)
-    x[:, :2, 2:] = block
-    x[:, 2:, :2] = block.conj().transpose(0, 2, 1)
-    return np.abs(np.linalg.eigvalsh(x)).sum(axis=1)
+    """||((E - I) (x) I)(psi psi*)||_1 for each row psi, E dephasing with factor kappa.
+
+    The difference is the Hermitian dilation of the 2x2 block B, whose eigenvalues
+    are +/- the singular values of B, so its trace norm is 2 (s1 + s2).  For any
+    2x2 B, (s1 + s2)^2 = ||B||_F^2 + 2 |det B|; neither rank one nor 1 - kappa is
+    assumed.
+    """
+    b = (kappa - 1.0) * psi[:, :2, None] * psi[:, None, 2:].conj()
+    frobenius = np.sum(b.real**2 + b.imag**2, axis=(1, 2))
+    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    return 2.0 * np.sqrt(frobenius + 2.0 * np.abs(det))
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,11 @@ def diamond_distance_search(
     This is the independent oracle for the closed form 1 - kappa; it never uses
     that form.  Hill climbing in the fixed six-angle chart runs from the
     maximally entangled input plus ``starts`` seeded random points, all in
-    lockstep: every step evaluates the candidates of all live starts as one
-    batched 4x4 eigenproblem.  Each start draws its step noise up front from its
-    own generator, widens its step by 1.2 (at most 1) on an improvement and
-    shrinks it by 0.9 otherwise, and stops once the step falls below 1e-9.
+    lockstep: every step evaluates the candidates of all live starts at once,
+    each through the closed 2x2 singular-value sum of its output block.  Each
+    start draws its step noise up front from its own generator, widens its step
+    by 1.2 (at most 1) on an improvement and shrinks it by 0.9 otherwise, and
+    stops once the step falls below 1e-9.
     Every run is deterministic.
     """
     rngs = [np.random.default_rng(10_000)]

@@ -18,8 +18,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import bounds as bounds_mod
-from .protocol import viable_set
-from .scoring import lemma3_bound, optimal_fidelity, qstar_error_closed_form, score_matrix
+from .protocol import capacity_parameter, viable_set
+from .scoring import (
+    FidelityResult,
+    lemma3_bound,
+    optimal_fidelity,
+    qstar_error_closed_form,
+    score_matrix,
+)
 from .young import irrep_dimension
 
 
@@ -47,7 +53,7 @@ class ProtocolReport:
     pass_flags: dict[str, bool]
 
 
-def protocol_report(n: int, d: int) -> ProtocolReport:
+def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> ProtocolReport:
     """Run the full pipeline at one point and evaluate every guarantee.
 
     Bounds checked: the achieved error against 2 (pi (d-1)^2 (3d-2) / (d n))^2;
@@ -55,11 +61,23 @@ def protocol_report(n: int, d: int) -> ProtocolReport:
     (2(d-1) c_max n + 3)^(d^2-1); the sine-weight fidelity against its closed
     floor; and the cost in bits against the achievable-cost curve evaluated at
     the achieved error.
+
+    ``optimal`` is the eigensolve of any point in the same (d, N) box, which
+    stands in for this point's own: the score matrix and the solver's sine start
+    depend on (d, N) only, so the two are the same floats.
     """
     diagram_set = viable_set(n, d)
     epsilon_qstar = qstar_error_closed_form(d, diagram_set.N)
     fidelity_qstar = 1.0 - epsilon_qstar
-    optimal = optimal_fidelity(score_matrix(diagram_set))
+    if optimal is None:
+        optimal = optimal_fidelity(score_matrix(diagram_set))
+    else:
+        solved = optimal.weights_used.diagram_set
+        if (solved.d, solved.N) != (d, diagram_set.N):
+            raise ValueError(
+                f"the solve of the (d, N) = ({solved.d}, {solved.N}) box does not serve "
+                f"n={n}, d={d}, whose box is ({d}, {diagram_set.N})"
+            )
 
     dims = irrep_dimension(diagram_set.rows)
     dim_exact = (dims * dims).sum()
@@ -103,6 +121,19 @@ def protocol_report(n: int, d: int) -> ProtocolReport:
     )
 
 
+def protocol_reports(d: int, n_values) -> list[ProtocolReport]:
+    """``protocol_report(n, d)`` for each n in order, with one eigensolve per (d, N)
+    box: the first n of a box is solved, and its solve serves the rest."""
+    solves: dict[int, FidelityResult] = {}
+    reports = []
+    for n in n_values:
+        big_n = capacity_parameter(n, d)
+        if big_n not in solves:
+            solves[big_n] = optimal_fidelity(score_matrix(viable_set(n, d)))
+        reports.append(protocol_report(n, d, solves[big_n]))
+    return reports
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Reports over an n-grid plus the fitted log-log error slope."""
@@ -119,7 +150,7 @@ def sweep(d: int, n_values: list[int]) -> SweepResult:
     """
     if len(n_values) < 3:
         raise ValueError(f"need at least 3 points for a slope fit, got {len(n_values)}")
-    reports = tuple(protocol_report(n, d) for n in sorted(n_values))
+    reports = tuple(protocol_reports(d, sorted(n_values)))
     log_n = np.log([r.n for r in reports])
     log_eps = np.log([r.epsilon_qstar for r in reports])
     slope, intercept = np.polyfit(log_n, log_eps, 1)

@@ -59,8 +59,9 @@ class ScoreMatrix:
         return len(self.diagram_set)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """S v for a vector v over the members, or for each column of an (M, k) block."""
         d, big_n = self.diagram_set.d, self.diagram_set.N
-        a = v.reshape((big_n,) * (d - 1))
+        a = v.reshape((big_n,) * (d - 1) + v.shape[1:])
         y = a.copy()
         for j in range(d - 1):
             head = (slice(None),) * j
@@ -71,10 +72,12 @@ class ScoreMatrix:
             head = (slice(None),) * j
             z[head + (slice(1, None),)] += y[head + (slice(None, -1),)]
             z[head + (0,)] += a[head + (0,)]
-        return z.reshape(-1)
+        return z.reshape(v.shape)
 
     def dense(self) -> np.ndarray:
-        return np.column_stack([self.matvec(col) for col in np.eye(self.dimension)])
+        """S as a dense array, one block matvec on the identity; the entries are
+        small integers, so every sum is exact."""
+        return self.matvec(np.eye(self.dimension))
 
 
 def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:

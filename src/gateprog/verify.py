@@ -25,8 +25,8 @@ from .oracle import (
     validate_sampling,
 )
 from .phase import classical_phase_error, diamond_distance_search, phase_report
-from .protocol import sine_amplitudes, sine_weights, viable_set
-from .reporting import ProtocolReport, protocol_report
+from .protocol import capacity_parameter, sine_amplitudes, sine_weights, viable_set
+from .reporting import ProtocolReport, protocol_reports
 from .scoring import (
     entanglement_fidelity,
     optimal_fidelity,
@@ -99,10 +99,14 @@ def check_oracle_equivalence() -> CheckResult:
 
 def check_closed_form_consistency() -> CheckResult:
     """Sine-weight error summed over the lattice vs the closed form the report reads,
-    all valid n per dimension; the difference is shown times d^2, on the score scale."""
+    all valid n per dimension; the difference is shown times d^2, on the score scale.
+    The sum depends on (d, N) only, so each N is summed once, at its first n."""
     worst = 0.0
     for d, n_values in ((2, range(4, 513)), (3, range(13, 61))):
+        first_n: dict[int, int] = {}
         for n in n_values:
+            first_n.setdefault(capacity_parameter(n, d), n)
+        for n in first_n.values():
             ds = viable_set(n, d)
             lattice = entanglement_fidelity(sine_weights(ds), score_matrix(ds)).error
             worst = max(worst, d * d * abs(lattice - qstar_error_closed_form(d, ds.N)))
@@ -297,13 +301,14 @@ CRITERIA = (
 
 
 def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
-    """Run every check once, sharing the protocol reports between them.
+    """Run every check once, sharing the protocol reports between them; the reports
+    share one eigensolve per (d, N) box.
 
     ``samples`` and ``seed`` are checked before any work, so a bad request
     fails at once with the Monte-Carlo oracle's own message."""
     validate_sampling(samples, seed)
-    reports_d2 = {n: protocol_report(n, 2) for n in SMALL_NS_D2}
-    reports_d3 = {n: protocol_report(n, 3) for n in NS_D3}
+    reports_d2 = dict(zip(SMALL_NS_D2, protocol_reports(2, SMALL_NS_D2)))
+    reports_d3 = dict(zip(NS_D3, protocol_reports(3, NS_D3)))
     return [
         check_dimension_identity(),
         check_oracle_equivalence(),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gateprog.phase import (
+    _difference_output_trace_norm,
     classical_phase_error,
     diamond_distance_search,
     phase_report,
@@ -170,6 +171,21 @@ class TestQuantumError:
         for d_p in (2, 4, 8, 32, 128):
             report = phase_report(d_p)
             assert report.choi_infidelity <= report.eps_quantum + 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.2, 0.9997])
+    def test_closed_trace_norm_matches_the_dilation(self, kappa):
+        # the closed 2x2 singular-value sum against the eigenvalues of the explicit
+        # 4x4 Hermitian dilation, on random pure states of system and reference
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        block = (kappa - 1.0) * psi[:, :2, None] * psi[:, None, 2:].conj()
+        dilation = np.zeros((200, 4, 4), dtype=complex)
+        dilation[:, :2, 2:] = block
+        dilation[:, 2:, :2] = block.conj().transpose(0, 2, 1)
+        reference = np.abs(np.linalg.eigvalsh(dilation)).sum(axis=1)
+        closed = _difference_output_trace_norm(kappa, psi)
+        assert np.max(np.abs(closed - reference)) <= 1e-15
 
     @pytest.mark.parametrize("d_p", [4, 64])
     @pytest.mark.parametrize("evaluations", [25, 500])

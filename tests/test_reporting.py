@@ -11,15 +11,18 @@ from gateprog.reporting import (
     CSV_COLUMNS,
     REPORT_FIELDS,
     protocol_report,
+    protocol_reports,
     report_to_dict,
     reports_to_csv,
     sweep,
     sweep_to_dict,
     write_text_atomic,
 )
+import gateprog.reporting as reporting
 from gateprog.young import irrep_dimension
 from gateprog.protocol import WeightVector, sine_weights, viable_set
-from gateprog.scoring import entanglement_fidelity, score_matrix
+from gateprog.scoring import entanglement_fidelity, optimal_fidelity, score_matrix
+from gateprog.verify import NS_D3, SMALL_NS_D2
 
 
 def python_int_dimension(rows):
@@ -105,6 +108,72 @@ class TestProtocolReport:
         monkeypatch.setattr(WeightVector, "__post_init__", lambda q: built.append(check(q)))
         protocol_report(n, d)
         assert len(built) == 2
+
+
+def report_bits(report):
+    """Every field of a report, each float as its exact hex form."""
+    return [
+        (name, value.hex() if isinstance(value, float) else value)
+        for name, value in vars(report).items()
+    ]
+
+
+class TestProtocolReports:
+    @pytest.mark.parametrize("d, ns", [(2, SMALL_NS_D2), (3, NS_D3)])
+    def test_bit_identical_at_the_verify_points(self, d, ns):
+        shared = protocol_reports(d, ns)
+        assert [report_bits(r) for r in shared] == [
+            report_bits(protocol_report(n, d)) for n in ns
+        ]
+
+    @pytest.mark.parametrize("d, ns", [
+        (2, list(range(200, 3, -1))),
+        (4, list(range(27, 91, 3))),
+    ])
+    def test_sweep_is_bit_identical_to_one_report_per_n(self, d, ns):
+        reports = sweep(d, ns).reports
+        assert [report_bits(r) for r in reports] == [
+            report_bits(protocol_report(n, d)) for n in sorted(ns)
+        ]
+
+    def test_one_solve_per_box(self, monkeypatch):
+        # verify's 61 points lie in 8 d=2 boxes (N = n // 2) and 7 d=3 boxes (N = 2..8)
+        boxes = []
+
+        def solve(s):
+            boxes.append((s.diagram_set.d, s.diagram_set.N))
+            return optimal_fidelity(s)
+
+        monkeypatch.setattr(reporting, "optimal_fidelity", solve)
+        protocol_reports(2, SMALL_NS_D2)
+        protocol_reports(3, NS_D3)
+        assert boxes == [(2, n) for n in (2, 4, 8, 16, 32, 64, 128, 256)] + [
+            (3, n) for n in range(2, 9)
+        ]
+
+    @pytest.mark.parametrize("n, d, other_n, other_d", [(8, 2, 16, 2), (26, 3, 8, 2)])
+    def test_solve_of_another_box_rejected(self, n, d, other_n, other_d):
+        solve = optimal_fidelity(score_matrix(viable_set(other_n, other_d)))
+        with pytest.raises(ValueError, match="does not serve"):
+            protocol_report(n, d, solve)
+
+    def test_dimension_is_constant_on_its_box_and_residue(self):
+        # dP depends on n only through (d, N, n0 mod d): adding d boxes to the flat
+        # base diagram adds a full column to every member, which leaves every SU(d)
+        # irrep unchanged; the residue cannot be dropped from the key
+        values = {}
+        for d, ns in ((2, range(4, 301)), (3, range(13, 301)), (4, range(27, 201)),
+                      (5, range(52, 151))):
+            for n in ns:
+                ds = viable_set(n, d)
+                dims = irrep_dimension(ds.rows)
+                values.setdefault((d, ds.N, ds.n0 % d), []).append(int((dims * dims).sum()))
+        assert sum(map(len, values.values())) == 858 and len(values) == 490
+        assert all(len(set(dps)) == 1 for dps in values.values())
+        by_box = {}
+        for (d, big_n, _), dps in values.items():
+            by_box.setdefault((d, big_n), set()).update(dps)
+        assert any(len(dps) > 1 for dps in by_box.values())
 
 
 class TestSweep:

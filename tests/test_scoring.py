@@ -108,6 +108,20 @@ class TestScoreMatrix:
             assert np.allclose(pieri, s.dense() @ v, atol=1e-13)
 
 
+    @pytest.mark.parametrize("n,d", [(4, 2), (60, 2), (26, 3), (61, 4), (80, 5), (70, 6)])
+    def test_block_matvec_is_column_matvecs(self, n, d):
+        # each column of the block goes through the same adds in the same order
+        s = score_matrix(viable_set(n, d))
+        block = np.random.default_rng(2).standard_normal((s.dimension, 3))
+        columns = np.column_stack([s.matvec(v) for v in block.T])
+        assert np.array_equal(s.matvec(block), columns)
+        if s.dimension <= 1000:
+            identity = np.eye(s.dimension)
+            assert np.array_equal(
+                s.dense(), np.column_stack([s.matvec(e) for e in identity])
+            )
+
+
 class TestEntanglementFidelity:
     def test_uniform_two_member(self):
         ds = viable_set(4, 2)

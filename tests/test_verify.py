@@ -8,6 +8,8 @@ import pytest
 
 import gateprog.verify as verify
 from gateprog.phase import DiamondSearchResult, classical_phase_error, phase_report
+from gateprog.protocol import viable_set
+from gateprog.scoring import qstar_error_closed_form
 
 
 def _agreeing_search(kappa):
@@ -69,15 +71,40 @@ def test_mesh_error_off_by_1e_14_fails(monkeypatch):
     assert "mesh closed-form deviation = 1.0e-14" in result.detail
 
 
+def test_closed_form_consistency_sums_every_box_once(monkeypatch):
+    # d=2 n <= 512 spans N = 2..256 and d=3 n <= 60 spans N = 2..8
+    boxes = []
+
+    def lattice(n, d):
+        ds = viable_set(n, d)
+        boxes.append((d, ds.N))
+        return ds
+
+    monkeypatch.setattr(verify, "viable_set", lattice)
+    assert verify.check_closed_form_consistency().passed
+    assert boxes == [(2, big_n) for big_n in range(2, 257)] + [(3, big_n) for big_n in range(2, 9)]
+
+
+def test_closed_form_off_at_one_box_fails(monkeypatch):
+    def closed(d, big_n):
+        return qstar_error_closed_form(d, big_n) + (1e-11 if (d, big_n) == (2, 200) else 0.0)
+
+    monkeypatch.setattr(verify, "qstar_error_closed_form", closed)
+    result = verify.check_closed_form_consistency()
+    assert not result.passed
+    assert result.detail.startswith("max |quadratic - closed| = 4.00e-11 (tol 1e-12)")
+
+
 @pytest.mark.parametrize("samples, seed, message", [
     (0, 0, "need at least 1e5 samples for a stable fit, got 0"),
     (10**6, -1, "seed must be non-negative, got -1"),
 ])
 def test_bad_sampling_rejected_before_any_check(monkeypatch, samples, seed, message):
-    def report(n, d):
+    # the reports are the battery's first work
+    def reports(d, n_values):
         raise AssertionError("the battery started before its inputs were checked")
 
-    monkeypatch.setattr(verify, "protocol_report", report)
+    monkeypatch.setattr(verify, "protocol_reports", reports)
     with pytest.raises(ValueError) as excinfo:
         verify.run_all(samples=samples, seed=seed)
     assert str(excinfo.value) == message
