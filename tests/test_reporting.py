@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import gateprog.reporting as reporting
 from gateprog.reporting import (
     CSV_COLUMNS,
     REPORT_FIELDS,
@@ -18,7 +19,6 @@ from gateprog.reporting import (
     sweep_to_dict,
     write_text_atomic,
 )
-import gateprog.reporting as reporting
 from gateprog.young import irrep_dimension
 from gateprog.protocol import WeightVector, sine_weights, viable_set
 from gateprog.scoring import entanglement_fidelity, optimal_fidelity, score_matrix

@@ -107,7 +107,6 @@ class TestScoreMatrix:
         if len(ds) <= 1000:
             assert np.allclose(pieri, s.dense() @ v, atol=1e-13)
 
-
     @pytest.mark.parametrize("n,d", [(4, 2), (60, 2), (26, 3), (61, 4), (80, 5), (70, 6)])
     def test_block_matvec_is_column_matvecs(self, n, d):
         # each column of the block goes through the same adds in the same order
