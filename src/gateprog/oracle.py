@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .protocol import DiagramSet, WeightVector
+from .protocol import DiagramSet, WeightVector, viable_set
 
 
 @dataclass(eq=False)
@@ -197,7 +197,7 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
     """
     if grid.d != diagram_set.d:
         raise ValueError(f"grid is for d={grid.d}, set is for d={diagram_set.d}")
-    if not q.diagram_set.same_as(diagram_set):
+    if (q.d, q.N) != (diagram_set.d, diagram_set.N):
         raise ValueError("weight vector belongs to a different diagram set")
     if not grid.resolves(diagram_set.n + 1):
         raise ValueError(
@@ -354,11 +354,11 @@ def choi_monte_carlo_su2(
     One call consumes one deterministic stream keyed by ``seed``; parallel
     callers must use distinct seeds.
     """
-    diagram_set = q.diagram_set
-    if diagram_set.d != 2:
-        raise ValueError(f"Monte-Carlo check implemented for d=2, got d={diagram_set.d}")
-    if diagram_set.n != n:
-        raise ValueError(f"weight vector is for n={diagram_set.n}, not n={n}")
+    if q.d != 2:
+        raise ValueError(f"Monte-Carlo check implemented for d=2, got d={q.d}")
+    diagram_set = viable_set(n, 2)
+    if q.N != diagram_set.N:
+        raise ValueError(f"weight vector is for N={q.N}, not for n={n}, whose N is {diagram_set.N}")
     validate_sampling(samples, seed)
 
     grid = su2_grid(n + 1)

@@ -61,18 +61,22 @@ def _state_from_angles(x: np.ndarray) -> np.ndarray:
 _ME_ANGLES = np.array([math.pi / 4, math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0])
 
 
+def _singular_value_sum(b: np.ndarray) -> np.ndarray:
+    """s1 + s2 of each complex 2x2 block of a (k, 2, 2) stack, from the identity
+    (s1 + s2)^2 = ||B||_F^2 + 2 |det B|, which holds for every 2x2 B."""
+    frobenius = np.sum(b.real**2 + b.imag**2, axis=(1, 2))
+    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    return np.sqrt(frobenius + 2.0 * np.abs(det))
+
+
 def _difference_output_trace_norm(kappa: float, psi: np.ndarray) -> np.ndarray:
     """||((E - I) (x) I)(psi psi*)||_1 for each row psi, E dephasing with factor kappa.
 
     The difference is the Hermitian dilation of the 2x2 block B, whose eigenvalues
-    are +/- the singular values of B, so its trace norm is 2 (s1 + s2).  For any
-    2x2 B, (s1 + s2)^2 = ||B||_F^2 + 2 |det B|; neither rank one nor 1 - kappa is
-    assumed.
+    are +/- the singular values of B, so its trace norm is 2 (s1 + s2); neither
+    rank one nor 1 - kappa is assumed.
     """
-    b = (kappa - 1.0) * psi[:, :2, None] * psi[:, None, 2:].conj()
-    frobenius = np.sum(b.real**2 + b.imag**2, axis=(1, 2))
-    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    return 2.0 * np.sqrt(frobenius + 2.0 * np.abs(det))
+    return 2.0 * _singular_value_sum((kappa - 1.0) * psi[:, :2, None] * psi[:, None, 2:].conj())
 
 
 @dataclass(frozen=True)

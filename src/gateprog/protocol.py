@@ -76,8 +76,8 @@ class DiagramSet:
 
     ``rows`` is a read-only (N^(d-1), d) int64 array, one member per row, in row-major
     order of the lattice coordinates in {0..N-1}^(d-1), the first coordinate most
-    significant; ``ScoreMatrix.matvec`` relies on this when it reshapes a vector
-    over the members to (N,)*(d-1).
+    significant; ``haar_fidelity`` and the Choi fit rely on this when they pair the
+    amplitudes of a ``WeightVector``, laid out in that order over the box, with rows.
     """
 
     d: int
@@ -89,12 +89,6 @@ class DiagramSet:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def same_as(self, other: "DiagramSet") -> bool:
-        return self is other or (
-            (self.d, self.n, self.N, self.n0) == (other.d, other.n, other.N, other.n0)
-            and np.array_equal(self.rows, other.rows)
-        )
 
 
 def viable_set(n: int, d: int) -> DiagramSet:
@@ -140,20 +134,20 @@ def viable_set(n: int, d: int) -> DiagramSet:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Weights q over the members of a DiagramSet, held as the amplitudes sqrt(q) in a
-    read-only copy; the squares sum to 1."""
+    """Weights q over the (N,)*(d-1) box of a viable lattice, in the row-major order of
+    its members, held as the amplitudes sqrt(q) in a read-only copy; the squares sum
+    to 1.  They serve every n whose lattice has this (d, N) box."""
 
-    diagram_set: DiagramSet
+    d: int
+    N: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amplitudes = np.array(self.amplitudes, dtype=float)
         amplitudes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amplitudes)
-        if len(amplitudes) != len(self.diagram_set):
-            raise ValueError(
-                f"{len(amplitudes)} amplitudes for {len(self.diagram_set)} diagrams"
-            )
+        if len(amplitudes) != self.N ** (self.d - 1):
+            raise ValueError(f"{len(amplitudes)} amplitudes for {self.N ** (self.d - 1)} diagrams")
         if not np.all(np.isfinite(amplitudes) & (amplitudes >= 0.0)):
             raise ValueError("amplitudes must be finite and non-negative")
         total = math.fsum(amplitudes * amplitudes)
@@ -177,10 +171,11 @@ def sine_amplitudes(big_n: int) -> np.ndarray:
 
 
 def sine_weights(diagram_set: DiagramSet) -> WeightVector:
-    """Product of the 1-D sine amplitudes over the lattice coordinates."""
-    a = sine_amplitudes(diagram_set.N)
-    amplitudes = functools.reduce(np.multiply.outer, [a] * (diagram_set.d - 1))
-    return WeightVector(diagram_set=diagram_set, amplitudes=np.ravel(amplitudes))
+    """Product of the 1-D sine amplitudes over the lattice coordinates.  Only the box
+    is read, ``.d`` and ``.N``, so a ``ScoreMatrix`` serves as well as a DiagramSet."""
+    d, big_n = diagram_set.d, diagram_set.N
+    amplitudes = functools.reduce(np.multiply.outer, [sine_amplitudes(big_n)] * (d - 1))
+    return WeightVector(d, big_n, np.ravel(amplitudes))
 
 
 def epsilon_g(big_n: int) -> float:

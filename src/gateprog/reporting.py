@@ -21,6 +21,7 @@ from . import bounds as bounds_mod
 from .protocol import capacity_parameter, viable_set
 from .scoring import (
     FidelityResult,
+    ScoreMatrix,
     lemma3_bound,
     optimal_fidelity,
     qstar_error_closed_form,
@@ -72,7 +73,7 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
     if optimal is None:
         optimal = optimal_fidelity(score_matrix(diagram_set))
     else:
-        solved = optimal.weights_used.diagram_set
+        solved = optimal.weights_used
         if (solved.d, solved.N) != (d, diagram_set.N):
             raise ValueError(
                 f"the solve of the (d, N) = ({solved.d}, {solved.N}) box does not serve "
@@ -129,7 +130,7 @@ def protocol_reports(d: int, n_values) -> list[ProtocolReport]:
     for n in n_values:
         big_n = capacity_parameter(n, d)
         if big_n not in solves:
-            solves[big_n] = optimal_fidelity(score_matrix(viable_set(n, d)))
+            solves[big_n] = optimal_fidelity(ScoreMatrix(d, big_n))
         reports.append(protocol_report(n, d, solves[big_n]))
     return reports
 

@@ -49,18 +49,20 @@ class ScoreMatrix:
     and its transpose sends y to y[t] + sum_j y[t - e_j], both sums taken inside the
     box.  B^T B has every unit and exchange move once and a[t] d - c(t) times, c(t)
     being the number of coordinates of t that are 0, so S = B^T B + c: the matvec is
-    3(d-1) slice adds, where the stencil's moves take d(d-1).
+    3(d-1) slice adds, where the stencil's moves take d(d-1).  S depends on the box
+    alone, so every n of one (d, N) box shares it.
     """
 
-    diagram_set: DiagramSet
+    d: int
+    N: int
 
     @property
     def dimension(self) -> int:
-        return len(self.diagram_set)
+        return self.N ** (self.d - 1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """S v for a vector v over the members, or for each column of an (M, k) block."""
-        d, big_n = self.diagram_set.d, self.diagram_set.N
+        d, big_n = self.d, self.N
         a = v.reshape((big_n,) * (d - 1) + v.shape[1:])
         y = a.copy()
         for j in range(d - 1):
@@ -81,8 +83,8 @@ class ScoreMatrix:
 
 
 def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:
-    """The score matrix of the viable lattice (unit and exchange moves)."""
-    return ScoreMatrix(diagram_set)
+    """The score matrix of the viable lattice (unit and exchange moves) on its box."""
+    return ScoreMatrix(diagram_set.d, diagram_set.N)
 
 
 def score_matrix_by_distance(diagram_set: DiagramSet) -> np.ndarray:
@@ -112,9 +114,9 @@ def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
     d(d-1) moves inside the box lies on the boundary: each missing move adds
     a_u^2, counted twice as well.  The fidelity is 1 - error.
     """
-    if not q.diagram_set.same_as(s.diagram_set):
+    d, big_n = s.d, s.N
+    if (q.d, q.N) != (d, big_n):
         raise ValueError("weight vector and score matrix use different diagram sets")
-    d, big_n = s.diagram_set.d, s.diagram_set.N
     a = q.amplitudes.reshape((big_n,) * (d - 1))
     missing = np.full(a.shape, d * (d - 1))
     twice = 0.0
@@ -218,7 +220,7 @@ def optimal_fidelity(
     """
     if max_iterations < 1:
         raise ValueError(f"iteration cap must be positive, got {max_iterations}")
-    d, big_n, dim = s.diagram_set.d, s.diagram_set.N, s.dimension
+    d, big_n, dim = s.d, s.N, s.dimension
     box = (big_n,) * (d - 1)
     # T's eigenvalues, indexed like the sine transform
     modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
@@ -229,7 +231,7 @@ def optimal_fidelity(
     work = np.zeros((3, 2, dim))
     x_pair, w_pair, p_pair = work
     (x, sx), (w, sw), _ = work
-    x[:] = sine_weights(s.diagram_set).amplitudes
+    x[:] = sine_weights(s).amplitudes
     x /= math.sqrt(_dot(x, x))
     matvecs = 0
 
@@ -292,7 +294,7 @@ def _principal_result(s: ScoreMatrix, v: np.ndarray) -> FidelityResult:
         raise ConvergenceError("principal eigenvector came out with negative entries")
     v = np.abs(v)
     v /= math.sqrt(_dot(v, v))
-    return entanglement_fidelity(WeightVector(diagram_set=s.diagram_set, amplitudes=v), s)
+    return entanglement_fidelity(WeightVector(s.d, s.N, v), s)
 
 
 def qstar_error_closed_form(d: int, big_n: int) -> float:

@@ -28,6 +28,7 @@ from .phase import classical_phase_error, diamond_distance_search, phase_report
 from .protocol import capacity_parameter, sine_amplitudes, sine_weights, viable_set
 from .reporting import ProtocolReport, protocol_reports
 from .scoring import (
+    ScoreMatrix,
     entanglement_fidelity,
     optimal_fidelity,
     qstar_error_closed_form,
@@ -100,16 +101,14 @@ def check_oracle_equivalence() -> CheckResult:
 def check_closed_form_consistency() -> CheckResult:
     """Sine-weight error summed over the lattice vs the closed form the report reads,
     all valid n per dimension; the difference is shown times d^2, on the score scale.
-    The sum depends on (d, N) only, so each N is summed once, at its first n."""
+    The sum depends on the (d, N) box only, and the valid n up to n_max span the boxes
+    N = 2 .. capacity_parameter(n_max, d), so each box is summed once, no diagram built."""
     worst = 0.0
-    for d, n_values in ((2, range(4, 513)), (3, range(13, 61))):
-        first_n: dict[int, int] = {}
-        for n in n_values:
-            first_n.setdefault(capacity_parameter(n, d), n)
-        for n in first_n.values():
-            ds = viable_set(n, d)
-            lattice = entanglement_fidelity(sine_weights(ds), score_matrix(ds)).error
-            worst = max(worst, d * d * abs(lattice - qstar_error_closed_form(d, ds.N)))
+    for d, n_max in ((2, 512), (3, 60)):
+        for big_n in range(2, capacity_parameter(n_max, d) + 1):
+            s = ScoreMatrix(d, big_n)
+            lattice = entanglement_fidelity(sine_weights(s), s).error
+            worst = max(worst, d * d * abs(lattice - qstar_error_closed_form(d, big_n)))
     passed = worst <= 1e-12
     return CheckResult(
         "closed_form_consistency", passed,
@@ -191,8 +190,7 @@ def check_eigenvalue_oracle() -> CheckResult:
     worst_analytic = 0.0
     worst_solver = 0.0
     for big_n in range(2, 65):
-        ds = viable_set(2 * big_n, 2)
-        matrix = score_matrix(ds)
+        matrix = ScoreMatrix(2, big_n)
         dense_max = float(np.linalg.eigvalsh(matrix.dense())[-1])
         analytic = 2.0 + 2.0 * math.cos(math.pi / (big_n + 1))
         solver = optimal_fidelity(matrix).fidelity * 4.0

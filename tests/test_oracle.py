@@ -170,7 +170,7 @@ class TestHaarFidelity:
 
     def test_single_member_set(self):
         ds = single_member_set()
-        q = WeightVector(diagram_set=ds, amplitudes=(1.0,))
+        q = WeightVector(ds.d, ds.N, amplitudes=(1.0,))
         assert haar_fidelity(ds, q, su2_grid(6)) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("n", [26, 33, 120, 300, 600])
@@ -228,6 +228,25 @@ class TestHaarFidelity:
         ds = viable_set(32, 2)
         with pytest.raises(ValueError, match="under-resolved"):
             haar_fidelity(ds, sine_weights(ds), su2_grid(4))
+
+    def test_weights_serve_their_whole_box(self):
+        # d=3 n=60 and n=61 share the N=8 box, whose weights serve both; n=54 is N=7
+        own, other = viable_set(61, 3), viable_set(60, 3)
+        grid = su_torus_grid(3, 62)
+        matrix = score_matrix(own)
+        for weights in (sine_weights, lambda ds: optimal_fidelity(score_matrix(ds)).weights_used):
+            q, borrowed = weights(own), weights(other)
+            assert float.hex(haar_fidelity(own, borrowed, grid)) == float.hex(
+                haar_fidelity(own, q, grid)
+            )
+            assert float.hex(entanglement_fidelity(borrowed, matrix).fidelity) == float.hex(
+                entanglement_fidelity(q, matrix).fidelity
+            )
+            smaller = weights(viable_set(54, 3))
+            with pytest.raises(ValueError, match="different diagram set"):
+                haar_fidelity(own, smaller, grid)
+            with pytest.raises(ValueError, match="different diagram sets"):
+                entanglement_fidelity(smaller, matrix)
 
 
 class TestChoiMonteCarlo:
@@ -301,7 +320,7 @@ class TestChoiMonteCarlo:
 
     def test_concentrated_weights_give_inverse_dimension(self):
         ds = viable_set(4, 2)
-        q = WeightVector(diagram_set=ds, amplitudes=(1.0, 0.0))
+        q = WeightVector(ds.d, ds.N, amplitudes=(1.0, 0.0))
         fit = choi_monte_carlo_su2(4, q, 10**5, seed=3)
         assert abs((1.0 - fit.a) - 0.5) <= 5.0 / math.sqrt(10**5)
 
@@ -342,6 +361,15 @@ class TestChoiMonteCarlo:
         ds = viable_set(26, 3)
         with pytest.raises(ValueError):
             choi_monte_carlo_su2(26, sine_weights(ds), 10**5, seed=0)
+
+    def test_weights_serve_their_whole_box(self):
+        # n=8 is the N=4 box; n=9 shares it and n=4 does not
+        q = sine_weights(viable_set(8, 2))
+        fidelity = entanglement_fidelity(q, score_matrix(viable_set(9, 2))).fidelity
+        fit = choi_monte_carlo_su2(9, q, 10**5, seed=0)
+        assert abs((1.0 - fit.a) - fidelity) <= 5.0 / math.sqrt(10**5)
+        with pytest.raises(ValueError, match="weight vector is for N=4, not for n=4"):
+            choi_monte_carlo_su2(4, q, 10**5, seed=0)
 
     def test_deterministic_in_seed(self):
         ds = viable_set(4, 2)

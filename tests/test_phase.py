@@ -11,6 +11,7 @@ import pytest
 
 from gateprog.phase import (
     _difference_output_trace_norm,
+    _singular_value_sum,
     classical_phase_error,
     diamond_distance_search,
     phase_report,
@@ -186,6 +187,18 @@ class TestQuantumError:
         reference = np.abs(np.linalg.eigvalsh(dilation)).sum(axis=1)
         closed = _difference_output_trace_norm(kappa, psi)
         assert np.max(np.abs(closed - reference)) <= 1e-15
+
+    def test_singular_value_sum_of_full_rank_blocks(self):
+        # the search only forms rank-one blocks, whose det vanishes; random complex
+        # blocks have full rank, so the 2 |det B| term counts here
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        dilation = np.zeros((200, 4, 4), dtype=complex)
+        dilation[:, :2, 2:] = block
+        dilation[:, 2:, :2] = block.conj().transpose(0, 2, 1)
+        reference = np.linalg.eigvalsh(dilation)[:, 2:].sum(axis=1)
+        error = np.abs(_singular_value_sum(block) - reference)
+        assert np.all(error <= 1e-14 * np.linalg.norm(block, 2, axis=(1, 2)))
 
     @pytest.mark.parametrize("d_p", [4, 64])
     @pytest.mark.parametrize("evaluations", [25, 500])

@@ -183,7 +183,7 @@ class TestSineWeights:
         # the weights are held as amplitudes, the square roots of the probabilities
         ds = viable_set(4, 2)
         given = np.array([0.6, 0.8])
-        q = WeightVector(diagram_set=ds, amplitudes=given)
+        q = WeightVector(ds.d, ds.N, amplitudes=given)
         given[0] = 0.5
         assert q.amplitudes.tolist() == [0.6, 0.8]
         with pytest.raises(ValueError, match="read-only"):
@@ -196,21 +196,21 @@ class TestSineWeights:
     def test_weight_vector_validation(self):
         ds = viable_set(4, 2)
         with pytest.raises(ValueError, match="squared amplitudes sum to"):
-            WeightVector(diagram_set=ds, amplitudes=(0.9, 0.2))
+            WeightVector(ds.d, ds.N, amplitudes=(0.9, 0.2))
         with pytest.raises(ValueError, match="1 amplitudes for 2 diagrams"):
-            WeightVector(diagram_set=ds, amplitudes=(1.0,))
+            WeightVector(ds.d, ds.N, amplitudes=(1.0,))
         with pytest.raises(ValueError, match="non-negative"):
-            WeightVector(diagram_set=ds, amplitudes=(1.5, -0.5))
+            WeightVector(ds.d, ds.N, amplitudes=(1.5, -0.5))
         # the squares sum to 1: only the sign is wrong
         with pytest.raises(ValueError, match="non-negative"):
-            WeightVector(diagram_set=ds, amplitudes=(-0.6, 0.8))
+            WeightVector(ds.d, ds.N, amplitudes=(-0.6, 0.8))
 
     # at 0.5 the entries are (0.5, 0.5): probabilities that sum to 1 are not amplitudes
     @pytest.mark.parametrize("total", [0.5, 0.9, 1.1])
     def test_weight_vector_rejects_squares_off_one(self, total):
         half = math.sqrt(total / 2.0)
         with pytest.raises(ValueError, match="squared amplitudes sum to"):
-            WeightVector(diagram_set=viable_set(4, 2), amplitudes=(half, half))
+            WeightVector(2, 2, amplitudes=(half, half))
 
     @pytest.mark.parametrize(
         "probabilities", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
@@ -218,7 +218,7 @@ class TestSineWeights:
     def test_weight_vector_rejects_non_finite(self, probabilities):
         # a non-finite probability has a non-finite amplitude
         with pytest.raises(ValueError, match="finite"):
-            WeightVector(diagram_set=viable_set(4, 2), amplitudes=np.sqrt(probabilities))
+            WeightVector(2, 2, amplitudes=np.sqrt(probabilities))
 
 
 class TestEpsilonG:

@@ -141,7 +141,7 @@ class TestProtocolReports:
         boxes = []
 
         def solve(s):
-            boxes.append((s.diagram_set.d, s.diagram_set.N))
+            boxes.append((s.d, s.N))
             return optimal_fidelity(s)
 
         monkeypatch.setattr(reporting, "optimal_fidelity", solve)

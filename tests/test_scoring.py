@@ -40,7 +40,7 @@ def count_matvecs(s):
 
 def stencil_matvec(s, v):
     """S v as d v plus the neighbour sum over ``_stencil_slices``, one move at a time."""
-    d, big_n = s.diagram_set.d, s.diagram_set.N
+    d, big_n = s.d, s.N
     x = v.reshape((big_n,) * (d - 1))
     neighbours = np.zeros(x.shape)
     for target, source in _stencil_slices(d):
@@ -124,14 +124,14 @@ class TestScoreMatrix:
 class TestEntanglementFidelity:
     def test_uniform_two_member(self):
         ds = viable_set(4, 2)
-        q = WeightVector(diagram_set=ds, amplitudes=(math.sqrt(0.5),) * 2)
+        q = WeightVector(ds.d, ds.N, amplitudes=(math.sqrt(0.5),) * 2)
         result = entanglement_fidelity(q, score_matrix(ds))
         assert result.fidelity == pytest.approx(0.75, abs=1e-15)
         assert result.error == pytest.approx(0.25, abs=1e-15)
 
     def test_single_member_gives_inverse_dimension(self):
         ds = single_member_set()
-        q = WeightVector(diagram_set=ds, amplitudes=(1.0,))
+        q = WeightVector(ds.d, ds.N, amplitudes=(1.0,))
         assert entanglement_fidelity(q, score_matrix(ds)).fidelity == pytest.approx(0.5)
 
     def test_sine_weights_n8(self):
@@ -155,7 +155,7 @@ class TestEntanglementFidelity:
         # random weights: the boundary term counts each node's moves out of the box
         ds = viable_set(n, d)
         amps = np.random.default_rng(2).random(len(ds))
-        q = WeightVector(diagram_set=ds, amplitudes=amps / np.linalg.norm(amps))
+        q = WeightVector(ds.d, ds.N, amplitudes=amps / np.linalg.norm(amps))
         amp = q.amplitudes
         laplacian = d * d * np.eye(len(ds)) - score_matrix(ds).dense()
         brute = float(amp @ laplacian @ amp) / (d * d)
@@ -204,7 +204,7 @@ class TestOptimalFidelity:
     @pytest.mark.parametrize("n", [4096, 8192, 32768])
     def test_chain_closed_form_at_large_n(self, n):
         s = score_matrix(viable_set(n, 2))
-        expected = (2.0 + 2.0 * math.cos(math.pi / (s.diagram_set.N + 1))) / 4.0
+        expected = (2.0 + 2.0 * math.cos(math.pi / (s.N + 1))) / 4.0
         assert abs(optimal_fidelity(s).fidelity - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", [512, 2048, 8192])
@@ -215,7 +215,7 @@ class TestOptimalFidelity:
         s = score_matrix(viable_set(n, 2))
         result = optimal_fidelity(s)
         with mpmath.workdps(50):
-            exact = mpmath.sin(mpmath.pi / (2 * (s.diagram_set.N + 1))) ** 2
+            exact = mpmath.sin(mpmath.pi / (2 * (s.N + 1))) ** 2
         assert abs(result.error - exact) <= 1e-12 * exact
         assert result.fidelity == 1.0 - result.error
 
@@ -311,12 +311,12 @@ class TestFrontier:
         operator = linalg.LinearOperator((dim, dim), matvec=s.matvec, dtype=float)
         top = float(linalg.eigsh(operator, k=1, which="LA", v0=np.ones(dim),
                                  return_eigenvectors=False)[0])
-        d = s.diagram_set.d
+        d = s.d
         assert abs(result.fidelity * d * d - top) <= 1e-10
 
     def test_beats_sine_weights(self, frontier):
         s, result = frontier
-        assert result.fidelity >= entanglement_fidelity(sine_weights(s.diagram_set), s).fidelity
+        assert result.fidelity >= entanglement_fidelity(sine_weights(s), s).fidelity
 
     def test_principal_weights_are_positive(self, frontier):
         assert min(frontier[1].weights_used.amplitudes) > 0.0

@@ -8,7 +8,6 @@ import pytest
 
 import gateprog.verify as verify
 from gateprog.phase import DiamondSearchResult, classical_phase_error, phase_report
-from gateprog.protocol import viable_set
 from gateprog.scoring import qstar_error_closed_form
 
 
@@ -75,14 +74,23 @@ def test_closed_form_consistency_sums_every_box_once(monkeypatch):
     # d=2 n <= 512 spans N = 2..256 and d=3 n <= 60 spans N = 2..8
     boxes = []
 
-    def lattice(n, d):
-        ds = viable_set(n, d)
-        boxes.append((d, ds.N))
-        return ds
+    def closed(d, big_n):
+        boxes.append((d, big_n))
+        return qstar_error_closed_form(d, big_n)
 
-    monkeypatch.setattr(verify, "viable_set", lattice)
+    monkeypatch.setattr(verify, "qstar_error_closed_form", closed)
     assert verify.check_closed_form_consistency().passed
     assert boxes == [(2, big_n) for big_n in range(2, 257)] + [(3, big_n) for big_n in range(2, 9)]
+
+
+@pytest.mark.parametrize("check", ["check_closed_form_consistency", "check_eigenvalue_oracle"])
+def test_box_checks_build_no_lattice(monkeypatch, check):
+    # the score matrix and the sine weights need only the (d, N) box
+    def lattice(n, d):
+        raise AssertionError(f"viable_set({n}, {d}) built a lattice")
+
+    monkeypatch.setattr(verify, "viable_set", lattice)
+    assert getattr(verify, check)().passed
 
 
 def test_closed_form_off_at_one_box_fails(monkeypatch):
