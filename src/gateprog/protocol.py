@@ -47,8 +47,8 @@ def capacity_parameter(n: int, d: int) -> int:
     """Lattice width N for n gate uses in dimension d.
 
     N = floor((2n/(d-1) + d - 2) / (3d-2)), computed exactly in integers.
-    Requires n >= 2d(d-1); rejects N < 2 because the sine weights are only
-    normalized for at least two lattice points per axis.
+    Requires n >= 2d(d-1); rejects N < 2, as the sine weights are only normalized
+    for N >= 2, and over ``MAX_MEMBERS`` lattice members, before any is built or solved.
     """
     _check_uses(n, d)
     big_n, _ = _lattice_parameters(n, d)
@@ -56,6 +56,14 @@ def capacity_parameter(n: int, d: int) -> int:
         raise ProtocolError(
             f"degenerate weight regime: N={big_n} < 2 at n={n}, d={d}; "
             "the weight profile needs at least two lattice points per axis"
+        )
+    # N >= 2, so from d - 1 = 21 on the lattice is over budget without forming
+    # N^(d-1), which may run to millions of digits; the count is spelled out when short
+    if d - 1 >= MAX_MEMBERS.bit_length() or big_n ** (d - 1) > MAX_MEMBERS:
+        size = f" = {big_n ** (d - 1)}" if (d - 1) * big_n.bit_length() <= 64 else ""
+        raise ProtocolError(
+            f"lattice too large: N^(d-1) = {big_n}^{d - 1}{size} members at n={n}, "
+            f"d={d} exceeds the budget of {MAX_MEMBERS} members"
         )
     return big_n
 
@@ -99,17 +107,9 @@ def viable_set(n: int, d: int) -> DiagramSet:
     remaining boxes.  With every t[i] in [0, N-1], consecutive rows differ by at
     least 2 and the last row is at least mu0[-1] >= 0, so every member is a
     strictly decreasing diagram without a check.
-    Lattices of more than ``MAX_MEMBERS`` members are refused before any is built.
+    Lattices of more than ``MAX_MEMBERS`` members are refused by ``capacity_parameter``.
     """
     big_n = capacity_parameter(n, d)
-    # N >= 2, so from d - 1 = 21 on the lattice is over budget without forming
-    # N^(d-1), which may run to millions of digits; the count is spelled out when short
-    if d - 1 >= MAX_MEMBERS.bit_length() or big_n ** (d - 1) > MAX_MEMBERS:
-        size = f" = {big_n ** (d - 1)}" if (d - 1) * big_n.bit_length() <= 64 else ""
-        raise ProtocolError(
-            f"lattice too large: N^(d-1) = {big_n}^{d - 1}{size} members at n={n}, "
-            f"d={d} exceeds the budget of {MAX_MEMBERS} members"
-        )
     _, n0 = _lattice_parameters(n, d)
     mu0 = flat_diagram(n0, d)
     base = tuple(

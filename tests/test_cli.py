@@ -134,6 +134,20 @@ class TestSweepCommand:
         assert code == 1
         assert "at least 3" in err
 
+    @pytest.mark.parametrize("d,n_min,size", [("2", str(2**23), " = 4194304"),
+                                              ("30", "3000", " = 536870912")])
+    def test_oversized_lattice_exits_1_before_any_solve(self, capsys, monkeypatch, d,
+                                                        n_min, size):
+        def refuse(matrix):
+            raise AssertionError(f"solved the ({matrix.d}, {matrix.N}) box")
+
+        monkeypatch.setattr(reporting, "optimal_fidelity", refuse)
+        argv = ["sweep", "--d", d, "--n-min", n_min, "--n-max", str(int(n_min) + 2)]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: lattice too large: N^(d-1) = ")
+        assert f"{size} members at n={n_min}, d={d} exceeds the budget" in err
+
     SWEEP_CSV = ["sweep", "--d", "2", "--n-min", "8", "--n-max", "16", "--n-step", "4",
                  "--format", "csv"]
 

@@ -40,6 +40,12 @@ class TestCapacityParameter:
         with pytest.raises(ProtocolError):
             capacity_parameter(10, 1)
 
+    def test_size_budget(self):
+        # d = 2 has N = n // 2 members: the width is given up to the budget, not past it
+        assert capacity_parameter(2 * MAX_MEMBERS + 1, 2) == MAX_MEMBERS
+        with pytest.raises(ProtocolError, match=f"{MAX_MEMBERS + 1} members .* budget"):
+            capacity_parameter(2 * (MAX_MEMBERS + 1), 2)
+
     @pytest.mark.parametrize("d", range(2, 31))
     def test_bracketing_and_residual(self, d):
         # the lattice offset ((3d-2)N - (d-2))(d-1)/2 is an integer and at most n

@@ -37,6 +37,8 @@ VECTORS = (
         ["bounds", "--d", "2", "--eps", "1e-6"],
     )),
     ["protocol", "--d", "3", "--n", "8000"],  # over the 2^20-member budget
+    ["sweep", "--d", "2", "--n-min", str(2**23), "--n-max", str(2**23 + 2)],  # also over it
+    ["sweep", "--d", "30", "--n-min", "3000", "--n-max", "3002"],  # N = 2: 2^29 members
     ["protocol", "--d", "1", "--n", "8"],
     ["protocol", "--d", "3", "--n", "12"],  # N = 1
 )
