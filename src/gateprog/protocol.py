@@ -150,7 +150,9 @@ class WeightVector:
             raise ValueError(f"{len(amplitudes)} amplitudes for {self.N ** (self.d - 1)} diagrams")
         if not np.all(np.isfinite(amplitudes) & (amplitudes >= 0.0)):
             raise ValueError("amplitudes must be finite and non-negative")
-        total = math.fsum(amplitudes * amplitudes)
+        # fsum over a memoryview reads Python floats straight from the buffer, with no
+        # numpy scalar per member and no list of them
+        total = math.fsum(memoryview(amplitudes * amplitudes))
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"squared amplitudes sum to {total!r}, not 1")
 
@@ -162,10 +164,8 @@ def sine_amplitudes(big_n: int) -> np.ndarray:
         raise ProtocolError(
             f"weight profile undefined for N={big_n}: it is only normalized for N >= 2"
         )
-    amplitudes = np.sqrt([
-        (2.0 / big_n) * math.sin(math.pi * (2 * k + 1) / (2 * big_n)) ** 2
-        for k in range(big_n)
-    ])
+    k = np.arange(big_n)
+    amplitudes = np.sqrt((2.0 / big_n) * np.sin(np.pi * (2 * k + 1) / (2 * big_n)) ** 2)
     amplitudes.flags.writeable = False
     return amplitudes
 

@@ -65,20 +65,27 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
 
     ``optimal`` is the eigensolve of any point in the same (d, N) box, which
     stands in for this point's own: the score matrix and the solver's sine start
-    depend on (d, N) only, so the two are the same floats.
+    depend on (d, N) only, so the two are the same floats.  Without it, d >= 3
+    solves the box, and d=2 runs no eigensolve: its score matrix is the path
+    graph's 2 I + A, whose top eigenvalue is 2 + 2 cos(pi/(N+1)), so the optimal
+    error is sin^2(pi/(2(N+1))), taken in that form; ``verify``'s
+    ``eigenvalue_oracle`` checks the solver against that eigenvalue.
     """
     diagram_set = viable_set(n, d)
     epsilon_qstar = qstar_error_closed_form(d, diagram_set.N)
     fidelity_qstar = 1.0 - epsilon_qstar
-    if optimal is None:
-        optimal = optimal_fidelity(score_matrix(diagram_set))
-    else:
+    if optimal is not None:
         solved = optimal.weights_used
         if (solved.d, solved.N) != (d, diagram_set.N):
             raise ValueError(
                 f"the solve of the (d, N) = ({solved.d}, {solved.N}) box does not serve "
                 f"n={n}, d={d}, whose box is ({d}, {diagram_set.N})"
             )
+        epsilon_optimal = optimal.error
+    elif d == 2:
+        epsilon_optimal = math.sin(math.pi / (2 * (diagram_set.N + 1))) ** 2
+    else:
+        epsilon_optimal = optimal_fidelity(score_matrix(diagram_set)).error
 
     dims = irrep_dimension(diagram_set.rows)
     dim_exact = (dims * dims).sum()
@@ -107,9 +114,9 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
         n0=diagram_set.n0,
         set_size=len(diagram_set),
         fidelity_qstar=fidelity_qstar,
-        fidelity_optimal=optimal.fidelity,
+        fidelity_optimal=1.0 - epsilon_optimal,
         epsilon_qstar=epsilon_qstar,
-        epsilon_optimal=optimal.error,
+        epsilon_optimal=epsilon_optimal,
         dP_exact=dim_exact,
         dP_exact_log2=dim_log2,
         cP_bits=dim_log2,
@@ -124,14 +131,15 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
 
 def protocol_reports(d: int, n_values) -> list[ProtocolReport]:
     """``protocol_report(n, d)`` for each n in order, with one eigensolve per (d, N)
-    box: the first n of a box is solved, and its solve serves the rest."""
+    box at d >= 3: the first n of a box is solved, and its solve serves the rest.
+    d=2 reports take the closed form and solve nothing."""
     solves: dict[int, FidelityResult] = {}
     reports = []
     for n in n_values:
         big_n = capacity_parameter(n, d)
-        if big_n not in solves:
+        if d > 2 and big_n not in solves:
             solves[big_n] = optimal_fidelity(ScoreMatrix(d, big_n))
-        reports.append(protocol_report(n, d, solves[big_n]))
+        reports.append(protocol_report(n, d, solves.get(big_n)))
     return reports
 
 

@@ -139,9 +139,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 # on the rfft wins at d = 3 wherever 2(N+1) has only small prime factors
 _DENSE_SINE_MAX_N = 148
 
-# multiply-adds per matmul call, so at least 23 rows up to the crossover: OpenBLAS
-# (0.3.31, 2 cores) runs a call of fewer than about 2^20 on one thread, and a
-# larger one wakes a second thread, which spin-waits for about 0.1 s after it
+# multiply-adds per matmul call, so at least 23 rows of a sine-matrix product up to
+# the crossover and 29,127 members of the trial Gram: OpenBLAS (0.3.31, 2 cores)
+# runs a call of fewer than about 2^20 on one thread, and a larger one wakes a
+# second thread, which spin-waits for about 0.1 s after it
 _MATMUL_BLOCK = 2**19
 
 
@@ -182,6 +183,23 @@ def _sine_transform(x: np.ndarray, work: np.ndarray) -> np.ndarray:
         work[..., 1 : big_n + 1] = x
         x = np.fft.rfft(work)[..., 1 : big_n + 1].imag.transpose(rotate)
     return x
+
+
+def _trial_products(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix x_a . x_b and the projected matrix (S x_a) . x_b of the three
+    trial vectors x_a, with ``work`` holding each beside its image, shape (3, 2, M).
+
+    One matmul of the six rows of ``work`` against the three vectors, in blocks of
+    members of at most ``_MATMUL_BLOCK`` multiply-adds, so that no matmul wakes a
+    second BLAS thread.
+    """
+    rows, vectors = work.reshape(6, -1), work[:, 0]
+    members = _MATMUL_BLOCK // 18
+    products = np.zeros((6, 3))
+    for start in range(0, rows.shape[1], members):
+        products += rows[:, start : start + members] @ vectors[:, start : start + members].T
+    gram, projected = products.reshape(3, 2, 3).transpose(1, 0, 2)
+    return gram, projected
 
 
 def optimal_fidelity(
@@ -261,8 +279,7 @@ def optimal_fidelity(
             _sine_transform(r.reshape(box), sine_work) / spectrum, sine_work
         )
         sw[:] = apply(w)
-        # vector . vector and image . vector over the trial vectors, numpy loops as in _dot
-        gram, projected = np.einsum("aki,bi->kab", work, work[:, 0])
+        gram, projected = _trial_products(work)
         # SVQB: scale to a unit diagonal, then drop the nearly dependent directions;
         # the zero p of the first step gets scale 0 and is dropped with them
         norms = np.sqrt(gram.diagonal())
@@ -271,16 +288,15 @@ def optimal_fidelity(
         keep = sigma > 1e-10 * sigma[-1]
         coefficients = scale[:, None] * u[:, keep] / np.sqrt(sigma[keep])
         ritz = np.linalg.eigh(coefficients.T @ projected @ coefficients)[1][:, -1]
-        # the step is c0 x + c1 w + c2 p, summed in that order; the next p is its w and
-        # p part (Hetmaniuk & Lehoucq).  w and S w are recomputed before they are read
-        # again, so they are scaled in place
+        # the next p is the step's w and p part, c1 w + c2 p (Hetmaniuk & Lehoucq), and
+        # the step is c0 x + p.  w and S w are recomputed before they are read again,
+        # so they are scaled in place
         c0, c1, c2 = coefficients @ ritz
-        w_pair *= c1
         p_pair *= c2
-        x_pair *= c0
-        x_pair += w_pair
-        x_pair += p_pair
+        w_pair *= c1
         p_pair += w_pair
+        x_pair *= c0
+        x_pair += p_pair
         x_pair /= math.sqrt(_dot(x, x))
         confirmed = False
 

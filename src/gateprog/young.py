@@ -37,6 +37,14 @@ def enumerate_diagrams(m: int, d: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _factor_product(rows: np.ndarray, pairs) -> np.ndarray:
+    """Product over the given row pairs (i, j) of rows[i] - rows[j] + j - i, in int64."""
+    run = np.ones(rows.shape[:-1], dtype=np.int64)
+    for i, j in pairs:
+        run *= rows[..., i] - rows[..., j] + (j - i)
+    return run
+
+
 def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     """Exact dimension of the SU(d) irrep with row lengths ``rows``, for one diagram
     or a stack of shape (..., d) in one array pass.
@@ -45,9 +53,12 @@ def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     1! 2! ... (d-1)!.  No factor exceeds the widest row spread plus d - 1 in
     absolute value, so the factors are formed one row pair at a time in int64 and
     multiplied into a running int64 group of as many factors as that bound keeps
-    below 2^63.  Each full group is multiplied into the product in Python integers
-    (object dtype), exact at any size, and the division is checked to be exact.
-    Returns an ``int`` for one diagram and an object array of ``int`` for a stack.
+    below 2^63.  Where one group holds every factor, the product is divided and
+    the division checked in int64, and the quotients converted to Python integers
+    once.  Otherwise each full group is multiplied into the product in Python
+    integers (object dtype), exact at any size, and divided there, again checked
+    to be exact.  Returns an ``int`` for one diagram and an object array of
+    ``int`` for a stack.
     """
     rows = np.asarray(rows, dtype=np.int64)
     d = rows.shape[-1]
@@ -56,18 +67,18 @@ def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     group = 1
     while group < len(pairs) and largest ** (group + 1) < 2**63:
         group += 1
-    num = np.ones(rows.shape[:-1], dtype=object)
-    for start in range(0, len(pairs), group):
-        run = np.ones(rows.shape[:-1], dtype=np.int64)
-        for i, j in pairs[start : start + group]:
-            run *= rows[..., i] - rows[..., j] + (j - i)
-        num *= run.astype(object)
+    if group >= len(pairs):
+        num = _factor_product(rows, pairs)
+    else:
+        num = np.ones(rows.shape[:-1], dtype=object)
+        for start in range(0, len(pairs), group):
+            num *= _factor_product(rows, pairs[start : start + group]).astype(object)
     den = prod(factorial(k) for k in range(1, d))
     dim, rem = num // den, num % den
     if np.any(rem):
         bad = rows[np.asarray(rem != 0)][0]
         raise ValueError(f"dimension product not divisible for {tuple(bad.tolist())}")
-    return dim
+    return dim.astype(object) if num.dtype == np.int64 else dim
 
 
 def young_distance(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:

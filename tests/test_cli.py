@@ -59,11 +59,12 @@ class TestProtocolCommand:
         )
 
     def test_solver_failure_exits_1(self, capsys, monkeypatch):
+        # at d=3: a d=2 report takes its optimum in closed form and runs no solver
         def no_convergence(matrix):
             raise ConvergenceError("residual 1.0e-08")
 
         monkeypatch.setattr(reporting, "optimal_fidelity", no_convergence)
-        code, out, err = run_capture(capsys, ["protocol", "--d", "2", "--n", "8"])
+        code, out, err = run_capture(capsys, ["protocol", "--d", "3", "--n", "26"])
         assert code == 1
         assert out == ""
         assert err == "error: eigensolver did not converge: residual 1.0e-08\n"

@@ -11,6 +11,7 @@ import gateprog.reporting as reporting
 from gateprog.reporting import (
     CSV_COLUMNS,
     REPORT_FIELDS,
+    format_float,
     protocol_report,
     protocol_reports,
     report_to_dict,
@@ -21,7 +22,7 @@ from gateprog.reporting import (
 )
 from gateprog.young import irrep_dimension
 from gateprog.protocol import WeightVector, sine_weights, viable_set
-from gateprog.scoring import entanglement_fidelity, optimal_fidelity, score_matrix
+from gateprog.scoring import ScoreMatrix, entanglement_fidelity, optimal_fidelity, score_matrix
 from gateprog.verify import NS_D3, SMALL_NS_D2
 
 
@@ -100,14 +101,36 @@ class TestProtocolReport:
 
     @pytest.mark.parametrize("n, d", [(64, 2), (60, 3), (61, 4)])
     def test_two_validated_weight_vectors(self, monkeypatch, n, d):
-        # each check sums 2^20 squares at the member budget: the sine weights, which
-        # start the solver, and the principal weights are validated; the report's
-        # sine-weight error comes from the closed form and builds none
+        # each check sums 2^20 squares at the member budget: at d >= 3 the sine weights,
+        # which start the solver, and the principal weights are validated; the report's
+        # sine-weight error comes from the closed form and builds none, and at d=2 so
+        # does its optimum
         built = []
         check = WeightVector.__post_init__
         monkeypatch.setattr(WeightVector, "__post_init__", lambda q: built.append(check(q)))
         protocol_report(n, d)
-        assert len(built) == 2
+        assert len(built) == (0 if d == 2 else 2)
+
+    @pytest.mark.parametrize("n", [*SMALL_NS_D2, 4096, 8192, 32768])
+    def test_d2_optimum_in_closed_form(self, n):
+        # the chain's optimal error sin^2(pi/(2(N+1))) bit for bit, and the solver's
+        # 12 printed digits of it
+        report = protocol_report(n, 2)
+        error = math.sin(math.pi / (2 * (report.N + 1))) ** 2
+        assert report.epsilon_optimal == error
+        assert report.fidelity_optimal == 1.0 - error
+        solved = optimal_fidelity(ScoreMatrix(2, report.N))
+        assert format_float(report.epsilon_optimal) == format_float(solved.error)
+        assert format_float(report.fidelity_optimal) == format_float(solved.fidelity)
+
+    def test_d2_reports_run_no_solve(self, monkeypatch):
+        def no_solve(matrix):
+            raise AssertionError("a d=2 report ran the eigensolver")
+
+        monkeypatch.setattr(reporting, "optimal_fidelity", no_solve)
+        assert protocol_report(64, 2).N == 32
+        assert [r.n for r in protocol_reports(2, SMALL_NS_D2)] == list(SMALL_NS_D2)
+        assert [r.n for r in sweep(2, [32, 64, 128]).reports] == [32, 64, 128]
 
 
 def report_bits(report):
@@ -137,7 +160,8 @@ class TestProtocolReports:
         ]
 
     def test_one_solve_per_box(self, monkeypatch):
-        # verify's 61 points lie in 8 d=2 boxes (N = n // 2) and 7 d=3 boxes (N = 2..8)
+        # verify's 48 d=3 points lie in 7 boxes (N = 2..8); its 13 d=2 points take the
+        # closed form and solve none
         boxes = []
 
         def solve(s):
@@ -147,9 +171,7 @@ class TestProtocolReports:
         monkeypatch.setattr(reporting, "optimal_fidelity", solve)
         protocol_reports(2, SMALL_NS_D2)
         protocol_reports(3, NS_D3)
-        assert boxes == [(2, n) for n in (2, 4, 8, 16, 32, 64, 128, 256)] + [
-            (3, n) for n in range(2, 9)
-        ]
+        assert boxes == [(3, n) for n in range(2, 9)]
 
     @pytest.mark.parametrize("n, d, other_n, other_d", [(8, 2, 16, 2), (26, 3, 8, 2)])
     def test_solve_of_another_box_rejected(self, n, d, other_n, other_d):

@@ -10,10 +10,12 @@ import pytest
 from gateprog.protocol import ProtocolError, WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import (
     _DENSE_SINE_MAX_N,
+    _MATMUL_BLOCK,
     ConvergenceError,
     _sine_transform,
     _sine_work,
     _stencil_slices,
+    _trial_products,
     entanglement_fidelity,
     lemma3_bound,
     optimal_fidelity,
@@ -293,6 +295,20 @@ class TestSineTransform:
         # each axis sums N terms, so rounding stays within N ulps of the largest entry per axis
         bound = 4 * np.finfo(float).eps * axes * big_n * np.abs(expected).max()
         assert np.abs(_sine_transform(x, _sine_work(x.shape)) - expected).max() <= bound
+
+
+class TestTrialProducts:
+    def test_blocks_sum_to_one_product(self):
+        # the d=3, N=171 box has 29,241 members, past one block of _MATMUL_BLOCK // 18
+        members = 171**2
+        assert members > _MATMUL_BLOCK // 18
+        work = np.random.default_rng(5).random((3, 2, members))
+        gram, projected = _trial_products(work)
+        vectors = work[:, 0]
+        # each entry sums M positive products, so rounding stays within M ulps of it
+        rtol = members * np.finfo(float).eps
+        np.testing.assert_allclose(gram, vectors @ vectors.T, rtol=rtol)
+        np.testing.assert_allclose(projected, work[:, 1] @ vectors.T, rtol=rtol)
 
 
 @pytest.fixture(scope="module", params=[(1200, 3), (600, 4)], ids=["1200-3", "600-4"])

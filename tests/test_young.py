@@ -1,13 +1,17 @@
 """Diagram enumeration, distances, and exact dimension arithmetic."""
 
+import functools
+import operator
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
 
+from gateprog import young
 from gateprog.protocol import viable_set
+from gateprog.verify import NS_D3, SMALL_NS_D2
 from gateprog.young import (
     dm_lower_bound,
     enumerate_diagrams,
@@ -110,6 +114,33 @@ class TestIrrepDimension:
         expected = [python_int_dimension(r) for r in rows]
         assert irrep_dimension(rows).tolist() == expected
         assert [irrep_dimension(r) for r in rows] == expected
+
+    @pytest.mark.parametrize("d, ns", [
+        (2, (512, 1024, 4096, *SMALL_NS_D2)), (3, (600, *NS_D3)), (4, (300,)),
+    ])
+    def test_int64_division_matches_python_ints(self, d, ns):
+        # protocol-grid's and verify's points, where one int64 group holds every factor:
+        # the quotients are the Python ints of the product taken factor by factor in them
+        den = prod(map(factorial, range(1, d)))
+        for n in ns:
+            rows = viable_set(n, d).rows
+            num = functools.reduce(operator.mul, (
+                (rows[:, i] - rows[:, j] + (j - i)).astype(object)
+                for i, j in zip(*np.triu_indices(d, 1))
+            ))
+            got = irrep_dimension(rows)
+            assert got.dtype == object and {type(v) for v in got} == {int}
+            assert got.tolist() == (num // den).tolist()
+
+    @pytest.mark.parametrize("rows", [
+        [(2, 1, 0), (5, 3, 0)],  # one int64 group
+        [(2**40, 2**39 + 7, 2**31, 0)],  # one factor a group
+    ])
+    def test_division_is_checked(self, monkeypatch, rows):
+        # no integer rows leave a remainder, so the divisor is made 7^(d-1)
+        monkeypatch.setattr(young, "factorial", lambda k: 7)
+        with pytest.raises(ValueError, match=rf"not divisible for \({rows[0][0]}, "):
+            irrep_dimension(rows)
 
     def test_slice_at_d21(self):
         # 210 factors a diagram, several int64 groups each; one diagram is still an int
