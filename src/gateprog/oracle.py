@@ -286,9 +286,11 @@ def _quaternions(
         nodes = rng.multinomial(count, density)
         quat = buffer[:, :count]
         w, x, y, z = quat
-        s.take(keep, out=z)
-        pairs[0].take(keep, out=x)
-        pairs[1].take(keep, out=y)
+        # keep indexes the chunk, so "clip" never clips; the default "raise" would
+        # gather into a temporary and copy it to out
+        s.take(keep, out=z, mode="clip")
+        pairs[0].take(keep, out=x, mode="clip")
+        pairs[1].take(keep, out=y, mode="clip")
         sin_rep = np.repeat(sin_phi, nodes)
         # w holds 2 sin(phi) sqrt(1 - s) until the last line
         np.subtract(1.0, z, out=w)

@@ -90,6 +90,11 @@ class DiamondSearchResult:
     me_is_max: bool
 
 
+# Candidates each live start evaluates per pass.  A start's candidates up to its next
+# improvement are fixed before it is reached, so the value changes speed only.
+_AHEAD = 16
+
+
 def diamond_distance_search(
     kappa: float,
     *,
@@ -101,13 +106,21 @@ def diamond_distance_search(
 
     This is the independent oracle for the closed form 1 - kappa; it never uses
     that form.  Hill climbing in the fixed six-angle chart runs from the
-    maximally entangled input plus ``starts`` seeded random points, all in
-    lockstep: every step evaluates the candidates of all live starts at once,
-    each through the closed 2x2 singular-value sum of its output block.  Each
-    start draws its step noise up front from its own generator, widens its step
-    by 1.2 (at most 1) on an improvement and shrinks it by 0.9 otherwise, and
-    stops once the step falls below 1e-9.
-    Every run is deterministic.
+    maximally entangled input plus ``starts`` seeded random points.  Each start
+    draws its step noise up front from its own generator, and its k-th
+    candidate adds noise row k times its step to its current point; it widens
+    its step by 1.2 (at most 1) on an improvement, shrinks it by 0.9 otherwise,
+    and stops once the step falls below 1e-9 or after ``max_evaluations``
+    candidates.
+
+    A failed candidate leaves the point alone and only shrinks the step, so a
+    start's candidates up to its next improvement are known in advance.  Each
+    pass therefore evaluates the next ``_AHEAD`` candidates of every live start
+    at once, as if all of them failed, each through the closed 2x2
+    singular-value sum of its output block, and keeps the first improvement,
+    or counts every candidate as failed.  Every start visits exactly the points
+    of a climb that evaluates one candidate at a time.  Every run is
+    deterministic.
     """
     rngs = [np.random.default_rng(10_000)]
     x = [_ME_ANGLES]
@@ -123,18 +136,36 @@ def diamond_distance_search(
     best = _difference_output_trace_norm(kappa, _state_from_angles(x))
     me_value = float(best[0])
     step = np.full(len(x), 0.4)
-    live = np.arange(len(x))
-    for k in range(max_evaluations):
-        candidate = x[live] + step[live, None] * noise[live, k]
+    index = np.zeros(len(x), dtype=np.int64)  # the next noise row of each start
+    live = np.flatnonzero(index < max_evaluations)
+    while live.size:
+        # the steps of _AHEAD failures in a row, by repeated multiplication as in a
+        # one-at-a-time climb; a start reaches the prefix of its row still in range
+        steps = np.full((live.size, _AHEAD), 0.9)
+        steps[:, 0] = step[live]
+        steps = np.multiply.accumulate(steps, axis=1)
+        rows = index[live, None] + np.arange(_AHEAD)
+        reached = (rows < max_evaluations) & (steps >= 1e-9)
+        which, ahead = np.nonzero(reached)
+        start = live[which]
+        candidate = x[start] + steps[which, ahead][:, None] * noise[start, rows[which, ahead]]
         value = _difference_output_trace_norm(kappa, _state_from_angles(candidate))
-        better = value > best[live]
-        up = live[better]
-        x[up], best[up] = candidate[better], value[better]
-        step[up] = np.minimum(step[up] * 1.2, 1.0)
-        step[live[~better]] *= 0.9
-        live = live[step[live] >= 1e-9]
-        if not live.size:
-            break
+        better = np.zeros(reached.shape, dtype=bool)
+        better[which, ahead] = value > best[start]
+
+        count = reached.sum(axis=1)
+        first = better.argmax(axis=1)
+        up = better[np.arange(live.size), first]
+        # candidates are laid out start by start, so a start's j-th sits at offset + j
+        pick = (np.cumsum(count) - count + first)[up]
+        gain = live[up]
+        x[gain], best[gain] = candidate[pick], value[pick]
+        step[gain] = np.minimum(steps[up, first[up]] * 1.2, 1.0)
+        index[gain] += first[up] + 1
+        lose = live[~up]
+        step[lose] = steps[~up, count[~up] - 1] * 0.9
+        index[lose] += count[~up]
+        live = live[(step[live] >= 1e-9) & (index[live] < max_evaluations)]
 
     finals = tuple(float(v) for v in best)
     top = max(finals)

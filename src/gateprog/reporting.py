@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import bounds as bounds_mod
-from .protocol import capacity_parameter, viable_set
+from .protocol import _lattice_parameters, capacity_parameter, flat_diagram, viable_set
 from .scoring import (
     FidelityResult,
     ScoreMatrix,
@@ -70,25 +70,42 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
     graph's 2 I + A, whose top eigenvalue is 2 + 2 cos(pi/(N+1)), so the optimal
     error is sin^2(pi/(2(N+1))), taken in that form; ``verify``'s
     ``eigenvalue_oracle`` checks the solver against that eigenvalue.
+
+    d=2 builds no lattice either.  Member t = 0..N-1 has rows (r + t, n - r - t)
+    with r = mu0[0] + N + 1 (``viable_set``), so its SU(2) dimension is a + 2t
+    with a = 2r - n + 1, and the exact dimension is the sum of squares
+    N a^2 + 2a N(N-1) + 2(N-1)N(2N-1)/3, in Python integers.
     """
-    diagram_set = viable_set(n, d)
-    epsilon_qstar = qstar_error_closed_form(d, diagram_set.N)
+    if d == 2:
+        big_n = capacity_parameter(n, d)
+        _, n0 = _lattice_parameters(n, d)
+        a = 2 * (flat_diagram(n0, 2)[0] + big_n + 1) - n + 1
+        set_size = big_n
+        dim_exact = (
+            big_n * a * a + 2 * a * big_n * (big_n - 1)
+            + 2 * (big_n - 1) * big_n * (2 * big_n - 1) // 3
+        )
+    else:
+        diagram_set = viable_set(n, d)
+        big_n, n0, set_size = diagram_set.N, diagram_set.n0, len(diagram_set)
+    epsilon_qstar = qstar_error_closed_form(d, big_n)
     fidelity_qstar = 1.0 - epsilon_qstar
     if optimal is not None:
         solved = optimal.weights_used
-        if (solved.d, solved.N) != (d, diagram_set.N):
+        if (solved.d, solved.N) != (d, big_n):
             raise ValueError(
                 f"the solve of the (d, N) = ({solved.d}, {solved.N}) box does not serve "
-                f"n={n}, d={d}, whose box is ({d}, {diagram_set.N})"
+                f"n={n}, d={d}, whose box is ({d}, {big_n})"
             )
         epsilon_optimal = optimal.error
     elif d == 2:
-        epsilon_optimal = math.sin(math.pi / (2 * (diagram_set.N + 1))) ** 2
+        epsilon_optimal = math.sin(math.pi / (2 * (big_n + 1))) ** 2
     else:
         epsilon_optimal = optimal_fidelity(score_matrix(diagram_set)).error
 
-    dims = irrep_dimension(diagram_set.rows)
-    dim_exact = (dims * dims).sum()
+    if d > 2:
+        dims = irrep_dimension(diagram_set.rows)
+        dim_exact = (dims * dims).sum()
     dim_log2 = math.log2(dim_exact)
 
     nu = d * d - 1
@@ -110,9 +127,9 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
     return ProtocolReport(
         d=d,
         n=n,
-        N=diagram_set.N,
-        n0=diagram_set.n0,
-        set_size=len(diagram_set),
+        N=big_n,
+        n0=n0,
+        set_size=set_size,
         fidelity_qstar=fidelity_qstar,
         fidelity_optimal=1.0 - epsilon_optimal,
         epsilon_qstar=epsilon_qstar,

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import gateprog.phase as phase
 from gateprog.phase import (
     _difference_output_trace_norm,
     _singular_value_sum,
@@ -206,13 +207,30 @@ class TestQuantumError:
         # the lockstep search evaluates the same steps with vectorised sin/cos/exp,
         # so each start's value may differ from the scalar reference by a few ulps;
         # 25 steps stop the climbs before they meet at the maximum, so the values
-        # still depend on every accepted step
+        # still depend on every accepted step.  At 25 steps every one of verify's
+        # 33 starts is climbed; the scalar reference keeps 500 steps to 5 starts
         kappa = sine_kappa(d_p)
+        starts = 32 if evaluations == 25 else 4
         lockstep = diamond_distance_search(
-            kappa, starts=4, max_evaluations=evaluations
+            kappa, starts=starts, max_evaluations=evaluations
         ).start_values
-        reference = sequential_climbs(kappa, starts=4, max_evaluations=evaluations)
+        reference = sequential_climbs(kappa, starts=starts, max_evaluations=evaluations)
+        assert len(lockstep) == starts + 1
         assert np.allclose(lockstep, reference, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d_p", [4, 64, 128])
+    @pytest.mark.parametrize("evaluations", [25, 500])
+    def test_look_ahead_changes_no_point(self, monkeypatch, d_p, evaluations):
+        # one candidate per pass is the plain climb; a pass as long as the whole
+        # budget looks furthest ahead
+        kappa = sine_kappa(d_p)
+        finals = {}
+        for ahead in (1, 16, evaluations):
+            monkeypatch.setattr(phase, "_AHEAD", ahead)
+            result = diamond_distance_search(kappa, max_evaluations=evaluations)
+            finals[ahead] = [value.hex() for value in result.start_values]
+        assert finals[16] == finals[1]
+        assert finals[evaluations] == finals[1]
 
     def test_entangled_start_is_never_beaten(self):
         for d_p in (2, 8, 64):

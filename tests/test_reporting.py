@@ -123,6 +123,22 @@ class TestProtocolReport:
         assert format_float(report.epsilon_optimal) == format_float(solved.error)
         assert format_float(report.fidelity_optimal) == format_float(solved.fidelity)
 
+    @pytest.mark.parametrize("ns", [range(4, 4097), [2**21]], ids=["4-4096", "2^21"])
+    def test_d2_dimension_in_closed_form(self, monkeypatch, ns):
+        # the sum of squares over the arithmetic progression of SU(2) dimensions
+        # against the array pass over the lattice, which the report no longer builds
+        def no_lattice(*args):
+            raise AssertionError("a d=2 report built its lattice")
+
+        monkeypatch.setattr(reporting, "viable_set", no_lattice)
+        monkeypatch.setattr(reporting, "irrep_dimension", no_lattice)
+        for n in ns:
+            report = protocol_report(n, 2)
+            rows = viable_set(n, 2).rows
+            dims = irrep_dimension(rows)
+            assert (report.dP_exact, report.set_size) == ((dims * dims).sum(), len(rows))
+            assert type(report.dP_exact) is int
+
     def test_d2_reports_run_no_solve(self, monkeypatch):
         def no_solve(matrix):
             raise AssertionError("a d=2 report ran the eigensolver")

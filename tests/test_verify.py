@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+import gateprog.reporting as reporting
 import gateprog.verify as verify
 from gateprog.phase import DiamondSearchResult, classical_phase_error, phase_report
-from gateprog.scoring import qstar_error_closed_form
+from gateprog.scoring import optimal_fidelity, qstar_error_closed_form
 
 
 def _agreeing_search(kappa):
@@ -85,12 +86,31 @@ def test_closed_form_consistency_sums_every_box_once(monkeypatch):
 
 @pytest.mark.parametrize("check", ["check_closed_form_consistency", "check_eigenvalue_oracle"])
 def test_box_checks_build_no_lattice(monkeypatch, check):
-    # the score matrix and the sine weights need only the (d, N) box
+    # the score matrix, the sine weights and the box solves need only the (d, N) box
     def lattice(n, d):
         raise AssertionError(f"viable_set({n}, {d}) built a lattice")
 
     monkeypatch.setattr(verify, "viable_set", lattice)
-    assert getattr(verify, check)().passed
+    args = (verify.solve_boxes(),) if check == "check_eigenvalue_oracle" else ()
+    assert getattr(verify, check)(*args).passed
+
+
+def test_one_solve_per_box(monkeypatch):
+    # eigenvalue_oracle's d=2 N = 2..64 and the d=3 reports' N = 2..8; every other
+    # solve the battery reads lies in one of these boxes
+    boxes = []
+
+    def solve(matrix):
+        boxes.append((matrix.d, matrix.N))
+        return optimal_fidelity(matrix)
+
+    monkeypatch.setattr(verify, "optimal_fidelity", solve)
+    monkeypatch.setattr(reporting, "optimal_fidelity", solve)
+    assert all(result.passed for result in verify.run_all(samples=10**5, seed=0))
+    assert len(boxes) == 70
+    assert sorted(boxes) == [(2, big_n) for big_n in range(2, 65)] + [
+        (3, big_n) for big_n in range(2, 9)
+    ]
 
 
 def test_closed_form_off_at_one_box_fails(monkeypatch):
@@ -108,11 +128,11 @@ def test_closed_form_off_at_one_box_fails(monkeypatch):
     (10**6, -1, "seed must be non-negative, got -1"),
 ])
 def test_bad_sampling_rejected_before_any_check(monkeypatch, samples, seed, message):
-    # the reports are the battery's first work
-    def reports(d, n_values):
+    # the box solves are the battery's first work
+    def solve(matrix):
         raise AssertionError("the battery started before its inputs were checked")
 
-    monkeypatch.setattr(verify, "protocol_reports", reports)
+    monkeypatch.setattr(verify, "optimal_fidelity", solve)
     with pytest.raises(ValueError) as excinfo:
         verify.run_all(samples=samples, seed=seed)
     assert str(excinfo.value) == message

@@ -18,14 +18,14 @@ import subprocess
 import sys
 
 # protocol-grid's five points, then verify's 61 points (d=2 n=512 is in both), then
-# four frontier points: the 2^20-member d=3 box, d=4 n=1200, whose squared dimensions
-# exceed 2^63, the 2^20-member d=5 box on the dense sine-transform path, and the
-# 15-dimensional N=2 box of d=16
+# five frontier points: the 2^20-member d=3 box, d=4 n=1200, whose squared dimensions
+# exceed 2^63, the 2^20-member d=5 box on the dense sine-transform path, the
+# 15-dimensional N=2 box of d=16, and the 2^20-member d=2 box
 PROTOCOL_POINTS = tuple(dict.fromkeys(
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
     + tuple((2, n) for n in (4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 256, 512))
     + tuple((3, n) for n in range(13, 61))
-    + ((3, 7167), (4, 1200), (5, 826), (16, 661))
+    + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152))
 ))
 
 VECTORS = (
