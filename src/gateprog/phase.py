@@ -20,7 +20,7 @@ distance is 1 - kappa (Watrous, The Theory of Quantum Information, sec. 3.3).
 The Choi infidelity of the same channel is (1 - kappa) / 2, the phase-average
 of sin^2(theta/2) under the outcome density |sum_m c_m e^{i m theta}|^2 / (2 pi).
 
-The direct multi-start maximization of the output trace norm
+The see-saw maximization of the output trace norm from 33 starts
 (``diamond_distance_search``) and a quadrature of the outcome density only
 appear in ``verify``'s cross-checks.
 """
@@ -61,22 +61,14 @@ def _state_from_angles(x: np.ndarray) -> np.ndarray:
 _ME_ANGLES = np.array([math.pi / 4, math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0])
 
 
-def _singular_value_sum(b: np.ndarray) -> np.ndarray:
-    """s1 + s2 of each complex 2x2 block of a (k, 2, 2) stack, from the identity
-    (s1 + s2)^2 = ||B||_F^2 + 2 |det B|, which holds for every 2x2 B."""
-    frobenius = np.sum(b.real**2 + b.imag**2, axis=(1, 2))
-    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    return np.sqrt(frobenius + 2.0 * np.abs(det))
-
-
-def _difference_output_trace_norm(kappa: float, psi: np.ndarray) -> np.ndarray:
-    """||((E - I) (x) I)(psi psi*)||_1 for each row psi, E dephasing with factor kappa.
-
-    The difference is the Hermitian dilation of the 2x2 block B, whose eigenvalues
-    are +/- the singular values of B, so its trace norm is 2 (s1 + s2); neither
-    rank one nor 1 - kappa is assumed.
-    """
-    return 2.0 * _singular_value_sum((kappa - 1.0) * psi[:, :2, None] * psi[:, None, 2:].conj())
+def _difference(kappa: float, rho: np.ndarray) -> np.ndarray:
+    """((E - I) (x) I)(rho) for each 4x4 matrix of a stack, system index first, E
+    dephasing with factor kappa: the off-diagonal system blocks scale by kappa - 1
+    and the diagonal blocks clear.  The map is its own adjoint."""
+    out = np.zeros_like(rho)
+    out[..., :2, 2:] = (kappa - 1.0) * rho[..., :2, 2:]
+    out[..., 2:, :2] = (kappa - 1.0) * rho[..., 2:, :2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,82 +82,47 @@ class DiamondSearchResult:
     me_is_max: bool
 
 
-# Candidates each live start evaluates per pass.  A start's candidates up to its next
-# improvement are fixed before it is reached, so the value changes speed only.
-_AHEAD = 16
+# A cap on the see-saw's rounds; it takes at most 10 over kappa in [0, 1].
+_MAX_ROUNDS = 100
 
 
-def diamond_distance_search(
-    kappa: float,
-    *,
-    starts: int = 32,
-    max_evaluations: int = 500,
-) -> DiamondSearchResult:
+def diamond_distance_search(kappa: float) -> DiamondSearchResult:
     """Maximize the output trace norm of dephasing with factor ``kappa`` over
-    pure 2x2 inputs by direct search.
+    pure 2x2 inputs by a see-saw ascent.
 
     This is the independent oracle for the closed form 1 - kappa; it never uses
-    that form.  Hill climbing in the fixed six-angle chart runs from the
-    maximally entangled input plus ``starts`` seeded random points.  Each start
-    draws its step noise up front from its own generator, and its k-th
-    candidate adds noise row k times its step to its current point; it widens
-    its step by 1.2 (at most 1) on an improvement, shrinks it by 0.9 otherwise,
-    and stops once the step falls below 1e-9 or after ``max_evaluations``
-    candidates.
-
-    A failed candidate leaves the point alone and only shrinks the step, so a
-    start's candidates up to its next improvement are known in advance.  Each
-    pass therefore evaluates the next ``_AHEAD`` candidates of every live start
-    at once, as if all of them failed, each through the closed 2x2
-    singular-value sum of its output block, and keeps the first improvement,
-    or counts every candidate as failed.  Every start visits exactly the points
-    of a climb that evaluates one candidate at a time.  Every run is
-    deterministic.
+    that form, rank one, or the optimality of the entangled input.  The distance
+    is the maximum of tr U ((E - I) (x) I)(psi psi*) over pure inputs psi and
+    Hermitian U with -I <= U <= I (Watrous, Theory of Computing 5 (2009) 217).
+    Each round, for the maximally entangled input and 32 seeded random points of
+    the six-angle chart at once, diagonalizes the output difference
+    V diag(lambda) V*, whose trace norm sum |lambda| is the start's value, takes
+    the best U for that psi, V sign(lambda) V*, and the best psi for that U, the
+    top eigenvector of ((E - I) (x) I)(U), as the map is its own adjoint.
+    Neither step lowers the value, and a fixed point meets the first-order
+    optimality condition.  A start's value is the best it has reached, since
+    rounding scatters each round's by a few ulps; the rounds stop once no start
+    rises above it by more than 4 ulps.  Every run is deterministic.
     """
-    rngs = [np.random.default_rng(10_000)]
     x = [_ME_ANGLES]
-    for seed in range(starts):
+    for seed in range(32):
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(0.0, math.pi / 2, size=6)
         x0[3:] = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        rngs.append(rng)
         x.append(x0)
-    x = np.array(x)
-    noise = np.stack([rng.standard_normal((max_evaluations, 6)) for rng in rngs])
+    psi = _state_from_angles(np.array(x))
 
-    best = _difference_output_trace_norm(kappa, _state_from_angles(x))
-    me_value = float(best[0])
-    step = np.full(len(x), 0.4)
-    index = np.zeros(len(x), dtype=np.int64)  # the next noise row of each start
-    live = np.flatnonzero(index < max_evaluations)
-    while live.size:
-        # the steps of _AHEAD failures in a row, by repeated multiplication as in a
-        # one-at-a-time climb; a start reaches the prefix of its row still in range
-        steps = np.full((live.size, _AHEAD), 0.9)
-        steps[:, 0] = step[live]
-        steps = np.multiply.accumulate(steps, axis=1)
-        rows = index[live, None] + np.arange(_AHEAD)
-        reached = (rows < max_evaluations) & (steps >= 1e-9)
-        which, ahead = np.nonzero(reached)
-        start = live[which]
-        candidate = x[start] + steps[which, ahead][:, None] * noise[start, rows[which, ahead]]
-        value = _difference_output_trace_norm(kappa, _state_from_angles(candidate))
-        better = np.zeros(reached.shape, dtype=bool)
-        better[which, ahead] = value > best[start]
-
-        count = reached.sum(axis=1)
-        first = better.argmax(axis=1)
-        up = better[np.arange(live.size), first]
-        # candidates are laid out start by start, so a start's j-th sits at offset + j
-        pick = (np.cumsum(count) - count + first)[up]
-        gain = live[up]
-        x[gain], best[gain] = candidate[pick], value[pick]
-        step[gain] = np.minimum(steps[up, first[up]] * 1.2, 1.0)
-        index[gain] += first[up] + 1
-        lose = live[~up]
-        step[lose] = steps[~up, count[~up] - 1] * 0.9
-        index[lose] += count[~up]
-        live = live[(step[live] >= 1e-9) & (index[live] < max_evaluations)]
+    best = None
+    for _ in range(_MAX_ROUNDS):
+        lam, v = np.linalg.eigh(_difference(kappa, psi[:, :, None] * psi[:, None, :].conj()))
+        value = np.abs(lam).sum(axis=1)
+        if best is None:
+            best, me_value = value, float(value[0])
+        elif np.all(value <= best * (1.0 + 4.0 * np.finfo(float).eps)):
+            break
+        best = np.maximum(best, value)
+        u = (v * np.sign(lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        psi = np.linalg.eigh(_difference(kappa, u))[1][:, :, -1]
 
     finals = tuple(float(v) for v in best)
     top = max(finals)

@@ -86,8 +86,14 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
             + 2 * (big_n - 1) * big_n * (2 * big_n - 1) // 3
         )
     else:
+        # the dimension sum and the score matrix take what they need of the lattice,
+        # so its rows, 8d bytes a member, are freed before any solve
         diagram_set = viable_set(n, d)
         big_n, n0, set_size = diagram_set.N, diagram_set.n0, len(diagram_set)
+        dims = irrep_dimension(diagram_set.rows)
+        dim_exact = (dims * dims).sum()
+        matrix = score_matrix(diagram_set) if optimal is None else None
+        del diagram_set, dims
     epsilon_qstar = qstar_error_closed_form(d, big_n)
     fidelity_qstar = 1.0 - epsilon_qstar
     if optimal is not None:
@@ -101,11 +107,7 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
     elif d == 2:
         epsilon_optimal = math.sin(math.pi / (2 * (big_n + 1))) ** 2
     else:
-        epsilon_optimal = optimal_fidelity(score_matrix(diagram_set)).error
-
-    if d > 2:
-        dims = irrep_dimension(diagram_set.rows)
-        dim_exact = (dims * dims).sum()
+        epsilon_optimal = optimal_fidelity(matrix).error
     dim_log2 = math.log2(dim_exact)
 
     nu = d * d - 1

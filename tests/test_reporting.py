@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ class TestProtocolReport:
         assert protocol_report(64, 2).N == 32
         assert [r.n for r in protocol_reports(2, SMALL_NS_D2)] == list(SMALL_NS_D2)
         assert [r.n for r in sweep(2, [32, 64, 128]).reports] == [32, 64, 128]
+
+
+    @pytest.mark.parametrize("n, d", [(60, 3), (40, 4)])
+    def test_lattice_is_freed_before_the_solve(self, monkeypatch, n, d):
+        lattices, alive = [], []
+
+        def build(*args):
+            diagram_set = viable_set(*args)
+            lattices.append(weakref.ref(diagram_set))
+            return diagram_set
+
+        def solve(matrix):
+            alive.append([ref() is not None for ref in lattices])
+            return optimal_fidelity(matrix)
+
+        monkeypatch.setattr(reporting, "viable_set", build)
+        monkeypatch.setattr(reporting, "optimal_fidelity", solve)
+        protocol_report(n, d)
+        assert alive == [[False]]
 
 
 def report_bits(report):

@@ -53,6 +53,20 @@ def test_search_disagreeing_with_closed_form_fails(monkeypatch):
     assert "1 - kappa" in result.detail and "dP=4" in result.detail
 
 
+def test_real_search_catches_a_closed_form_off_by_1e_6(monkeypatch):
+    # the see-saw itself, not a fake, against an eps_quantum off by a relative 1e-6
+    def report(d_p):
+        exact = phase_report(d_p)
+        return replace(exact, eps_quantum=exact.eps_quantum * (1.0 + 1e-6))
+
+    monkeypatch.setattr(verify, "phase_report", report)
+    result = verify.check_phase_gate()
+    assert not result.passed
+    assert result.detail == (
+        "search maximum 0.21966991411 differs from 1 - kappa = 0.21967013378 at dP=4 (tol 1e-9)"
+    )
+
+
 def test_choi_infidelity_disagreeing_with_quadrature_fails(monkeypatch):
     def report(d_p):
         exact = phase_report(d_p)
