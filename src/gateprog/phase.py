@@ -20,9 +20,9 @@ distance is 1 - kappa (Watrous, The Theory of Quantum Information, sec. 3.3).
 The Choi infidelity of the same channel is (1 - kappa) / 2, the phase-average
 of sin^2(theta/2) under the outcome density |sum_m c_m e^{i m theta}|^2 / (2 pi).
 
-The see-saw maximization of the output trace norm from 33 starts
-(``diamond_distance_search``) and a quadrature of the outcome density only
-appear in ``verify``'s cross-checks.
+The see-saw maximization of the output trace norm from 33 Haar-random inputs,
+with no entangled start (``diamond_distance_search``), and a quadrature of the
+outcome density only appear in ``verify``'s cross-checks.
 """
 
 from __future__ import annotations
@@ -43,24 +43,6 @@ def classical_phase_error(d_p: int) -> float:
     return math.sin(math.pi / (2.0 * d_p))
 
 
-def _state_from_angles(x: np.ndarray) -> np.ndarray:
-    """Fixed six-parameter chart on pure states of a 4-dimensional system, per row."""
-    t1, t2, t3, p1, p2, p3 = x.T
-    s1, s2 = np.sin(t1), np.sin(t2)
-    return np.stack(
-        [
-            np.cos(t1),
-            np.exp(1j * p1) * s1 * np.cos(t2),
-            np.exp(1j * p2) * s1 * s2 * np.cos(t3),
-            np.exp(1j * p3) * s1 * s2 * np.sin(t3),
-        ],
-        axis=-1,
-    )
-
-
-_ME_ANGLES = np.array([math.pi / 4, math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0])
-
-
 def _difference(kappa: float, rho: np.ndarray) -> np.ndarray:
     """((E - I) (x) I)(rho) for each 4x4 matrix of a stack, system index first, E
     dephasing with factor kappa: the off-diagonal system blocks scale by kappa - 1
@@ -76,10 +58,8 @@ class DiamondSearchResult:
     """Outcome of the multi-start maximization of the output trace norm."""
 
     value: float
-    me_value: float
     start_values: tuple[float, ...]
     spread: float
-    me_is_max: bool
 
 
 # A cap on the see-saw's rounds; it takes at most 10 over kappa in [0, 1].
@@ -91,34 +71,30 @@ def diamond_distance_search(kappa: float) -> DiamondSearchResult:
     pure 2x2 inputs by a see-saw ascent.
 
     This is the independent oracle for the closed form 1 - kappa; it never uses
-    that form, rank one, or the optimality of the entangled input.  The distance
+    that form or rank one, and it is not given the entangled input.  The distance
     is the maximum of tr U ((E - I) (x) I)(psi psi*) over pure inputs psi and
     Hermitian U with -I <= U <= I (Watrous, Theory of Computing 5 (2009) 217).
-    Each round, for the maximally entangled input and 32 seeded random points of
-    the six-angle chart at once, diagonalizes the output difference
-    V diag(lambda) V*, whose trace norm sum |lambda| is the start's value, takes
-    the best U for that psi, V sign(lambda) V*, and the best psi for that U, the
-    top eigenvector of ((E - I) (x) I)(U), as the map is its own adjoint.
-    Neither step lowers the value, and a fixed point meets the first-order
-    optimality condition.  A start's value is the best it has reached, since
-    rounding scatters each round's by a few ulps; the rounds stop once no start
-    rises above it by more than 4 ulps.  Every run is deterministic.
+    The 33 starts are Haar-random pure inputs, normalized complex Gaussian
+    4-vectors from one generator seeded 0 (Zyczkowski & Sommers, J. Phys. A 34
+    (2001) 7111).  Each round, for every start at once, diagonalizes the output
+    difference V diag(lambda) V*, whose trace norm sum |lambda| is the start's
+    value, takes the best U for that psi, V sign(lambda) V*, and the best psi for
+    that U, the top eigenvector of ((E - I) (x) I)(U), as the map is its own
+    adjoint.  Neither step lowers the value, and a fixed point meets the
+    first-order optimality condition.  A start's value is the best it has
+    reached, since rounding scatters each round's by a few ulps; the rounds stop
+    once no start rises above it by more than 4 ulps.  The value is the best any
+    start reached.  Every run is deterministic.
     """
-    x = [_ME_ANGLES]
-    for seed in range(32):
-        rng = np.random.default_rng(seed)
-        x0 = rng.uniform(0.0, math.pi / 2, size=6)
-        x0[3:] = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        x.append(x0)
-    psi = _state_from_angles(np.array(x))
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal((33, 4)) + 1j * rng.standard_normal((33, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
 
-    best = None
+    best = np.full(len(psi), -np.inf)
     for _ in range(_MAX_ROUNDS):
         lam, v = np.linalg.eigh(_difference(kappa, psi[:, :, None] * psi[:, None, :].conj()))
         value = np.abs(lam).sum(axis=1)
-        if best is None:
-            best, me_value = value, float(value[0])
-        elif np.all(value <= best * (1.0 + 4.0 * np.finfo(float).eps)):
+        if np.all(value <= best * (1.0 + 4.0 * np.finfo(float).eps)):
             break
         best = np.maximum(best, value)
         u = (v * np.sign(lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
@@ -126,13 +102,7 @@ def diamond_distance_search(kappa: float) -> DiamondSearchResult:
 
     finals = tuple(float(v) for v in best)
     top = max(finals)
-    return DiamondSearchResult(
-        value=top,
-        me_value=me_value,
-        start_values=finals,
-        spread=top - min(finals),
-        me_is_max=all(v <= me_value + 1e-9 for v in finals),
-    )
+    return DiamondSearchResult(value=top, start_values=finals, spread=top - min(finals))
 
 
 @dataclass(frozen=True)

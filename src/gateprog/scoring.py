@@ -202,12 +202,12 @@ def _trial_products(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram, projected
 
 
-def optimal_fidelity(
-    s: ScoreMatrix,
-    *,
-    tol: float = 1e-12,
-    max_iterations: int = 10**6,
-) -> FidelityResult:
+# the solver's relative residual target and its cap on matvecs
+_TOL = 1e-12
+_MAX_MATVECS = 10**6
+
+
+def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     """Largest eigenvalue of S over d^2, with the principal weights.
 
     Block-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from the sine
@@ -228,16 +228,14 @@ def optimal_fidelity(
     two square edges: the two are spectrally equivalent with constants free of N,
     so the step count does not grow with N.  At d=2, T = L.
 
-    We stop only on the true residual ||S v - theta v|| <= ``tol * theta`` of a
+    We stop only on the true residual ||S v - theta v|| <= ``_TOL * theta`` of a
     unit vector v with theta = v^T S v: an iterate whose combined image meets the
-    bound gets one confirming matvec.  ``max_iterations`` caps the number of
+    bound gets one confirming matvec.  ``_MAX_MATVECS`` caps the number of
     matvecs, the confirming ones included.  S is non-negative and irreducible on
     the connected lattice, so the principal eigenvector is strictly positive.
     The result is ``entanglement_fidelity`` of the principal weights: the error
     a^T L a / d^2 keeps its own digits, where 1 - theta / d^2 would cancel.
     """
-    if max_iterations < 1:
-        raise ValueError(f"iteration cap must be positive, got {max_iterations}")
     d, big_n, dim = s.d, s.N, s.dimension
     box = (big_n,) * (d - 1)
     # T's eigenvalues, indexed like the sine transform
@@ -255,10 +253,10 @@ def optimal_fidelity(
 
     def apply(v: np.ndarray) -> np.ndarray:
         nonlocal matvecs
-        if matvecs == max_iterations:
+        if matvecs == _MAX_MATVECS:
             raise ConvergenceError(
-                f"LOBPCG on the dimension-{dim} lattice hit the {max_iterations}-matvec "
-                f"cap with residual {residual:.3e} (target {tol * theta:.3e})"
+                f"LOBPCG on the dimension-{dim} lattice hit the {_MAX_MATVECS}-matvec "
+                f"cap with residual {residual:.3e} (target {_TOL * theta:.3e})"
             )
         matvecs += 1
         return s.matvec(v)
@@ -269,7 +267,7 @@ def optimal_fidelity(
         theta = _dot(x, sx)
         r = sx - theta * x
         residual = math.sqrt(_dot(r, r))
-        if residual <= tol * theta:
+        if residual <= _TOL * theta:
             if confirmed:
                 return _principal_result(s, x)
             sx[:] = apply(x)

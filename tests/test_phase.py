@@ -32,6 +32,29 @@ def kraus_difference(kappa: float, rho: np.ndarray) -> np.ndarray:
     return (1.0 + kappa) / 2.0 * rho + (1.0 - kappa) / 2.0 * (z @ rho @ z) - rho
 
 
+def entangled_trace_norm(kappa: float) -> float:
+    """Output trace norm at the maximally entangled input (|00> + |11>)/sqrt(2),
+    through the Kraus form and eigvalsh only."""
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    return float(np.abs(np.linalg.eigvalsh(kraus_difference(kappa, np.outer(psi, psi)))).sum())
+
+
+def search_rounds(monkeypatch, kappa: float):
+    """The search's result and each round's values of its 33 inputs.  _difference is
+    called on psi psi* and on U in turn, so its even calls hold the output
+    differences of each round's inputs."""
+    outputs = []
+    original = phase._difference
+
+    def difference(k, rho):
+        outputs.append(original(k, rho))
+        return outputs[-1]
+
+    monkeypatch.setattr(phase, "_difference", difference)
+    result = diamond_distance_search(kappa)
+    return result, np.array([np.abs(np.linalg.eigh(d)[0]).sum(axis=1) for d in outputs[::2]])
+
+
 class TestSineState:
     def test_two_levels(self):
         assert sine_amplitudes(2) == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
@@ -111,9 +134,10 @@ class TestQuantumError:
 
     @pytest.mark.parametrize("d_p", [2, 4, 16, 64, 128, 256])
     def test_search_matches_closed_form(self, d_p):
-        result = diamond_distance_search(sine_kappa(d_p))
+        kappa = sine_kappa(d_p)
+        result = diamond_distance_search(kappa)
         assert result.value == pytest.approx(dephasing_error_exact(d_p), rel=1e-12)
-        assert result.me_is_max
+        assert entangled_trace_norm(kappa) >= result.value - 1e-9
 
     def test_log_log_slope(self):
         dps = [16, 23, 32, 45, 64, 91, 128]
@@ -155,21 +179,9 @@ class TestQuantumError:
 
     @pytest.mark.parametrize("kappa", [0.2, 0.9997])
     def test_every_start_ends_at_least_where_it_began(self, monkeypatch, kappa):
-        # _difference is called on psi psi* and on U in turn, so its even calls hold
-        # the output differences of each round's 33 inputs
-        outputs = []
-        original = phase._difference
-
-        def difference(k, rho):
-            outputs.append(original(k, rho))
-            return outputs[-1]
-
-        monkeypatch.setattr(phase, "_difference", difference)
-        result = diamond_distance_search(kappa)
-        rounds = np.array([np.abs(np.linalg.eigh(d)[0]).sum(axis=1) for d in outputs[::2]])
+        result, rounds = search_rounds(monkeypatch, kappa)
         assert rounds.shape[1] == len(result.start_values) == 33
         assert 2 <= len(rounds) <= 10
-        assert result.me_value == rounds[0, 0]
         assert np.all(np.array(result.start_values) >= rounds[0])
         # each round is an ascent step, up to the rounding of one eigendecomposition
         assert np.all(np.diff(rounds, axis=0) >= -1e-14 * rounds[1:])
@@ -177,10 +189,18 @@ class TestQuantumError:
         assert rounds[0].min() < 0.9 * result.value
         assert result.spread <= 1e-9
 
+    @pytest.mark.parametrize("kappa", [0.2, 0.9997])
+    def test_no_start_begins_on_the_maximum(self, monkeypatch, kappa):
+        # the search is not given the maximiser: every start begins measurably below
+        # the maximum it reaches
+        result, rounds = search_rounds(monkeypatch, kappa)
+        assert np.all(rounds[0] < (1.0 - 1e-9) * result.value)
+
     def test_entangled_start_is_never_beaten(self):
         for d_p in (2, 8, 64):
-            result = diamond_distance_search(sine_kappa(d_p))
-            assert result.me_is_max
+            kappa = sine_kappa(d_p)
+            result = diamond_distance_search(kappa)
+            assert entangled_trace_norm(kappa) >= result.value - 1e-9
             assert result.spread <= 1e-9
 
 

@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import gateprog.scoring as scoring
 from gateprog.protocol import ProtocolError, WeightVector, epsilon_g, sine_weights, viable_set
 from gateprog.scoring import (
     _DENSE_SINE_MAX_N,
@@ -240,21 +241,24 @@ class TestOptimalFidelity:
         assert min(amps) > 0.0
         assert abs(math.fsum(amps * amps) - 1.0) <= 1e-12
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_MAX_MATVECS", 2)
         with pytest.raises(ConvergenceError,
                            match=r"dimension-16 .* 2-matvec cap with residual \d"):
-            optimal_fidelity(score_matrix(viable_set(32, 2)), max_iterations=2)
+            optimal_fidelity(score_matrix(viable_set(32, 2)))
 
     @pytest.mark.parametrize("n", [8, 64, 128])
-    def test_tolerance_below_rounding_fails_cleanly(self, n):
+    def test_tolerance_below_rounding_fails_cleanly(self, monkeypatch, n):
         # no vector meets 1e-17: the trial basis loses rank at the rounding floor,
         # SVQB drops the dependent directions, and the residual the solver reports
         # at the cap stays at that floor
+        monkeypatch.setattr(scoring, "_TOL", 1e-17)
+        monkeypatch.setattr(scoring, "_MAX_MATVECS", 300)
         with pytest.raises(ConvergenceError, match=r"300-matvec cap") as info:
-            optimal_fidelity(score_matrix(viable_set(n, 2)), tol=1e-17, max_iterations=300)
+            optimal_fidelity(score_matrix(viable_set(n, 2)))
         assert float(re.search(r"with residual (\S+) ", str(info.value))[1]) < 1e-13
 
-    def test_iteration_cap_counts_every_matvec(self):
+    def test_iteration_cap_counts_every_matvec(self, monkeypatch):
         # a solve that takes m matvecs, the confirming one included, succeeds under a
         # cap of m with the same result and fails under a cap of m - 1
         for n, d in ((64, 2), (4096, 2), (60, 3), (300, 3), (61, 4)):
@@ -263,9 +267,13 @@ class TestOptimalFidelity:
             expected = optimal_fidelity(s).fidelity
             m = len(calls)
             assert m >= 2
-            assert optimal_fidelity(s, max_iterations=m).fidelity == expected
-            with pytest.raises(ConvergenceError, match=rf"{m - 1}-matvec cap with residual \d"):
-                optimal_fidelity(s, max_iterations=m - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(scoring, "_MAX_MATVECS", m)
+                assert optimal_fidelity(s).fidelity == expected
+                patch.setattr(scoring, "_MAX_MATVECS", m - 1)
+                with pytest.raises(ConvergenceError,
+                                   match=rf"{m - 1}-matvec cap with residual \d"):
+                    optimal_fidelity(s)
 
     @pytest.mark.parametrize("n,d", [(300, 3), (1035, 3), (1042, 3), (2000, 3), (600, 4)])
     def test_matvec_count_does_not_grow_with_n(self, n, d):

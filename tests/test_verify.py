@@ -14,9 +14,7 @@ from gateprog.scoring import optimal_fidelity, qstar_error_closed_form
 
 def _agreeing_search(kappa):
     value = 1.0 - kappa
-    return DiamondSearchResult(
-        value=value, me_value=value, start_values=(value,) * 33, spread=0.0, me_is_max=True
-    )
+    return DiamondSearchResult(value=value, start_values=(value,) * 33, spread=0.0)
 
 
 def test_search_runs_at_both_ends_of_the_range(monkeypatch):
@@ -33,9 +31,7 @@ def test_search_runs_at_both_ends_of_the_range(monkeypatch):
 
 
 def test_unreliable_maximum_fails(monkeypatch):
-    fake = DiamondSearchResult(
-        value=0.5, me_value=0.4, start_values=(0.5, 0.3), spread=0.2, me_is_max=False
-    )
+    fake = DiamondSearchResult(value=0.5, start_values=(0.5, 0.3), spread=0.2)
     monkeypatch.setattr(verify, "diamond_distance_search", lambda kappa: fake)
     result = verify.check_phase_gate()
     assert not result.passed

@@ -17,14 +17,18 @@ import os
 import subprocess
 import sys
 
-# protocol-grid's five points, then verify's 61 points (d=2 n=512 is in both), then
-# five frontier points: the 2^20-member d=3 box, d=4 n=1200, whose squared dimensions
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(HERE, "src"))
+from gateprog.verify import NS_D3, SMALL_NS_D2  # noqa: E402
+
+# protocol-grid's five points, then the points of verify's protocol reports (d=2
+# n=512 is in both), then five frontier points: the 2^20-member d=3 box, d=4 n=1200, whose squared dimensions
 # exceed 2^63, the 2^20-member d=5 box on the dense sine-transform path, the
 # 15-dimensional N=2 box of d=16, and the 2^20-member d=2 box
 PROTOCOL_POINTS = tuple(dict.fromkeys(
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
-    + tuple((2, n) for n in (4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 256, 512))
-    + tuple((3, n) for n in range(13, 61))
+    + tuple((2, n) for n in SMALL_NS_D2)
+    + tuple((3, n) for n in NS_D3)
     + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152))
 ))
 
@@ -77,8 +81,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sides = {"this checkout": start(here), argv[0]: start(argv[0])}
+    sides = {"this checkout": start(HERE), argv[0]: start(argv[0])}
     outputs = {name: process.communicate(json.dumps(VECTORS)) for name, process in sides.items()}
     failed = [name for name, process in sides.items() if process.returncode]
     for name in failed:
