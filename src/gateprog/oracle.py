@@ -26,7 +26,7 @@ state for SU(2).  It samples the protocol itself: the error rotation's
 eigenphase comes from the outcome density at the nodes of the SU(2) grid, its
 axis is uniform, taken from Marsaglia's disc points without Gaussian draws, and
 every sample has unit weight.  The samples are drawn in small chunks whose
-buffers are reused, and only their 4x4 quaternion Gram is kept.
+buffers are reused, and only their 4x4 quaternion Gram is kept, summed in the loop.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,14 +249,15 @@ def character_orthonormality_check(grid: TorusGrid, diagrams: np.ndarray) -> flo
 _CHUNK = 32_768
 
 
-def _quaternions(
+def _quaternion_gram(
     cos_phi: np.ndarray,
     sin_phi: np.ndarray,
     density: np.ndarray,
     samples: int,
     rng: np.random.Generator,
-) -> Iterator[np.ndarray]:
-    """Exactly ``samples`` unit quaternions r = (cos(phi), sin(phi) * axis), in chunks.
+) -> np.ndarray:
+    """The 4x4 Gram sum r r^T of exactly ``samples`` unit quaternions
+    r = (cos(phi), sin(phi) * axis), drawn in chunks.
 
     The node of phi follows ``density`` and the axis is uniform on the sphere,
     from Marsaglia's disc points (Ann. Math. Stat. 43 (1972) 645): a pair v
@@ -265,15 +266,14 @@ def _quaternions(
     chunk draws _CHUNK pairs, keeps the first accepted ones that are still
     needed (about pi / 4 of them), and draws the node counts of that many
     samples from one multinomial.  The draws are iid, so grouping them by node
-    leaves their distribution unchanged.
-
-    Every chunk is a (4, count) view of one reused buffer, valid until the
-    next one is drawn.
+    leaves their distribution unchanged.  Each chunk's quaternions fill one
+    reused buffer, and their Gram is added to the total before the next chunk.
     """
     size = min(_CHUNK, samples)
     pairs = np.empty((2, size))
     s = np.empty(size)
     buffer = np.empty((4, size))
+    gram = np.zeros((4, 4))
     remaining = samples
     while remaining:
         rng.random(out=pairs)
@@ -303,7 +303,8 @@ def _quaternions(
         z += 1.0
         z *= sin_rep
         w[:] = np.repeat(cos_phi, nodes)
-        yield quat
+        gram += quat @ quat.T
+    return gram
 
 
 class ChoiFit(NamedTuple):
@@ -342,7 +343,7 @@ def choi_monte_carlo_su2(
     polynomial in phi that the grid integrates exactly, as in ``haar_fidelity``,
     whose Weyl coefficients it shares (``_weyl_density``).
 
-    The samples come in chunks of at most 32768 (``_quaternions``): each chunk
+    The samples come in chunks of at most 32768 (``_quaternion_gram``): each chunk
     draws its node counts from one multinomial and repeats every node's angle
     that many times, and its few small buffers are reused by the next, so the
     memory does not grow with ``samples``.  The Choi vector of a sample is
@@ -366,10 +367,9 @@ def choi_monte_carlo_su2(
     grid = su2_grid(n + 1)
     density = _weyl_density(diagram_set.rows, q.amplitudes, grid)
     phis = grid.angles[:, 0]
-    chunks = _quaternions(
+    gram = _quaternion_gram(
         np.cos(phis), np.sin(phis), density, samples, np.random.default_rng(seed)
     )
-    gram = sum(quat @ quat.T for quat in chunks)
 
     a_fit = float(gram[1, 1] + gram[2, 2] + gram[3, 3]) / samples
     model = np.diag([1.0 - a_fit, a_fit / 3.0, a_fit / 3.0, a_fit / 3.0])

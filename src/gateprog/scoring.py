@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import DiagramSet, WeightVector, _check_uses, epsilon_g, sine_weights
-from .young import young_distance
 
 
 class ConvergenceError(RuntimeError):
@@ -76,23 +75,10 @@ class ScoreMatrix:
             z[head + (0,)] += a[head + (0,)]
         return z.reshape(v.shape)
 
-    def dense(self) -> np.ndarray:
-        """S as a dense array, one block matvec on the identity; the entries are
-        small integers, so every sum is exact."""
-        return self.matvec(np.eye(self.dimension))
-
 
 def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:
     """The score matrix of the viable lattice (unit and exchange moves) on its box."""
     return ScoreMatrix(diagram_set.d, diagram_set.N)
-
-
-def score_matrix_by_distance(diagram_set: DiagramSet) -> np.ndarray:
-    """Dense score matrix from pairwise Young distances; used for cross-checks."""
-    rows = diagram_set.rows
-    matrix = np.array([young_distance(lam, rows) == 2 for lam in rows], dtype=float)
-    np.fill_diagonal(matrix, diagram_set.d)
-    return matrix
 
 
 @dataclass(frozen=True, eq=False)

@@ -201,11 +201,13 @@ def check_cost_scaling(reports_d2: dict[int, ProtocolReport]) -> CheckResult:
 
 def check_eigenvalue_oracle(solves: Solves) -> CheckResult:
     """Tridiagonal largest eigenvalue vs 2 + 2 cos(pi/(N+1)) and a dense solver, the
-    solver's value read from ``solves``."""
+    solver's value read from ``solves``.  The dense matrix is the d=2 chain, 2 on the
+    diagonal and 1 beside it, built here without the matvec the solver applies."""
     worst_analytic = 0.0
     worst_solver = 0.0
     for big_n in range(2, 65):
-        dense_max = float(np.linalg.eigvalsh(ScoreMatrix(2, big_n).dense())[-1])
+        chain = 2.0 * np.eye(big_n) + np.eye(big_n, k=1) + np.eye(big_n, k=-1)
+        dense_max = float(np.linalg.eigvalsh(chain)[-1])
         analytic = 2.0 + 2.0 * math.cos(math.pi / (big_n + 1))
         solver = solves[2, big_n].fidelity * 4.0
         worst_analytic = max(worst_analytic, abs(dense_max - analytic))

@@ -8,7 +8,7 @@ import pytest
 
 from gateprog.oracle import (
     _eigenphases,
-    _quaternions,
+    _quaternion_gram,
     _schur_character_table,
     _vandermonde,
     _weyl_density,
@@ -299,8 +299,7 @@ class TestChoiMonteCarlo:
         ds = viable_set(n, 2)
         q = sine_weights(ds)
         cos_phi, sin_phi, density = su2_outcome_density(n)
-        chunks = _quaternions(cos_phi, sin_phi, density, samples, np.random.default_rng(seed))
-        gram = sum(quat @ quat.T for quat in chunks)
+        gram = _quaternion_gram(cos_phi, sin_phi, density, samples, np.random.default_rng(seed))
         # m r = vec(U) for the SU(2) matrix U of r = (w, x, y, z)
         m = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]])
         choi = m @ (gram / (2.0 * samples)) @ m.conj().T
@@ -392,31 +391,24 @@ class TestQuaternionDraw:
     # counts that end inside a later chunk
     @pytest.mark.parametrize("samples", [1, 1000, 32_768, 100_003, 10**6 + 1])
     def test_exactly_samples_unit_quaternions(self, samples):
-        chunks = _quaternions(*su2_outcome_density(8), samples, np.random.default_rng(0))
-        widths, traces = zip(*((quat.shape[1], np.trace(quat @ quat.T)) for quat in chunks))
-        assert sum(widths) == samples
-        # the trace of the Gram the fit uses: one per unit quaternion
-        assert sum(traces) == pytest.approx(samples, rel=1e-12)
+        # the trace of the Gram the fit uses: one per unit quaternion, so one sample
+        # too many or too few moves it by 1, far past the rounding of the sum
+        gram = _quaternion_gram(*su2_outcome_density(8), samples, np.random.default_rng(0))
+        assert np.trace(gram) == pytest.approx(samples, rel=1e-12)
 
     def test_axis_moments_match_the_uniform_sphere(self):
-        # one node at phi = pi / 2 makes every quaternion (0, axis)
+        # one node with cos = sin = 1 makes every r = (1, axis), not a unit quaternion:
+        # the Gram's first row then holds the axis sums and its lower block the second
+        # moments, the only moments of the axis that the Choi fit reads
         samples = 10**6
-        total = np.zeros(3)
-        second = np.zeros((3, 3))
-        fourth = np.zeros(3)
-        worst_norm = 0.0
-        for quat in _quaternions(np.zeros(1), np.ones(1), np.ones(1), samples,
-                                 np.random.default_rng(0)):
-            assert not quat[0].any()
-            u = quat[1:]
-            total += u.sum(axis=1)
-            second += u @ u.T
-            fourth += (u**4).sum(axis=1)
-            worst_norm = max(worst_norm, float(np.abs(np.einsum("ij,ij->j", u, u) - 1.0).max()))
-        assert worst_norm <= 1e-15
+        gram = _quaternion_gram(np.ones(1), np.ones(1), np.ones(1), samples,
+                                np.random.default_rng(0))
+        assert gram[0, 0] == samples
+        total, second = gram[0, 1:], gram[1:, 1:]
+        assert np.trace(second) == pytest.approx(samples, rel=1e-12)
 
         # 5 sigma from the sample count: Var u_i = 1/3, Var u_i^2 = 1/5 - 1/9,
-        # Var u_i u_j = 1/15 (i != j), Var u_i^4 = 1/9 - 1/25
+        # Var u_i u_j = 1/15 (i != j)
         root = math.sqrt(samples)
         assert np.all(np.abs(total / samples) <= 5.0 * math.sqrt(1.0 / 3.0) / root)
         off_diagonal = ~np.eye(3, dtype=bool)
@@ -424,5 +416,15 @@ class TestQuaternionDraw:
                       <= 5.0 * math.sqrt(1.0 / 5.0 - 1.0 / 9.0) / root)
         assert np.all(np.abs(second[off_diagonal] / samples)
                       <= 5.0 * math.sqrt(1.0 / 15.0) / root)
-        assert np.all(np.abs(fourth / samples - 1.0 / 5.0)
-                      <= 5.0 * math.sqrt(1.0 / 9.0 - 1.0 / 25.0) / root)
+
+    def test_single_draws_are_unit_axes_with_the_sphere_fourth_moment(self):
+        # a one-sample Gram of r = (1, axis) holds that axis in its first row, so
+        # single draws from one stream give the axes one at a time: each of unit
+        # length, and E u_i^4 = 1/5 within 5 sigma, Var u_i^4 = 1/9 - 1/25
+        rng = np.random.default_rng(0)
+        draws = 10**4
+        u = np.array([_quaternion_gram(np.ones(1), np.ones(1), np.ones(1), 1, rng)[0, 1:]
+                      for _ in range(draws)])
+        assert np.abs(np.einsum("ij,ij->i", u, u) - 1.0).max() <= 1e-15
+        assert np.all(np.abs((u**4).mean(axis=0) - 1.0 / 5.0)
+                      <= 5.0 * math.sqrt(1.0 / 9.0 - 1.0 / 25.0) / math.sqrt(draws))

@@ -1,25 +1,31 @@
 """Property tests over random valid (d, n): the lattice, the stencil, the fidelity
 ordering, the eigensolver against the dense distance-built oracle and its
 true-residual stopping rule, the SU(2) and SU(3) Haar quadrature against the
-matrix route and the protocol report's pass flags; and over random phase-gate
-dephasing factors, the diamond search against 1 - kappa."""
+matrix route and the protocol report's pass flags; over small boxes at d = 3-5,
+the principal amplitudes' symmetry; and over random phase-gate dephasing
+factors, the diamond search against 1 - kappa."""
 
+import math
+from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gateprog.scoring as scoring
 from gateprog.oracle import haar_fidelity, su_torus_grid
 from gateprog.phase import diamond_distance_search
 from gateprog.protocol import sine_weights, viable_set
 from gateprog.reporting import protocol_report
 from gateprog.scoring import (
+    ScoreMatrix,
     entanglement_fidelity,
     optimal_fidelity,
     score_matrix,
-    score_matrix_by_distance,
 )
 
+from dense_score import dense, score_matrix_by_distance
 from test_phase import entangled_trace_norm
 
 # n from the first width N = 2 to the last with at most 400 members (N^(d-1) <= 400),
@@ -59,7 +65,7 @@ def test_haar_quadrature_matches_matrix_route(ds):
 def test_stencil_and_eigensolver_match_distance_oracle(ds):
     oracle = score_matrix_by_distance(ds)
     s = score_matrix(ds)
-    assert np.array_equal(s.dense(), oracle)
+    assert np.array_equal(dense(s), oracle)
     top = float(np.linalg.eigvalsh(oracle)[-1])
     assert abs(optimal_fidelity(s).fidelity * ds.d * ds.d - top) <= 1e-10
 
@@ -74,6 +80,29 @@ def test_solver_stops_on_the_true_residual(ds):
     sa = s.matvec(a)
     theta = float(a @ sa)
     assert np.linalg.norm(sa - theta * a) <= (1e-12 + 1e-14) * theta
+
+
+@pytest.mark.parametrize("d, big_n", [(3, big_n) for big_n in range(2, 13)]
+                         + [(4, big_n) for big_n in range(2, 7)]
+                         + [(5, big_n) for big_n in range(2, 5)])
+def test_principal_amplitudes_are_symmetric(d, big_n):
+    # S commutes with every permutation P of the d-1 box axes and with t -> (N-1) - t,
+    # so its principal eigenvector u, unique and positive, has P u = u.  The solver's
+    # unit v stops at residual r <= _TOL theta, plus the 3(d-1) + 2 roundings of each
+    # entry of S v - theta v (S and v non-negative), and theta <= lambda_1.  Davis-Kahan
+    # gives sin(v, u) <= r / delta, delta the gap lambda_1 - lambda_2, so
+    # |v - u| <= sqrt(2) r / delta and |P v - v| <= 2 sqrt(2) r / delta; the final
+    # |v| / |v|_2 rounds each entry by at most 2 ulps, 4 eps on the difference
+    s = ScoreMatrix(d, big_n)
+    spectrum = np.linalg.eigvalsh(dense(s))
+    eps = np.finfo(float).eps
+    residual = (scoring._TOL + 3 * d * eps) * spectrum[-1]
+    bound = 2.0 * math.sqrt(2.0) * residual / (spectrum[-1] - spectrum[-2]) + 4.0 * eps
+    a = optimal_fidelity(s).weights_used.amplitudes.reshape((big_n,) * (d - 1))
+    images = [a.transpose(axes) for axes in permutations(range(d - 1))]
+    images.append(a[(slice(None, None, -1),) * (d - 1)])
+    for image in images:
+        assert np.linalg.norm(image - a) <= bound
 
 
 @deterministic

@@ -22,9 +22,9 @@ from gateprog.scoring import (
     optimal_fidelity,
     qstar_error_closed_form,
     score_matrix,
-    score_matrix_by_distance,
 )
 
+from dense_score import dense, score_matrix_by_distance
 from test_protocol import single_member_set
 
 
@@ -54,16 +54,16 @@ def stencil_matvec(s, v):
 class TestScoreMatrix:
     def test_two_member_chain(self):
         s = score_matrix(viable_set(4, 2))
-        assert s.dense().tolist() == [[2.0, 1.0], [1.0, 2.0]]
+        assert dense(s).tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
     def test_four_member_chain_is_tridiagonal(self):
-        dense = score_matrix(viable_set(8, 2)).dense()
+        matrix = dense(score_matrix(viable_set(8, 2)))
         expected = np.diag([2.0] * 4) + np.diag([1.0] * 3, 1) + np.diag([1.0] * 3, -1)
-        assert np.array_equal(dense, expected)
+        assert np.array_equal(matrix, expected)
 
     def test_single_member(self):
         s = score_matrix(single_member_set())
-        assert s.dense().tolist() == [[2.0]]
+        assert dense(s).tolist() == [[2.0]]
 
     @pytest.mark.parametrize(
         "n,d",
@@ -72,7 +72,7 @@ class TestScoreMatrix:
     )
     def test_lattice_equals_distance_construction(self, n, d):
         ds = viable_set(n, d)
-        assert np.array_equal(score_matrix(ds).dense(), score_matrix_by_distance(ds))
+        assert np.array_equal(dense(score_matrix(ds)), score_matrix_by_distance(ds))
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_stencil_moves_in_ascending_offset_order(self, d):
@@ -108,7 +108,7 @@ class TestScoreMatrix:
         ulps = 4 * np.finfo(float).eps * stencil_matvec(s, np.abs(v))
         assert np.all(np.abs(pieri - stencil_matvec(s, v)) <= ulps)
         if len(ds) <= 1000:
-            assert np.allclose(pieri, s.dense() @ v, atol=1e-13)
+            assert np.allclose(pieri, dense(s) @ v, atol=1e-13)
 
     @pytest.mark.parametrize("n,d", [(4, 2), (60, 2), (26, 3), (61, 4), (80, 5), (70, 6)])
     def test_block_matvec_is_column_matvecs(self, n, d):
@@ -120,7 +120,7 @@ class TestScoreMatrix:
         if s.dimension <= 1000:
             identity = np.eye(s.dimension)
             assert np.array_equal(
-                s.dense(), np.column_stack([s.matvec(e) for e in identity])
+                dense(s), np.column_stack([s.matvec(e) for e in identity])
             )
 
 
@@ -148,7 +148,7 @@ class TestEntanglementFidelity:
         ds = viable_set(26, 3)
         q = sine_weights(ds)
         amp = q.amplitudes
-        brute = float(amp @ score_matrix(ds).dense() @ amp) / 9.0
+        brute = float(amp @ dense(score_matrix(ds)) @ amp) / 9.0
         assert entanglement_fidelity(q, score_matrix(ds)).fidelity == pytest.approx(
             brute, abs=1e-14
         )
@@ -160,7 +160,7 @@ class TestEntanglementFidelity:
         amps = np.random.default_rng(2).random(len(ds))
         q = WeightVector(ds.d, ds.N, amplitudes=amps / np.linalg.norm(amps))
         amp = q.amplitudes
-        laplacian = d * d * np.eye(len(ds)) - score_matrix(ds).dense()
+        laplacian = d * d * np.eye(len(ds)) - dense(score_matrix(ds))
         brute = float(amp @ laplacian @ amp) / (d * d)
         assert entanglement_fidelity(q, score_matrix(ds)).error == pytest.approx(
             brute, rel=1e-13
@@ -225,7 +225,7 @@ class TestOptimalFidelity:
     @pytest.mark.parametrize("n,d", [(41, 3), (61, 4)])
     def test_against_dense_eigensolver(self, n, d):
         s = score_matrix(viable_set(n, d))
-        dense_max = float(np.linalg.eigvalsh(s.dense())[-1])
+        dense_max = float(np.linalg.eigvalsh(dense(s))[-1])
         assert optimal_fidelity(s).fidelity * d * d == pytest.approx(dense_max, abs=1e-10)
 
     def test_beats_sine_weights(self):

@@ -2,6 +2,7 @@
 the direct diamond search as the oracle for the reported quantum error, and an
 outcome-density quadrature as the oracle for the reported Choi infidelity."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import gateprog.reporting as reporting
 import gateprog.verify as verify
 from gateprog.phase import DiamondSearchResult, classical_phase_error, phase_report
-from gateprog.scoring import optimal_fidelity, qstar_error_closed_form
+from gateprog.scoring import ScoreMatrix, optimal_fidelity, qstar_error_closed_form
 
 
 def _agreeing_search(kappa):
@@ -103,6 +104,30 @@ def test_box_checks_build_no_lattice(monkeypatch, check):
     monkeypatch.setattr(verify, "viable_set", lattice)
     args = (verify.solve_boxes(),) if check == "check_eigenvalue_oracle" else ()
     assert getattr(verify, check)(*args).passed
+
+
+def test_eigenvalue_oracle_is_independent_of_the_matvec(monkeypatch):
+    # the Pieri matvec without its face term, z[t] += a[t] where t_j = 0: the solver
+    # finds that operator's top eigenvalue, so the check fails through its solver
+    # term, while its dense chain, built without the matvec, still meets the analytic
+    # value
+    matvec = ScoreMatrix.matvec
+
+    def without_face_term(self, v):
+        z = matvec(self, v)
+        box = (self.N,) * (self.d - 1) + v.shape[1:]
+        a, out = v.reshape(box), z.reshape(box)
+        for j in range(self.d - 1):
+            head = (slice(None),) * j
+            out[head + (0,)] -= a[head + (0,)]
+        return z
+
+    monkeypatch.setattr(ScoreMatrix, "matvec", without_face_term)
+    result = verify.check_eigenvalue_oracle(verify.solve_boxes())
+    assert not result.passed
+    analytic, solver = map(float, re.search(r"analytic\| = (\S+),.*dense\| = (\S+) ",
+                                            result.detail).groups())
+    assert analytic <= 1e-10 < solver
 
 
 def test_one_solve_per_box(monkeypatch):
