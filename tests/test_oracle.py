@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gateprog import oracle
 from gateprog.oracle import (
     _eigenphases,
+    _quaternion_chunk,
     _quaternion_gram,
     _schur_character_table,
     _vandermonde,
@@ -386,29 +388,58 @@ def su2_outcome_density(n):
     return np.cos(phis), np.sin(phis), density
 
 
+def gram_with_chunks(monkeypatch, inspect, *args):
+    """``_quaternion_gram(*args)``, calling ``inspect`` on every chunk it draws
+    before the next one reuses the buffer."""
+    def drawn(*chunk_args):
+        quat = _quaternion_chunk(*chunk_args)
+        inspect(quat)
+        return quat
+    monkeypatch.setattr(oracle, "_quaternion_chunk", drawn)
+    return oracle._quaternion_gram(*args)
+
+
 class TestQuaternionDraw:
     # a chunk of 32768 pairs keeps about 25,700: fewer samples than that, and
     # counts that end inside a later chunk
     @pytest.mark.parametrize("samples", [1, 1000, 32_768, 100_003, 10**6 + 1])
-    def test_exactly_samples_unit_quaternions(self, samples):
-        # the trace of the Gram the fit uses: one per unit quaternion, so one sample
-        # too many or too few moves it by 1, far past the rounding of the sum
-        gram = _quaternion_gram(*su2_outcome_density(8), samples, np.random.default_rng(0))
+    def test_exactly_samples_unit_quaternions(self, monkeypatch, samples):
+        widths, traces = [], []
+
+        def inspect(quat):
+            widths.append(quat.shape[1])
+            traces.append(np.trace(quat @ quat.T))
+
+        gram = gram_with_chunks(monkeypatch, inspect, *su2_outcome_density(8), samples,
+                                np.random.default_rng(0))
+        assert sum(widths) == samples
+        # the trace of the Gram the fit uses: one per unit quaternion
+        assert sum(traces) == pytest.approx(samples, rel=1e-12)
         assert np.trace(gram) == pytest.approx(samples, rel=1e-12)
 
-    def test_axis_moments_match_the_uniform_sphere(self):
-        # one node with cos = sin = 1 makes every r = (1, axis), not a unit quaternion:
-        # the Gram's first row then holds the axis sums and its lower block the second
-        # moments, the only moments of the axis that the Choi fit reads
+    def test_axis_moments_match_the_uniform_sphere(self, monkeypatch):
+        # one node at phi = pi / 2 makes every quaternion (0, axis)
         samples = 10**6
-        gram = _quaternion_gram(np.ones(1), np.ones(1), np.ones(1), samples,
-                                np.random.default_rng(0))
-        assert gram[0, 0] == samples
-        total, second = gram[0, 1:], gram[1:, 1:]
-        assert np.trace(second) == pytest.approx(samples, rel=1e-12)
+        total = np.zeros(3)
+        second = np.zeros((3, 3))
+        fourth = np.zeros(3)
+        norm_errors = []
+
+        def inspect(quat):
+            nonlocal total, second, fourth
+            assert not quat[0].any()
+            u = quat[1:]
+            total += u.sum(axis=1)
+            second += u @ u.T
+            fourth += (u**4).sum(axis=1)
+            norm_errors.append(float(np.abs(np.einsum("ij,ij->j", u, u) - 1.0).max()))
+
+        gram_with_chunks(monkeypatch, inspect, np.zeros(1), np.ones(1), np.ones(1), samples,
+                         np.random.default_rng(0))
+        assert max(norm_errors) <= 1e-15
 
         # 5 sigma from the sample count: Var u_i = 1/3, Var u_i^2 = 1/5 - 1/9,
-        # Var u_i u_j = 1/15 (i != j)
+        # Var u_i u_j = 1/15 (i != j), Var u_i^4 = 1/9 - 1/25
         root = math.sqrt(samples)
         assert np.all(np.abs(total / samples) <= 5.0 * math.sqrt(1.0 / 3.0) / root)
         off_diagonal = ~np.eye(3, dtype=bool)
@@ -416,15 +447,5 @@ class TestQuaternionDraw:
                       <= 5.0 * math.sqrt(1.0 / 5.0 - 1.0 / 9.0) / root)
         assert np.all(np.abs(second[off_diagonal] / samples)
                       <= 5.0 * math.sqrt(1.0 / 15.0) / root)
-
-    def test_single_draws_are_unit_axes_with_the_sphere_fourth_moment(self):
-        # a one-sample Gram of r = (1, axis) holds that axis in its first row, so
-        # single draws from one stream give the axes one at a time: each of unit
-        # length, and E u_i^4 = 1/5 within 5 sigma, Var u_i^4 = 1/9 - 1/25
-        rng = np.random.default_rng(0)
-        draws = 10**4
-        u = np.array([_quaternion_gram(np.ones(1), np.ones(1), np.ones(1), 1, rng)[0, 1:]
-                      for _ in range(draws)])
-        assert np.abs(np.einsum("ij,ij->i", u, u) - 1.0).max() <= 1e-15
-        assert np.all(np.abs((u**4).mean(axis=0) - 1.0 / 5.0)
-                      <= 5.0 * math.sqrt(1.0 / 9.0 - 1.0 / 25.0) / math.sqrt(draws))
+        assert np.all(np.abs(fourth / samples - 1.0 / 5.0)
+                      <= 5.0 * math.sqrt(1.0 / 9.0 - 1.0 / 25.0) / root)

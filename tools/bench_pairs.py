@@ -42,9 +42,9 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def export(ref: str, directory: Path) -> None:
-    """The committed files of ``ref``, unpacked into ``directory``."""
-    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
+def export(ref: str, directory: Path, checkout: Path = ROOT) -> None:
+    """The committed files of ``ref`` in ``checkout``, unpacked into ``directory``."""
+    archive = subprocess.run(["git", "archive", ref], cwd=checkout, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(directory, filter="data")

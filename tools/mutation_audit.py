@@ -25,16 +25,21 @@ will catch it, and its expectation is tightened when that check lands.
 
 from __future__ import annotations
 
-import io
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().with_name("bench_pairs.py")
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
 
 VERIFY = ("-m", "gateprog", "verify", "--format", "json")
 
@@ -155,14 +160,6 @@ MUTANTS = (
 )
 
 
-def export(checkout: Path, directory: Path) -> None:
-    """The committed files of ``checkout``'s HEAD, unpacked into ``directory``."""
-    archive = subprocess.run(["git", "archive", "HEAD"], cwd=checkout, check=True,
-                             capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(directory, filter="data")
-
-
 def run_verify(tree: Path) -> list[dict] | str:
     """verify's checks in ``tree``, or the error text if it gives no report."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -225,7 +222,7 @@ def main(argv: list[str]) -> int:
         return 2
     checkout = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     with tempfile.TemporaryDirectory(prefix="mutation-audit-") as directory:
-        export(checkout, Path(directory))
+        bench_pairs.export("HEAD", Path(directory), checkout)
         return audit(Path(directory))
 
 
