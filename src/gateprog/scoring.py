@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,40 @@ class ScoreMatrix:
     @property
     def dimension(self) -> int:
         return self.N ** (self.d - 1)
+
+    def start(self) -> np.ndarray:
+        """The solver's start, the sine amplitudes of the box."""
+        return sine_weights(self).amplitudes
+
+    def preconditioner(self) -> Callable[[np.ndarray, np.ndarray], None]:
+        """A function (r, w) that writes T^-1 r into w, T the square-lattice Dirichlet
+        Laplacian on the box, built once per solve.
+
+        T^-1 is a sine transform along each axis, a division by T's eigenvalues and
+        the transform again: a product with the N x N sine matrix up to
+        ``_DENSE_SINE_MAX_N``, and a padded rfft above it (``_sine_transform``).  T's
+        edges are a subset of those of L = d^2 I - S, also a Dirichlet Laplacian, and
+        each exchange edge is bounded by two square edges: the two are spectrally
+        equivalent with constants free of N, so the solver's step count does not grow
+        with N.  At d=2, T = L.
+        """
+        big_n, box = self.N, (self.N,) * (self.d - 1)
+        # T's eigenvalues, indexed like the sine transform
+        modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
+        spectrum = functools.reduce(np.add.outer, [modes] * (self.d - 1))
+        work = _sine_work(box)
+
+        def precondition(r: np.ndarray, w: np.ndarray) -> None:
+            w.reshape(box)[...] = _sine_transform(
+                _sine_transform(r.reshape(box), work) / spectrum, work
+            )
+
+        return precondition
+
+    def error_form(self, v: np.ndarray) -> FidelityResult:
+        """``entanglement_fidelity`` of the weights whose amplitudes are v: the error
+        keeps its own digits, where 1 - theta / d^2 would cancel."""
+        return entanglement_fidelity(WeightVector(self.d, self.N, v), self)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """S v for a vector v over the members, or for each column of an (M, k) block."""
@@ -194,10 +229,11 @@ _MAX_MATVECS = 10**6
 
 
 def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
-    """Largest eigenvalue of S over d^2, with the principal weights.
+    """The error form of the principal eigenvector of the operator s: for a
+    ``ScoreMatrix``, the largest eigenvalue of S over d^2, with the principal weights.
 
-    Block-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from the sine
-    amplitudes: a Rayleigh-Ritz step on S in the span of the iterate x, the
+    Block-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from the
+    operator's start: a Rayleigh-Ritz step on S in the span of the iterate x, the
     preconditioned residual w and the previous step p costs one matvec, S w, as
     the images of x and p are combined from the basis images.  The next p is the
     w and p part of the step, not a difference of iterates, which cancels once x
@@ -206,34 +242,33 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     directions below 1e-10 of the largest scaled Gram eigenvalue (Stathopoulos &
     Wu, SIAM J. Sci. Comput. 23 (2002) 2165).
 
-    The preconditioner is the inverse of the square-lattice Dirichlet Laplacian T
-    on the box, a sine transform along each axis: a product with the N x N sine
-    matrix, built once per call, up to ``_DENSE_SINE_MAX_N``, and a padded rfft
-    above it (``_sine_transform``).  T's edges are a subset of those of
-    L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is bounded by
-    two square edges: the two are spectrally equivalent with constants free of N,
-    so the step count does not grow with N.  At d=2, T = L.
+    The loop reads five things of s, and a ``ScoreMatrix`` gives each for its box:
+    - ``s.dimension``, the length of its vectors;
+    - ``s.matvec(v)``, S v, by the Pieri form;
+    - ``s.start()``, a vector not orthogonal to the principal one: the sine
+      amplitudes;
+    - ``s.preconditioner()``, built once per solve, a function (r, w) that writes
+      T^-1 r into w: the sine-transform inverse of the square-lattice Laplacian;
+    - ``s.error_form(v)``, the result at the unit principal vector v:
+      ``entanglement_fidelity`` of the weights whose amplitudes are v.
 
     We stop only on the true residual ||S v - theta v|| <= ``_TOL * theta`` of a
     unit vector v with theta = v^T S v: an iterate whose combined image meets the
     bound gets one confirming matvec.  ``_MAX_MATVECS`` caps the number of
-    matvecs, the confirming ones included.  S is non-negative and irreducible on
-    the connected lattice, so the principal eigenvector is strictly positive.
-    The result is ``entanglement_fidelity`` of the principal weights: the error
-    a^T L a / d^2 keeps its own digits, where 1 - theta / d^2 would cancel.
+    matvecs, the confirming ones included.  The Perron step then assumes S
+    symmetric, non-negative and irreducible, as S is on the connected lattice, so
+    that the principal eigenvector is strictly positive: v takes the sign of its
+    sum, an entry below -1e-10 raises ``ConvergenceError``, and the error form
+    reads |v| at unit length.
     """
-    d, big_n, dim = s.d, s.N, s.dimension
-    box = (big_n,) * (d - 1)
-    # T's eigenvalues, indexed like the sine transform
-    modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
-    spectrum = functools.reduce(np.add.outer, [modes] * (d - 1))
-    sine_work = _sine_work(box)
+    dim = s.dimension
+    precondition = s.preconditioner()
     # the trial vectors x, w, p, each beside its image S x, S w, S p, so that a step
     # updates both alike; p = 0 until the first step
     work = np.zeros((3, 2, dim))
     x_pair, w_pair, p_pair = work
     (x, sx), (w, sw), _ = work
-    x[:] = sine_weights(s).amplitudes
+    x[:] = s.start()
     x /= math.sqrt(_dot(x, x))
     matvecs = 0
 
@@ -255,13 +290,11 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
         residual = math.sqrt(_dot(r, r))
         if residual <= _TOL * theta:
             if confirmed:
-                return _principal_result(s, x)
+                break
             sx[:] = apply(x)
             confirmed = True
             continue
-        w.reshape(box)[...] = _sine_transform(
-            _sine_transform(r.reshape(box), sine_work) / spectrum, sine_work
-        )
+        precondition(r, w)
         sw[:] = apply(w)
         gram, projected = _trial_products(work)
         # SVQB: scale to a unit diagonal, then drop the nearly dependent directions;
@@ -283,18 +316,13 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
         x_pair += p_pair
         x_pair /= math.sqrt(_dot(x, x))
         confirmed = False
-
-
-def _principal_result(s: ScoreMatrix, v: np.ndarray) -> FidelityResult:
-    """The principal amplitudes |v| at unit length and their fidelity, error first,
-    without cancellation."""
-    if v.sum() < 0.0:  # a Ritz vector comes with either sign
-        v = -v
-    if float(v.min()) < -1e-10:
+    if x.sum() < 0.0:  # a Ritz vector comes with either sign
+        x = -x
+    if float(x.min()) < -1e-10:
         raise ConvergenceError("principal eigenvector came out with negative entries")
-    v = np.abs(v)
-    v /= math.sqrt(_dot(v, v))
-    return entanglement_fidelity(WeightVector(s.d, s.N, v), s)
+    x = np.abs(x)
+    x /= math.sqrt(_dot(x, x))
+    return s.error_form(x)
 
 
 def qstar_error_closed_form(d: int, big_n: int) -> float:

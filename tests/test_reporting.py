@@ -3,12 +3,16 @@
 import json
 import math
 import os
+import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import gateprog.protocol as protocol
 import gateprog.reporting as reporting
+import gateprog.scoring as scoring
 from gateprog.reporting import (
     CSV_COLUMNS,
     REPORT_FIELDS,
@@ -167,6 +171,34 @@ class TestProtocolReport:
         monkeypatch.setattr(reporting, "optimal_fidelity", solve)
         protocol_report(n, d)
         assert alive == [[False]]
+
+    def test_d3_report_reaches_the_traced_names(self, monkeypatch):
+        # the benchmark's trace replaces every gateprog module attribute that is one of
+        # these functions, and ScoreMatrix.matvec on the class; a call bound before
+        # the replacement, to a default argument or a closure, would leave its span
+        # empty
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        modules = [module for name, module in sys.modules.items()
+                   if name == "gateprog" or name.startswith("gateprog.")]
+        for owner, name in ((protocol, "sine_weights"), (scoring, "score_matrix"),
+                            (scoring, "optimal_fidelity"), (scoring, "entanglement_fidelity")):
+            original, wrapper = getattr(owner, name), counted(name, getattr(owner, name))
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+        monkeypatch.setattr(ScoreMatrix, "matvec", counted("matvec", ScoreMatrix.matvec))
+        protocol_report(60, 3)
+        assert set(calls) == {"sine_weights", "score_matrix", "optimal_fidelity",
+                              "entanglement_fidelity", "matvec"}
 
 
 def report_bits(report):

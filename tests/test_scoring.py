@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -20,11 +21,12 @@ from gateprog.scoring import (
     entanglement_fidelity,
     lemma3_bound,
     optimal_fidelity,
+    ScoreMatrix,
     qstar_error_closed_form,
     score_matrix,
 )
 
-from dense_score import dense, score_matrix_by_distance
+from dense_score import dense, orbit_matrix, score_matrix_by_distance
 from test_protocol import single_member_set
 
 
@@ -39,6 +41,31 @@ def count_matvecs(s):
 
     s.matvec = counted
     return calls
+
+
+@dataclass
+class DenseOperator:
+    """The solver's operator on a dense symmetric matrix: the identity preconditioner,
+    a given start, and as error form the Rayleigh quotient theta = v^T A v beside v."""
+
+    matrix: np.ndarray
+    initial: np.ndarray
+
+    @property
+    def dimension(self):
+        return len(self.matrix)
+
+    def matvec(self, v):
+        return self.matrix @ v
+
+    def start(self):
+        return self.initial
+
+    def preconditioner(self):
+        return lambda r, w: np.copyto(w, r)
+
+    def error_form(self, v):
+        return float(v @ self.matrix @ v), v
 
 
 def stencil_matvec(s, v):
@@ -247,16 +274,26 @@ class TestOptimalFidelity:
                            match=r"dimension-16 .* 2-matvec cap with residual \d"):
             optimal_fidelity(score_matrix(viable_set(32, 2)))
 
-    @pytest.mark.parametrize("n", [8, 64, 128])
+    @pytest.mark.parametrize("n", range(8, 641, 8))
     def test_tolerance_below_rounding_fails_cleanly(self, monkeypatch, n):
         # no vector meets 1e-17: the trial basis loses rank at the rounding floor,
         # SVQB drops the dependent directions, and the residual the solver reports
-        # at the cap stays at that floor
+        # at the cap stays at that floor.  Each entry of S v - theta v carries the
+        # 3(d-1) + 2 roundings of the matvec, the product and the difference, so the
+        # Rayleigh-Ritz entries are known to c eps theta, c = 3(d-1) + 2 (S and v
+        # non-negative, v of unit length).  A step coefficient along a direction the
+        # projection resolves only by the gap delta = lambda_1 - lambda_2 is then off
+        # by up to c eps theta / delta, and it moves the residual by up to
+        # ||S - theta|| <= theta times that: the floor is c eps theta (1 + theta / delta).
+        # At d=2 the eigenvalues are 2 + 2 cos(pi k / (N+1)).
         monkeypatch.setattr(scoring, "_TOL", 1e-17)
         monkeypatch.setattr(scoring, "_MAX_MATVECS", 300)
+        s = score_matrix(viable_set(n, 2))
         with pytest.raises(ConvergenceError, match=r"300-matvec cap") as info:
-            optimal_fidelity(score_matrix(viable_set(n, 2)))
-        assert float(re.search(r"with residual (\S+) ", str(info.value))[1]) < 1e-13
+            optimal_fidelity(s)
+        top, second = 2.0 + 2.0 * np.cos(np.pi * np.array([1, 2]) / (s.N + 1))
+        floor = 5 * np.finfo(float).eps * top * (1.0 + top / (top - second))
+        assert float(re.search(r"with residual (\S+) ", str(info.value))[1]) <= floor
 
     def test_iteration_cap_counts_every_matvec(self, monkeypatch):
         # a solve that takes m matvecs, the confirming one included, succeeds under a
@@ -284,6 +321,54 @@ class TestOptimalFidelity:
         calls = count_matvecs(s)
         optimal_fidelity(s)
         assert len(calls) <= 40
+
+
+class TestOperatorContract:
+    """The LOBPCG loop on operators that are not a box: a dense matrix and S on the
+    S_{d-1}-orbits, each with the identity preconditioner."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 200])
+    def test_dense_random_matrix(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.random((m, m))
+        a += a.T
+        theta, v = optimal_fidelity(DenseOperator(a, rng.random(m) + 0.1))
+        top = np.linalg.eigh(a)
+        assert abs(theta - top[0][-1]) <= 1e-10
+        assert np.all(v > 0.0) and abs(v @ v - 1.0) <= 1e-15
+        assert np.allclose(v, np.abs(top[1][:, -1]), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("d, big_n", [(3, big_n) for big_n in range(2, 9)]
+                             + [(4, big_n) for big_n in range(2, 6)])
+    def test_symmetric_orbits_match_the_box(self, d, big_n):
+        # S commutes with S_{d-1}, and its principal eigenvector, unique and positive,
+        # is constant on each orbit: S on the orbits has the box's largest eigenvalue
+        matrix, sizes = orbit_matrix(d, big_n)
+        assert np.allclose(matrix, matrix.T, rtol=4 * np.finfo(float).eps, atol=0.0)
+        theta, _ = optimal_fidelity(DenseOperator(matrix, np.sqrt(sizes)))
+        box = optimal_fidelity(ScoreMatrix(d, big_n))
+        assert abs(theta - d * d * box.fidelity) <= 1e-10
+
+    def test_sign_change_ends_cleanly(self):
+        # 3 I minus the path's adjacency: the top eigenvector alternates in sign, which
+        # no non-negative irreducible operator gives
+        m = 5
+        a = 3.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+        with pytest.raises(ConvergenceError,
+                           match="^principal eigenvector came out with negative entries$"):
+            optimal_fidelity(DenseOperator(a, np.arange(1.0, m + 1)))
+
+    def test_cap_message(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = rng.random((40, 40))
+        a += a.T
+        monkeypatch.setattr(scoring, "_MAX_MATVECS", 2)
+        number = r"\d\.\d{3}e[-+]\d\d"
+        with pytest.raises(ConvergenceError, match=(
+            rf"^LOBPCG on the dimension-40 lattice hit the 2-matvec cap with residual "
+            rf"{number} \(target {number}\)$"
+        )):
+            optimal_fidelity(DenseOperator(a, np.ones(40)))
 
 
 class TestSineTransform:

@@ -97,7 +97,7 @@ MUTANTS = (
     Mutant(
         "the solver returns its sine start", "src/gateprog/scoring.py",
         "    sx[:] = apply(x)\n    confirmed = True\n",
-        "    return _principal_result(s, x)\n", ("eigenvalue_oracle",),
+        "    return s.error_form(x)\n", ("eigenvalue_oracle",),
     ),
     Mutant(
         "the Pieri matvec drops its face term", "src/gateprog/scoring.py",
