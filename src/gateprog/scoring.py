@@ -60,6 +60,22 @@ class ScoreMatrix:
     def dimension(self) -> int:
         return self.N ** (self.d - 1)
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """S v for a vector v over the members, or for each column of an (M, k) block."""
+        d, big_n = self.d, self.N
+        a = v.reshape((big_n,) * (d - 1) + v.shape[1:])
+        y = a.copy()
+        for j in range(d - 1):
+            head = (slice(None),) * j
+            y[head + (slice(None, -1),)] += a[head + (slice(1, None),)]
+        z = y.copy()
+        # z[t] += y[t - e_j] inside the box, and a[t] on the face t_j = 0 it leaves
+        for j in range(d - 1):
+            head = (slice(None),) * j
+            z[head + (slice(1, None),)] += y[head + (slice(None, -1),)]
+            z[head + (0,)] += a[head + (0,)]
+        return z.reshape(v.shape)
+
     def start(self) -> np.ndarray:
         """The solver's start, the sine amplitudes of the box."""
         return sine_weights(self).amplitudes
@@ -93,22 +109,6 @@ class ScoreMatrix:
         """``entanglement_fidelity`` of the weights whose amplitudes are v: the error
         keeps its own digits, where 1 - theta / d^2 would cancel."""
         return entanglement_fidelity(WeightVector(self.d, self.N, v), self)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """S v for a vector v over the members, or for each column of an (M, k) block."""
-        d, big_n = self.d, self.N
-        a = v.reshape((big_n,) * (d - 1) + v.shape[1:])
-        y = a.copy()
-        for j in range(d - 1):
-            head = (slice(None),) * j
-            y[head + (slice(None, -1),)] += a[head + (slice(1, None),)]
-        z = y.copy()
-        # z[t] += y[t - e_j] inside the box, and a[t] on the face t_j = 0 it leaves
-        for j in range(d - 1):
-            head = (slice(None),) * j
-            z[head + (slice(1, None),)] += y[head + (slice(None, -1),)]
-            z[head + (0,)] += a[head + (0,)]
-        return z.reshape(v.shape)
 
 
 def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:

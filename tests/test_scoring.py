@@ -14,6 +14,7 @@ from gateprog.scoring import (
     _DENSE_SINE_MAX_N,
     _MATMUL_BLOCK,
     ConvergenceError,
+    ScoreMatrix,
     _sine_transform,
     _sine_work,
     _stencil_slices,
@@ -21,7 +22,6 @@ from gateprog.scoring import (
     entanglement_fidelity,
     lemma3_bound,
     optimal_fidelity,
-    ScoreMatrix,
     qstar_error_closed_form,
     score_matrix,
 )
@@ -288,11 +288,13 @@ class TestOptimalFidelity:
         # At d=2 the eigenvalues are 2 + 2 cos(pi k / (N+1)).
         monkeypatch.setattr(scoring, "_TOL", 1e-17)
         monkeypatch.setattr(scoring, "_MAX_MATVECS", 300)
-        s = score_matrix(viable_set(n, 2))
+        d = 2
+        s = score_matrix(viable_set(n, d))
         with pytest.raises(ConvergenceError, match=r"300-matvec cap") as info:
             optimal_fidelity(s)
         top, second = 2.0 + 2.0 * np.cos(np.pi * np.array([1, 2]) / (s.N + 1))
-        floor = 5 * np.finfo(float).eps * top * (1.0 + top / (top - second))
+        c = 3 * (d - 1) + 2
+        floor = c * np.finfo(float).eps * top * (1.0 + top / (top - second))
         assert float(re.search(r"with residual (\S+) ", str(info.value))[1]) <= floor
 
     def test_iteration_cap_counts_every_matvec(self, monkeypatch):
