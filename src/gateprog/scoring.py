@@ -242,7 +242,8 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     directions below 1e-10 of the largest scaled Gram eigenvalue (Stathopoulos &
     Wu, SIAM J. Sci. Comput. 23 (2002) 2165).
 
-    The loop reads five things of s, and a ``ScoreMatrix`` gives each for its box:
+    The loop reads five things of s, and a ``ScoreMatrix``, the package's one
+    operator, gives each for its box:
     - ``s.dimension``, the length of its vectors;
     - ``s.matvec(v)``, S v, by the Pieri form;
     - ``s.start()``, a vector not orthogonal to the principal one: the sine
