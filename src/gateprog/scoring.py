@@ -25,19 +25,16 @@ class ConvergenceError(RuntimeError):
 
 
 @functools.cache
-def _stencil_slices(d: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
-    """(target, source) slice pairs on the (N,)*(d-1) box, one per move +/-e_i or
-    +/-(e_i - e_j), in lexicographic order of the move, i.e. ascending flat offset.
-
-    ``entanglement_fidelity`` sums its edge differences over these moves; the matvec
-    uses the Pieri form instead.
-    """
+def _edge_slices(d: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    """(tail, head) slice pairs on the (N,)*(d-1) box, one per undirected edge
+    direction e, i.e. e_i and e_i - e_j for i < j: a[tail] and a[head] hold the two
+    ends t and t + e of every edge along e inside the box."""
     shift = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
              0: (slice(None), slice(None))}
     unit = np.eye(d - 1, dtype=int)
-    i, j = np.nonzero(unit == 0)
-    moves = sorted(map(tuple, np.concatenate([unit, -unit, unit[i] - unit[j]]).tolist()))
-    return tuple(tuple(zip(*(shift[m] for m in move))) for move in moves)
+    i, j = np.triu_indices(d - 1, 1)
+    directions = np.concatenate([unit, unit[i] - unit[j]]).tolist()
+    return tuple(tuple(zip(*(shift[m] for m in e))) for e in directions)
 
 
 @dataclass(eq=False)
@@ -49,8 +46,8 @@ class ScoreMatrix:
     and its transpose sends y to y[t] + sum_j y[t - e_j], both sums taken inside the
     box.  B^T B has every unit and exchange move once and a[t] d - c(t) times, c(t)
     being the number of coordinates of t that are 0, so S = B^T B + c: the matvec is
-    3(d-1) slice adds, where the stencil's moves take d(d-1).  S depends on the box
-    alone, so every n of one (d, N) box shares it.
+    3(d-1) slice adds, where a neighbour sum over ``_edge_slices`` takes d(d-1).  S
+    depends on the box alone, so every n of one (d, N) box shares it.
     """
 
     d: int
@@ -130,22 +127,21 @@ def entanglement_fidelity(q: WeightVector, s: ScoreMatrix) -> FidelityResult:
 
     The error is a^T L a / d^2 with L = d^2 I - S = d(d-1) I - A, the lattice
     Laplacian with a Dirichlet boundary, so no fidelity near 1 is subtracted
-    from 1.  Each stencil move sums (a_u - a_v)^2 over its edges in the box, and
-    a move and its reverse count every edge twice.  A node with fewer than the
-    d(d-1) moves inside the box lies on the boundary: each missing move adds
-    a_u^2, counted twice as well.  The fidelity is 1 - error.
+    from 1: (a_u - a_v)^2 summed once over each edge of the box, plus m_t a_t^2 at
+    each node t.  A row of S sums to d plus the node's neighbours in the box, so the
+    small integer m_t = d^2 - (S 1)_t, exact in floating point, counts the moves
+    from t that leave it.  The fidelity is 1 - error.
     """
     d, big_n = s.d, s.N
     if (q.d, q.N) != (d, big_n):
         raise ValueError("weight vector and score matrix use different diagram sets")
     a = q.amplitudes.reshape((big_n,) * (d - 1))
-    missing = np.full(a.shape, d * (d - 1))
-    twice = 0.0
-    for t, u in _stencil_slices(d):
-        twice += float(np.sum((a[t] - a[u]) ** 2))
-        missing[t] -= 1
-    twice += 2.0 * float(np.sum(missing * a * a))
-    error = twice / (2 * d * d)
+    missing = d * d - s.matvec(np.ones(a.size)).reshape(a.shape)
+    error = 0.0
+    for tail, head in _edge_slices(d):
+        error += float(np.sum((a[tail] - a[head]) ** 2))
+    error += float(np.sum(missing * a * a))
+    error /= d * d
     return FidelityResult(fidelity=1.0 - error, error=error, weights_used=q)
 
 

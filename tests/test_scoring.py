@@ -15,9 +15,9 @@ from gateprog.scoring import (
     _MATMUL_BLOCK,
     ConvergenceError,
     ScoreMatrix,
+    _edge_slices,
     _sine_transform,
     _sine_work,
-    _stencil_slices,
     _trial_products,
     entanglement_fidelity,
     lemma3_bound,
@@ -68,14 +68,43 @@ class DenseOperator:
         return float(v @ self.matrix @ v), v
 
 
+# (target, source) slices of a move's component: source = target + the component
+SHIFT = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
+         0: (slice(None), slice(None))}
+
+
+def stencil_moves(d):
+    """The d(d-1) moves e_i - e_j, i != j < d, on the box of the first d-1 rows, in
+    lexicographic order: e_{d-1} is 0 there, so a move with i or j = d-1 is -/+e."""
+    unit = np.eye(d, dtype=int)[:, :-1]
+    return sorted(tuple((unit[i] - unit[j]).tolist())
+                  for i, j in product(range(d), repeat=2) if i != j)
+
+
 def stencil_matvec(s, v):
-    """S v as d v plus the neighbour sum over ``_stencil_slices``, one move at a time."""
+    """S v as d v plus the neighbour sum over ``stencil_moves``, one move at a time."""
     d, big_n = s.d, s.N
     x = v.reshape((big_n,) * (d - 1))
     neighbours = np.zeros(x.shape)
-    for target, source in _stencil_slices(d):
+    for move in stencil_moves(d):
+        target, source = zip(*(SHIFT[m] for m in move))
         neighbours[target] += x[source]
     return (d * x + neighbours).reshape(-1)
+
+
+def directed_error(q, s):
+    """The error form summed over every directed move, so every edge twice, with each
+    move from t out of the box adding 2 a_t^2, over 2 d^2."""
+    d, big_n = s.d, s.N
+    a = q.amplitudes.reshape((big_n,) * (d - 1))
+    missing = np.full(a.shape, d * (d - 1))
+    twice = 0.0
+    for move in stencil_moves(d):
+        target, source = zip(*(SHIFT[m] for m in move))
+        twice += float(np.sum((a[target] - a[source]) ** 2))
+        missing[target] -= 1
+    twice += 2.0 * float(np.sum(missing * a * a))
+    return twice / (2 * d * d)
 
 
 class TestScoreMatrix:
@@ -102,21 +131,20 @@ class TestScoreMatrix:
         assert np.array_equal(dense(score_matrix(ds)), score_matrix_by_distance(ds))
 
     @pytest.mark.parametrize("d", range(2, 8))
-    def test_stencil_moves_in_ascending_offset_order(self, d):
-        # the 3^(d-1) move tuples filtered for unit and exchange moves, in product order
-        expected = [
-            move for move in product((-1, 0, 1), repeat=d - 1)
-            if sorted(m for m in move if m) in ([-1], [1], [-1, 1])
-        ]
-        step = {(None, -1, 1, None): 1, (1, None, None, -1): -1, (None, None, None, None): 0}
-        moves = [
-            tuple(step[(t.start, t.stop, u.start, u.stop)] for t, u in zip(target, source))
-            for target, source in _stencil_slices(d)
-        ]
-        assert moves == expected
+    def test_edge_table_is_the_distance_two_pairs(self, d):
+        # the box's edges, read from the table, are the member pairs at Young distance
+        # 2, each once; n is the least with N = (2n/(d-1) + d - 2) // (3d-2)
+        big_n = {2: 5, 3: 4, 4: 3, 5: 3, 6: 2, 7: 2}[d]
+        ds = viable_set((d - 1) * (big_n * (3 * d - 2) - d + 2) // 2, d)
+        assert ds.N == big_n
+        index = np.arange(len(ds)).reshape((big_n,) * (d - 1))
+        edges = [tuple(sorted(pair)) for tail, head in _edge_slices(d)
+                 for pair in zip(index[tail].ravel().tolist(), index[head].ravel().tolist())]
+        distance_two = np.argwhere(np.triu(score_matrix_by_distance(ds) == 1.0, 1))
+        assert sorted(edges) == list(map(tuple, distance_two.tolist()))
 
-    def test_stencil_at_twenty_one_rows(self):
-        assert len(_stencil_slices(21)) == 21 * 20
+    def test_edge_table_at_twenty_one_rows(self):
+        assert len(_edge_slices(21)) == 21 * 20 // 2
 
     # N = 2 boxes, where every node lies on a face, at n = 4, 13, 27, 46, 70 and 1030
     @pytest.mark.parametrize(
@@ -192,6 +220,24 @@ class TestEntanglementFidelity:
         assert entanglement_fidelity(q, score_matrix(ds)).error == pytest.approx(
             brute, rel=1e-13
         )
+
+    @pytest.mark.parametrize(
+        "d, big_n",
+        [(2, 1), (2, 2), (2, 300), (3, 1), (3, 40), (4, 1), (4, 12), (5, 1), (5, 7),
+         (6, 1), (6, 5), (21, 1), (21, 2)],
+    )
+    def test_edge_sum_matches_directed_sum(self, d, big_n):
+        # random non-negative weights.  Either form is a sum of at most
+        # K = d(d-1) N^(d-1) non-negative terms, each of at most 3 roundings, and one
+        # division, so each lies within (K + 3) eps of the exact error, to first order
+        s = ScoreMatrix(d, big_n)
+        amps = np.random.default_rng(d * big_n).random(s.dimension)
+        q = WeightVector(d, big_n, amps / np.linalg.norm(amps))
+        result = entanglement_fidelity(q, s)
+        expected = directed_error(q, s)
+        terms = d * (d - 1) * s.dimension
+        assert abs(result.error - expected) <= 2 * (terms + 3) * np.finfo(float).eps * expected
+        assert result.fidelity == 1.0 - result.error
 
     def test_mismatched_sets_rejected(self):
         q = sine_weights(viable_set(4, 2))
@@ -304,7 +350,8 @@ class TestOptimalFidelity:
             s = score_matrix(viable_set(n, d))
             calls = count_matvecs(s)
             expected = optimal_fidelity(s).fidelity
-            m = len(calls)
+            # the last call is the error form's S 1, which the cap does not count
+            m = len(calls) - 1
             assert m >= 2
             with monkeypatch.context() as patch:
                 patch.setattr(scoring, "_MAX_MATVECS", m)

@@ -102,9 +102,11 @@ MUTANTS = (
     Mutant(
         "the Pieri matvec drops its face term", "src/gateprog/scoring.py",
         "            z[head + (0,)] += a[head + (0,)]\n",
-        "", ("eigenvalue_oracle",),
-        # through the solver term: the dense chain, built without the matvec, stays
-        # within its 1e-10 of the analytic value
+        "", ("eigenvalue_oracle", "oracle_equivalence", "closed_form_consistency",
+             "choi_decomposition"),
+        # eigenvalue_oracle through the solver term: the dense chain, built without the
+        # matvec, stays within its 1e-10 of the analytic value.  The others through the
+        # error form, whose boundary counts d^2 - S 1 then miss the faces
         detail=r"analytic\| = \S+e-(1[1-9]|[2-9]\d),",
     ),
     Mutant(
@@ -128,8 +130,13 @@ MUTANTS = (
     ),
     Mutant(
         "the error form drops its boundary term", "src/gateprog/scoring.py",
-        "    twice += 2.0 * float(np.sum(missing * a * a))\n",
+        "    error += float(np.sum(missing * a * a))\n",
         "", ("oracle_equivalence", "closed_form_consistency"),
+    ),
+    Mutant(
+        "the error form drops its exchange edges", "src/gateprog/scoring.py",
+        "    directions = np.concatenate([unit, unit[i] - unit[j]]).tolist()\n",
+        "    directions = unit.tolist()\n", ("oracle_equivalence", "closed_form_consistency"),
     ),
     Mutant(
         "the Haar oracle's defining character loses x_d", "src/gateprog/oracle.py",
