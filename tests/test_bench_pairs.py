@@ -1,9 +1,11 @@
 """tools/bench_pairs.py's summary, which decides every perf claim: wins and losses
 per pair in the declared direction, ties for neither side, failed runs skipped and
-one-sided seeds dropped."""
+one-sided seeds dropped, and the label of the change side."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -50,3 +52,32 @@ def test_a_seed_with_one_side_is_dropped():
 def test_a_higher_is_better_metric_flips_the_sign(monkeypatch):
     monkeypatch.setattr(bench_pairs, "better_directions", lambda: {"wall_s": "higher"})
     assert outcome(PAIRS) == (1, 2, 4)
+
+
+@pytest.fixture
+def checkout(tmp_path, monkeypatch):
+    """A throwaway git checkout with one committed file in src/ and one at the root,
+    in place of the real one; ``bench_pairs.git`` runs there."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "module.py").write_text("x = 1\n")
+    (tmp_path / "ISSUE.md").write_text("issue\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    bench_pairs.git("init", "-q")
+    bench_pairs.git("add", "-A")
+    bench_pairs.git("-c", "user.name=test", "-c", "user.email=test@example.com",
+                    "-c", "commit.gpgsign=false", "commit", "-q", "-m", "start")
+    return tmp_path
+
+
+def test_a_changed_document_leaves_the_label_clean(checkout):
+    (checkout / "ISSUE.md").write_text("another issue\n")
+    (checkout / "notes.md").write_text("untracked\n")
+    head = bench_pairs.git("rev-parse", "HEAD")
+    assert bench_pairs.change_label() == f"the working tree of {head}"
+
+
+@pytest.mark.parametrize("path", ["src/module.py", "src/new.py"])
+def test_a_changed_source_file_marks_the_label(checkout, path):
+    # a modified file and an untracked one
+    (checkout / path).write_text("x = 2\n")
+    assert bench_pairs.change_label().endswith(" with uncommitted changes")

@@ -42,6 +42,15 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def change_label() -> str:
+    """The change side: the working tree of HEAD, "with uncommitted changes" when a
+    file under src/ or bench/, the files a run reads, differs from HEAD or is untracked."""
+    label = f"the working tree of {git('rev-parse', 'HEAD')}"
+    if git("status", "--porcelain", "--", "src", "bench"):
+        label += " with uncommitted changes"
+    return label
+
+
 def export(ref: str, directory: Path, checkout: Path = ROOT) -> None:
     """The committed files of ``ref`` in ``checkout``, unpacked into ``directory``."""
     archive = subprocess.run(["git", "archive", ref], cwd=checkout, check=True,
@@ -107,8 +116,7 @@ def main(argv: list[str]) -> int:
     if args.pairs < 2:
         parser.error(f"need at least 2 pairs for quartiles, got {args.pairs}")
     parent_commit = git("rev-parse", "--verify", f"{args.parent_ref}^{{commit}}")
-    head = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    change = change_label()
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -144,7 +152,7 @@ def main(argv: list[str]) -> int:
         ),
         "command": " ".join(COMMAND),
         "parent_commit": parent_commit,
-        "change": f"the working tree of {head}" + (" with uncommitted changes" if dirty else ""),
+        "change": change,
         "seeds": seeds,
         "machine": provenance["parent"],
         "change_source_sha256": provenance["change"]["source_sha256"],
