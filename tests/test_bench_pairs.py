@@ -60,7 +60,7 @@ def checkout(tmp_path, monkeypatch):
     in place of the real one; ``bench_pairs.git`` runs there."""
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "module.py").write_text("x = 1\n")
-    (tmp_path / "ISSUE.md").write_text("issue\n")
+    (tmp_path / "README.md").write_text("readme\n")
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     bench_pairs.git("init", "-q")
     bench_pairs.git("add", "-A")
@@ -70,7 +70,7 @@ def checkout(tmp_path, monkeypatch):
 
 
 def test_a_changed_document_leaves_the_label_clean(checkout):
-    (checkout / "ISSUE.md").write_text("another issue\n")
+    (checkout / "README.md").write_text("another readme\n")
     (checkout / "notes.md").write_text("untracked\n")
     head = bench_pairs.git("rev-parse", "HEAD")
     assert bench_pairs.change_label() == f"the working tree of {head}"
