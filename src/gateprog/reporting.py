@@ -9,6 +9,7 @@ its log2 view and serialized as a decimal string.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -149,17 +150,16 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
 
 
 def protocol_reports(d: int, n_values) -> list[ProtocolReport]:
-    """``protocol_report(n, d)`` for each n in order, with one eigensolve per (d, N)
-    box at d >= 3: the first n of a box is solved, and its solve serves the rest.
-    d=2 reports take the closed form and solve nothing."""
-    solves: dict[int, FidelityResult] = {}
-    reports = []
-    for n in n_values:
-        big_n = capacity_parameter(n, d)
-        if d > 2 and big_n not in solves:
-            solves[big_n] = optimal_fidelity(ScoreMatrix(d, big_n))
-        reports.append(protocol_report(n, d, solves.get(big_n)))
-    return reports
+    """``protocol_report(n, d)`` for each n in order.  At d >= 3 each report asks
+    ``solve(N)``, a memo made for this call, for its box's eigensolve, so each (d, N) box
+    is solved once whatever the order of n; d=2 takes the closed form and solves nothing."""
+
+    @functools.cache
+    def solve(big_n: int) -> FidelityResult:
+        return optimal_fidelity(ScoreMatrix(d, big_n))
+
+    return [protocol_report(n, d, solve(capacity_parameter(n, d)) if d > 2 else None)
+            for n in n_values]
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,16 @@ def reports_to_csv(reports: list[dict]) -> str:
 
 
 def write_text_atomic(text: str, path: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via an owner-only temporary file in the target directory, then rename; the
+    file gets the mode ``open(path, "w")`` leaves: the existing file's, else 0o666 & ~umask."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0o022)  # read, then put back
+    os.umask(umask)
+    mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

@@ -9,7 +9,9 @@ The CLI ``verify`` command and the acceptance test module both run this list.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
@@ -78,27 +80,15 @@ def check_dimension_identity() -> CheckResult:
     )
 
 
-Solves = dict[tuple[int, int], FidelityResult]
-
-
-def solve_boxes() -> Solves:
-    """One eigensolve for each (d, N) box the battery reads, keyed by the box: d=2
-    N = 2..64 for ``eigenvalue_oracle`` and the boxes of the d=3 reports, N = 2..8.
-    ``oracle_equivalence``'s points lie in these boxes."""
-    boxes = [(2, big_n) for big_n in range(2, 65)]
-    boxes += [(3, big_n) for big_n in sorted({capacity_parameter(n, 3) for n in NS_D3})]
-    return {box: optimal_fidelity(ScoreMatrix(*box)) for box in boxes}
-
-
-def check_oracle_equivalence(solves: Solves) -> CheckResult:
+def check_oracle_equivalence(solve: Callable[[int, int], FidelityResult]) -> CheckResult:
     """Haar-quadrature fidelity vs the score-matrix quadratic form, d in {2, 3}, for
-    the sine weights and for the optimal weights of ``solves``."""
+    the sine weights and for the optimal weights ``solve(d, N)`` gives each point's box."""
     worst = 0.0
     for d, n in ((2, 4), (2, 8), (2, 16), (2, 32), (2, 64), (3, 13), (3, 60)):
         ds = viable_set(n, d)
         grid = su_torus_grid(d, n + 1)
         matrix = score_matrix(ds)
-        for q in (sine_weights(ds), solves[d, ds.N].weights_used):
+        for q in (sine_weights(ds), solve(d, ds.N).weights_used):
             f_matrix = entanglement_fidelity(q, matrix).fidelity
             f_haar = haar_fidelity(ds, q, grid)
             worst = max(worst, abs(f_haar - f_matrix))
@@ -199,9 +189,9 @@ def check_cost_scaling(reports_d2: dict[int, ProtocolReport]) -> CheckResult:
     )
 
 
-def check_eigenvalue_oracle(solves: Solves) -> CheckResult:
+def check_eigenvalue_oracle(solve: Callable[[int, int], FidelityResult]) -> CheckResult:
     """Tridiagonal largest eigenvalue vs 2 + 2 cos(pi/(N+1)) and a dense solver, the
-    solver's value read from ``solves``.  The dense matrix is the d=2 chain, 2 on the
+    solver's value read from ``solve(2, N)``.  The dense matrix is the d=2 chain, 2 on the
     diagonal and 1 beside it, built here without the matvec the solver applies."""
     worst_analytic = 0.0
     worst_solver = 0.0
@@ -209,7 +199,7 @@ def check_eigenvalue_oracle(solves: Solves) -> CheckResult:
         chain = 2.0 * np.eye(big_n) + np.eye(big_n, k=1) + np.eye(big_n, k=-1)
         dense_max = float(np.linalg.eigvalsh(chain)[-1])
         analytic = 2.0 + 2.0 * math.cos(math.pi / (big_n + 1))
-        solver = solves[2, big_n].fidelity * 4.0
+        solver = solve(2, big_n).fidelity * 4.0
         worst_analytic = max(worst_analytic, abs(dense_max - analytic))
         worst_solver = max(worst_solver, abs(solver - dense_max))
     passed = worst_analytic <= 1e-10 and worst_solver <= 1e-10
@@ -315,26 +305,30 @@ CRITERIA = (
 
 
 def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
-    """Run every check once.  Each (d, N) box the battery reads is solved exactly
-    once (``solve_boxes``, 70 solves), and the solves are shared by
-    ``eigenvalue_oracle``, ``oracle_equivalence`` and the d=3 reports; the
-    protocol reports are shared by the checks that read them.  d=2 reports take
-    the closed-form optimum and solve nothing.  Nothing is cached between calls.
+    """Run every check once.  The d=3 reports, ``oracle_equivalence`` and
+    ``eigenvalue_oracle`` ask ``solve(d, N)``, a memo made for this call, for each (d, N)
+    box's eigensolve as they read it, so each box is solved once (70 solves: d=2 N = 2..64,
+    d=3 N = 2..8); the protocol reports are shared by the checks that read them.  d=2
+    reports take the closed-form optimum and solve nothing.  Nothing outlives the call.
 
     ``samples`` and ``seed`` are checked before any work, so a bad request
     fails at once with the Monte-Carlo oracle's own message."""
     validate_sampling(samples, seed)
-    solves = solve_boxes()
+
+    @functools.cache
+    def solve(d: int, big_n: int) -> FidelityResult:
+        return optimal_fidelity(ScoreMatrix(d, big_n))
+
     reports_d2 = {n: protocol_report(n, 2) for n in SMALL_NS_D2}
-    reports_d3 = {n: protocol_report(n, 3, solves[3, capacity_parameter(n, 3)]) for n in NS_D3}
+    reports_d3 = {n: protocol_report(n, 3, solve(3, capacity_parameter(n, 3))) for n in NS_D3}
     return [
         check_dimension_identity(),
-        check_oracle_equivalence(solves),
+        check_oracle_equivalence(solve),
         check_closed_form_consistency(),
         check_error_and_dimension_bounds(reports_d2, reports_d3),
         check_heisenberg_scaling(reports_d2),
         check_cost_scaling(reports_d2),
-        check_eigenvalue_oracle(solves),
+        check_eigenvalue_oracle(solve),
         check_phase_gate(),
         check_choi_decomposition(samples, seed),
     ]

@@ -326,6 +326,18 @@ class TestConfigFile:
         assert out == ""
         assert json.loads(out_path.read_text())["dP_exact"] == "34"
 
+    def test_output_file_gets_a_plain_writes_mode(self, capsys, tmp_path):
+        out_path = tmp_path / "phase.json"
+        saved = os.umask(0o022)
+        try:
+            code, _, _ = run_capture(
+                capsys, ["phase", "--dp", "8", "--format", "json", "--output", str(out_path)]
+            )
+        finally:
+            os.umask(saved)
+        assert code == 0
+        assert out_path.stat().st_mode & 0o777 == 0o644
+
 
 class TestVerifyCommand:
     def test_pass_lines_and_exit_zero(self, capsys, monkeypatch):

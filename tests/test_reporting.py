@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import sys
 import weakref
 from collections import Counter
@@ -229,7 +230,8 @@ class TestProtocolReports:
 
     def test_one_solve_per_box(self, monkeypatch):
         # verify's 48 d=3 points lie in 7 boxes (N = 2..8); its 13 d=2 points take the
-        # closed form and solve none
+        # closed form and solve none; an order that leaves a box and comes back to it
+        # (N = 8, 2, 8, 2, 8) still solves each box once
         boxes = []
 
         def solve(s):
@@ -240,6 +242,9 @@ class TestProtocolReports:
         protocol_reports(2, SMALL_NS_D2)
         protocol_reports(3, NS_D3)
         assert boxes == [(3, n) for n in range(2, 9)]
+        boxes.clear()
+        assert [r.n for r in protocol_reports(3, [60, 13, 59, 14, 60])] == [60, 13, 59, 14, 60]
+        assert boxes == [(3, 8), (3, 2)]
 
     @pytest.mark.parametrize("n, d, other_n, other_d", [(8, 2, 16, 2), (26, 3, 8, 2)])
     def test_solve_of_another_box_rejected(self, n, d, other_n, other_d):
@@ -330,3 +335,28 @@ class TestSerialization:
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
         text = (tmp_path / "out.csv").read_text()
         assert text.startswith(",".join(CSV_COLUMNS))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_new_file_gets_a_plain_writes_mode(self, tmp_path, umask):
+        # the temporary file is owner-only; the renamed file has open(path, "w")'s mode
+        saved = os.umask(umask)
+        try:
+            write_text_atomic("new\n", str(tmp_path / "atomic.txt"))
+            (tmp_path / "plain.txt").write_text("new\n")
+        finally:
+            os.umask(saved)
+        mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("old\n")
+        os.chmod(path, 0o640)
+        saved = os.umask(0o022)
+        try:
+            write_text_atomic("new\n", str(path))
+        finally:
+            os.umask(saved)
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["report.csv"]

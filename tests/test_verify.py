@@ -13,6 +13,10 @@ from gateprog.phase import DiamondSearchResult, classical_phase_error, phase_rep
 from gateprog.scoring import ScoreMatrix, optimal_fidelity, qstar_error_closed_form
 
 
+def _solve(d, big_n):
+    return optimal_fidelity(ScoreMatrix(d, big_n))
+
+
 def _agreeing_search(kappa):
     value = 1.0 - kappa
     return DiamondSearchResult(value=value, start_values=(value,) * 33, spread=0.0)
@@ -102,7 +106,7 @@ def test_box_checks_build_no_lattice(monkeypatch, check):
         raise AssertionError(f"viable_set({n}, {d}) built a lattice")
 
     monkeypatch.setattr(verify, "viable_set", lattice)
-    args = (verify.solve_boxes(),) if check == "check_eigenvalue_oracle" else ()
+    args = (_solve,) if check == "check_eigenvalue_oracle" else ()
     assert getattr(verify, check)(*args).passed
 
 
@@ -123,11 +127,28 @@ def test_eigenvalue_oracle_is_independent_of_the_matvec(monkeypatch):
         return z
 
     monkeypatch.setattr(ScoreMatrix, "matvec", without_face_term)
-    result = verify.check_eigenvalue_oracle(verify.solve_boxes())
+    result = verify.check_eigenvalue_oracle(_solve)
     assert not result.passed
     analytic, solver = map(float, re.search(r"analytic\| = (\S+),.*dense\| = (\S+) ",
                                             result.detail).groups())
     assert analytic <= 1e-10 < solver
+
+
+@pytest.mark.parametrize("check, asked", [
+    ("check_oracle_equivalence",
+     [(2, 2), (2, 4), (2, 8), (2, 16), (2, 32), (3, 2), (3, 8)]),
+    ("check_eigenvalue_oracle", [(2, big_n) for big_n in range(2, 65)]),
+])
+def test_check_asks_for_the_boxes_it_reads(check, asked):
+    # each check asks the solve it is handed for its boxes, once each, in reading order
+    boxes = []
+
+    def solve(d, big_n):
+        boxes.append((d, big_n))
+        return _solve(d, big_n)
+
+    assert getattr(verify, check)(solve).passed
+    assert boxes == asked
 
 
 def test_one_solve_per_box(monkeypatch):
@@ -163,7 +184,7 @@ def test_closed_form_off_at_one_box_fails(monkeypatch):
     (10**6, -1, "seed must be non-negative, got -1"),
 ])
 def test_bad_sampling_rejected_before_any_check(monkeypatch, samples, seed, message):
-    # the box solves are the battery's first work
+    # the d=3 reports' box solves are the battery's first work
     def solve(matrix):
         raise AssertionError("the battery started before its inputs were checked")
 
