@@ -316,26 +316,20 @@ class TestConfigFile:
         assert os.listdir(tmp_path) == []
 
     def test_output_file_written_atomically(self, capsys, tmp_path):
+        # the file gets a plain write's mode under umask 022, not the temp file's 0600
         out_path = tmp_path / "report.json"
-        code, out, _ = run_capture(
-            capsys,
-            ["protocol", "--d", "2", "--n", "4", "--format", "json",
-             "--output", str(out_path)],
-        )
-        assert code == 0
-        assert out == ""
-        assert json.loads(out_path.read_text())["dP_exact"] == "34"
-
-    def test_output_file_gets_a_plain_writes_mode(self, capsys, tmp_path):
-        out_path = tmp_path / "phase.json"
         saved = os.umask(0o022)
         try:
-            code, _, _ = run_capture(
-                capsys, ["phase", "--dp", "8", "--format", "json", "--output", str(out_path)]
+            code, out, _ = run_capture(
+                capsys,
+                ["protocol", "--d", "2", "--n", "4", "--format", "json",
+                 "--output", str(out_path)],
             )
         finally:
             os.umask(saved)
         assert code == 0
+        assert out == ""
+        assert json.loads(out_path.read_text())["dP_exact"] == "34"
         assert out_path.stat().st_mode & 0o777 == 0o644
 
 
