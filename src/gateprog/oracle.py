@@ -246,6 +246,8 @@ def character_orthonormality_check(grid: TorusGrid, diagrams: np.ndarray) -> flo
     return float(np.abs(gram - target).max(initial=0.0))
 
 
+# quaternion pairs a chunk: its Gram, quat @ quat.T, is then 16 * _CHUNK = 2^19
+# multiply-adds, scoring's _MATMUL_BLOCK, below the size that wakes a second BLAS thread
 _CHUNK = 32_768
 
 

@@ -78,27 +78,53 @@ class ScoreMatrix:
         return sine_weights(self).amplitudes
 
     def preconditioner(self) -> Callable[[np.ndarray, np.ndarray], None]:
-        """A function (r, w) that writes T^-1 r into w, T the square-lattice Dirichlet
-        Laplacian on the box, built once per solve.
+        """A function (r, w) that writes ((N+1)/2)^(d-1) T^-1 r into w, T the
+        square-lattice Dirichlet Laplacian on the box, built once per solve; the
+        solver's step does not depend on the scale.
 
         T^-1 is a sine transform along each axis, a division by T's eigenvalues and
-        the transform again: a product with the N x N sine matrix up to
-        ``_DENSE_SINE_MAX_N``, and a padded rfft above it (``_sine_transform``).  T's
-        edges are a subset of those of L = d^2 I - S, also a Dirichlet Laplacian, and
-        each exchange edge is bounded by two square edges: the two are spectrally
-        equivalent with constants free of N, so the solver's step count does not grow
-        with N.  At d=2, T = L.
+        the transform again; the transform is unnormalised, and twice over it
+        multiplies by (N+1)/2 per axis.  The route is chosen here, once per box: up
+        to ``_DENSE_SINE_MAX_N`` each axis is one product with the N x N matrix
+        -sin(pi j k / (N+1)), the first axis contracted and its image put last, in
+        row blocks of at most ``_MATMUL_BLOCK`` multiply-adds, so that no matmul
+        wakes a second BLAS thread; above it each axis is the imaginary part of the
+        rfft of (0, x, 0, ..., 0), length 2(N+1), built in one zero buffer.  T's
+        edges are a subset of those of L = d^2 I - S, also a Dirichlet Laplacian,
+        and each exchange edge is bounded by two square edges: the two are
+        spectrally equivalent with constants free of N, so the solver's step count
+        does not grow with N.  At d=2, T = L.
         """
         big_n, box = self.N, (self.N,) * (self.d - 1)
         # T's eigenvalues, indexed like the sine transform
         modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
         spectrum = functools.reduce(np.add.outer, [modes] * (self.d - 1))
-        work = _sine_work(box)
+        if big_n <= _DENSE_SINE_MAX_N:
+            k = np.arange(1, big_n + 1)
+            # j k reduced modulo 2(N+1) keeps the argument within one period
+            sines = -np.sin(np.pi * (np.outer(k, k) % (2 * big_n + 2)) / (big_n + 1))
+            rows = _MATMUL_BLOCK // (big_n * big_n)
+
+            def transform(x: np.ndarray) -> np.ndarray:
+                for _ in box:
+                    columns = x.reshape(big_n, -1)
+                    x = np.empty((columns.shape[1], big_n))
+                    for start in range(0, x.shape[0], rows):
+                        np.matmul(columns[:, start : start + rows].T, sines,
+                                  out=x[start : start + rows])
+                return x.reshape(box)
+        else:
+            padded = np.zeros(box[:-1] + (2 * big_n + 2,))
+            rotate = (len(box) - 1, *range(len(box) - 1))
+
+            def transform(x: np.ndarray) -> np.ndarray:
+                for _ in box:
+                    padded[..., 1 : big_n + 1] = x
+                    x = np.fft.rfft(padded)[..., 1 : big_n + 1].imag.transpose(rotate)
+                return x
 
         def precondition(r: np.ndarray, w: np.ndarray) -> None:
-            w.reshape(box)[...] = _sine_transform(
-                _sine_transform(r.reshape(box), work) / spectrum, work
-            )
+            w.reshape(box)[...] = transform(transform(r.reshape(box)) / spectrum)
 
         return precondition
 
@@ -163,45 +189,6 @@ _DENSE_SINE_MAX_N = 148
 _MATMUL_BLOCK = 2**19
 
 
-def _sine_work(box: tuple[int, ...]) -> np.ndarray:
-    """What ``_sine_transform`` needs on ``box``: up to ``_DENSE_SINE_MAX_N``, the
-    N x N matrix -sin(pi j k / (N+1)); above it, the zero rfft buffer, 2(N+1) long
-    on the last axis."""
-    big_n = box[-1]
-    if big_n <= _DENSE_SINE_MAX_N:
-        k = np.arange(1, big_n + 1)
-        # j k reduced modulo 2(N+1) keeps the argument within one period
-        return -np.sin(np.pi * (np.outer(k, k) % (2 * big_n + 2)) / (big_n + 1))
-    return np.zeros(box[:-1] + (2 * big_n + 2,))
-
-
-def _sine_transform(x: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Type-I sine transform of x along every axis, times -1 per axis, with the
-    ``work`` array of ``_sine_work(x.shape)``.
-
-    Up to ``_DENSE_SINE_MAX_N`` each axis is one product with the sine matrix: the
-    first axis is contracted and its image put last, in row blocks of at most
-    ``_MATMUL_BLOCK`` multiply-adds, so that no matmul wakes a second BLAS thread.
-    Above it each axis is the imaginary part of the rfft of (0, x, 0, ..., 0),
-    length 2(N+1), built in ``work``.
-    """
-    big_n = x.shape[-1]
-    if big_n <= _DENSE_SINE_MAX_N:
-        rows = _MATMUL_BLOCK // (big_n * big_n)
-        shape = x.shape
-        for _ in range(x.ndim):
-            columns = x.reshape(big_n, -1)
-            x = np.empty((columns.shape[1], big_n))
-            for start in range(0, x.shape[0], rows):
-                np.matmul(columns[:, start : start + rows].T, work, out=x[start : start + rows])
-        return x.reshape(shape)
-    rotate = (x.ndim - 1, *range(x.ndim - 1))
-    for _ in range(x.ndim):
-        work[..., 1 : big_n + 1] = x
-        x = np.fft.rfft(work)[..., 1 : big_n + 1].imag.transpose(rotate)
-    return x
-
-
 def _trial_products(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix x_a . x_b and the projected matrix (S x_a) . x_b of the three
     trial vectors x_a, with ``work`` holding each beside its image, shape (3, 2, M).
@@ -245,7 +232,8 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     - ``s.start()``, a vector not orthogonal to the principal one: the sine
       amplitudes;
     - ``s.preconditioner()``, built once per solve, a function (r, w) that writes
-      T^-1 r into w: the sine-transform inverse of the square-lattice Laplacian;
+      ((N+1)/2)^(d-1) T^-1 r into w: the sine-transform inverse of the
+      square-lattice Laplacian, scaled, which leaves the step unchanged;
     - ``s.error_form(v)``, the result at the unit principal vector v:
       ``entanglement_fidelity`` of the weights whose amplitudes are v.
 

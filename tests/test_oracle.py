@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gateprog import oracle
+from gateprog import oracle, scoring
 from gateprog.oracle import (
     _eigenphases,
     _quaternion_chunk,
@@ -400,6 +400,11 @@ def gram_with_chunks(monkeypatch, inspect, *args):
 
 
 class TestQuaternionDraw:
+    def test_chunk_gram_stays_in_one_blas_block(self):
+        # a chunk's Gram, quat @ quat.T, is one matmul of 16 * _CHUNK multiply-adds; a
+        # larger one wakes a second BLAS thread, whose spin-wait the Choi fit pays in CPU
+        assert 16 * oracle._CHUNK <= scoring._MATMUL_BLOCK
+
     # a chunk of 32768 pairs keeps about 25,700: fewer samples than that, and
     # counts that end inside a later chunk
     @pytest.mark.parametrize("samples", [1, 1000, 32_768, 100_003, 10**6 + 1])

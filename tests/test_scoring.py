@@ -16,8 +16,6 @@ from gateprog.scoring import (
     ConvergenceError,
     ScoreMatrix,
     _edge_slices,
-    _sine_transform,
-    _sine_work,
     _trial_products,
     entanglement_fidelity,
     lemma3_bound,
@@ -420,23 +418,84 @@ class TestOperatorContract:
             optimal_fidelity(DenseOperator(a, np.ones(40)))
 
 
+def preconditioner_rounding(big_n, axes):
+    """A bound, per unit ||r||, on the 2-norm rounding error of the preconditioner's w
+    on the (N,)*axes box, or of any route that computes the same transforms.
+
+    Along one axis each entry sums N products with sines of modulus at most 1, so its
+    error is at most N eps sqrt(N) times the norm of its input line: an axis adds at
+    most N^2 eps ||x||.  The padded rfft's error, O(log N) eps times its norm
+    sqrt(2(N+1)), stays under that.  The exact transform multiplies norms by
+    sigma = sqrt((N+1)/2) per axis, so a transform adds at most
+    axes N^2 eps sigma^(axes-1) ||x||.  T's eigenvalues each carry at most 4 axes eps,
+    so the division adds eps + 4 axes eps / lambda_min of its output and multiplies
+    what it divides by at most 1 / lambda_min.  Summed to first order and doubled for
+    the higher orders.
+    """
+    eps = np.finfo(float).eps
+    sigma = math.sqrt((big_n + 1) / 2)
+    lambda_min = axes * (2.0 - 2.0 * math.cos(math.pi / (big_n + 1)))
+    first_order = eps * (2 * axes * big_n**2 / sigma + 1 + 4 * axes / lambda_min)
+    return 2 * sigma ** (2 * axes) / lambda_min * first_order
+
+
+def dirichlet_laplacian(w):
+    """T w by slices: 2 w[t] - w[t + e_j] - w[t - e_j] summed over the axes j, with w
+    zero outside the box."""
+    t = 2.0 * w.ndim * w
+    for j in range(w.ndim):
+        head = (slice(None),) * j
+        t[head + (slice(None, -1),)] -= w[head + (slice(1, None),)]
+        t[head + (slice(1, None),)] -= w[head + (slice(None, -1),)]
+    return t
+
+
 class TestSineTransform:
-    # up to the crossover by the sine matrix, above it by the padded rfft
-    @pytest.mark.parametrize(
+    """``ScoreMatrix.preconditioner``'s contract, w = ((N+1)/2)^(d-1) T^-1 r, on both
+    routes: up to the crossover by the sine matrix, above it by the padded rfft."""
+
+    cases = pytest.mark.parametrize(
         "big_n,axes",
         [(1, 1), (5, 1), (6, 2), (4, 3)]
         + [(n, axes) for n in (_DENSE_SINE_MAX_N, _DENSE_SINE_MAX_N + 1) for axes in (1, 2, 3)],
     )
+
+    @staticmethod
+    def precondition(big_n, axes):
+        r = np.random.default_rng(3).standard_normal(big_n**axes)
+        w = np.empty_like(r)
+        ScoreMatrix(axes + 1, big_n).preconditioner()(r, w)
+        return r.reshape((big_n,) * axes), w.reshape((big_n,) * axes)
+
+    @cases
     def test_matches_dense_sine_matrix(self, big_n, axes):
+        r, w = self.precondition(big_n, axes)
         k = np.arange(1, big_n + 1)
         sines = np.sin(np.pi * np.outer(k, k) / (big_n + 1))
-        x = np.random.default_rng(3).standard_normal((big_n,) * axes)
-        expected = x
-        for axis in range(axes):
-            expected = -np.moveaxis(np.tensordot(sines, expected, axes=(1, axis)), 0, axis)
-        # each axis sums N terms, so rounding stays within N ulps of the largest entry per axis
-        bound = 4 * np.finfo(float).eps * axes * big_n * np.abs(expected).max()
-        assert np.abs(_sine_transform(x, _sine_work(x.shape)) - expected).max() <= bound
+        modes = 2.0 - 2.0 * np.cos(np.pi * k / (big_n + 1))
+        spectrum = sum(np.ix_(*[modes] * axes))
+
+        def transform(x):
+            for axis in range(axes):
+                x = -np.moveaxis(np.tensordot(sines, x, axes=(1, axis)), 0, axis)
+            return x
+
+        expected = transform(transform(r) / spectrum)
+        # both sides are within the rounding bound of the exact value
+        bound = 2 * preconditioner_rounding(big_n, axes) * np.linalg.norm(r)
+        assert np.linalg.norm(w - expected) <= bound
+
+    @cases
+    def test_inverts_dirichlet_laplacian(self, big_n, axes):
+        r, w = self.precondition(big_n, axes)
+        scale = ((big_n + 1) / 2) ** axes
+        # T multiplies w's error by at most 4 axes, and each entry of T w sums 2 axes + 1
+        # terms of w's magnitude, ||w|| <= scale ||r|| / lambda_min
+        lambda_min = axes * (2.0 - 2.0 * math.cos(math.pi / (big_n + 1)))
+        apply_rounding = (2 * axes + 1) * 4 * axes * np.finfo(float).eps * scale / lambda_min
+        bound = (4 * axes * preconditioner_rounding(big_n, axes) + 2 * apply_rounding) \
+            * np.linalg.norm(r)
+        assert np.linalg.norm(dirichlet_laplacian(w) - scale * r) <= bound
 
 
 class TestTrialProducts:
