@@ -423,19 +423,20 @@ def preconditioner_rounding(big_n, axes):
     on the (N,)*axes box, or of any route that computes the same transforms.
 
     Along one axis each entry sums N products with sines of modulus at most 1, so its
-    error is at most N eps sqrt(N) times the norm of its input line: an axis adds at
-    most N^2 eps ||x||.  The padded rfft's error, O(log N) eps times its norm
+    error is at most N eps sqrt(N) times the norm of its input line, and each sine,
+    its argument reduced to at most 2 pi, carries at most 10 eps: an axis adds at
+    most N (N + 10) eps ||x||.  The padded rfft's error, O(log N) eps times its norm
     sqrt(2(N+1)), stays under that.  The exact transform multiplies norms by
     sigma = sqrt((N+1)/2) per axis, so a transform adds at most
-    axes N^2 eps sigma^(axes-1) ||x||.  T's eigenvalues each carry at most 4 axes eps,
-    so the division adds eps + 4 axes eps / lambda_min of its output and multiplies
-    what it divides by at most 1 / lambda_min.  Summed to first order and doubled for
-    the higher orders.
+    axes N (N + 10) eps sigma^(axes-1) ||x||.  T's eigenvalues each carry at most
+    4 axes eps, so the division adds eps + 4 axes eps / lambda_min of its output and
+    multiplies what it divides by at most 1 / lambda_min.  Summed to first order and
+    doubled for the higher orders.
     """
     eps = np.finfo(float).eps
     sigma = math.sqrt((big_n + 1) / 2)
     lambda_min = axes * (2.0 - 2.0 * math.cos(math.pi / (big_n + 1)))
-    first_order = eps * (2 * axes * big_n**2 / sigma + 1 + 4 * axes / lambda_min)
+    first_order = eps * (2 * axes * big_n * (big_n + 10) / sigma + 1 + 4 * axes / lambda_min)
     return 2 * sigma ** (2 * axes) / lambda_min * first_order
 
 
@@ -471,7 +472,7 @@ class TestSineTransform:
     def test_matches_dense_sine_matrix(self, big_n, axes):
         r, w = self.precondition(big_n, axes)
         k = np.arange(1, big_n + 1)
-        sines = np.sin(np.pi * np.outer(k, k) / (big_n + 1))
+        sines = np.sin(np.pi * (np.outer(k, k) % (2 * big_n + 2)) / (big_n + 1))
         modes = 2.0 - 2.0 * np.cos(np.pi * k / (big_n + 1))
         spectrum = sum(np.ix_(*[modes] * axes))
 
