@@ -197,7 +197,8 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
     """
     if grid.d != diagram_set.d:
         raise ValueError(f"grid is for d={grid.d}, set is for d={diagram_set.d}")
-    if (q.d, q.N) != (diagram_set.d, diagram_set.N):
+    # a corner set shares (d, N) with its box, and only its member count tells them apart
+    if (q.d, q.N, len(q.amplitudes)) != (diagram_set.d, diagram_set.N, len(diagram_set)):
         raise ValueError("weight vector belongs to a different diagram set")
     if not grid.resolves(diagram_set.n + 1):
         raise ValueError(

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Largest lattice viable_set builds.  The score matrix, the weights and the solver
-# hold float vectors of this length, the LOBPCG eigensolve about ten of them.
+# Largest box accepted: the LOBPCG eigensolve holds about ten float vectors of this
+# length, and the oracles build full sets this large; a report reads only a corner.
 MAX_MEMBERS = 2**20
 
 
@@ -47,8 +47,8 @@ def capacity_parameter(n: int, d: int) -> int:
     """Lattice width N for n gate uses in dimension d.
 
     N = floor((2n/(d-1) + d - 2) / (3d-2)), computed exactly in integers.
-    Requires n >= 2d(d-1); rejects N < 2, as the sine weights are only normalized
-    for N >= 2, and over ``MAX_MEMBERS`` lattice members, before any is built or solved.
+    Requires n >= 2d(d-1); rejects N < 2, as the sine weights are only normalized for
+    N >= 2, and boxes of over ``MAX_MEMBERS`` members, before a solve or a full set.
     """
     _check_uses(n, d)
     big_n, _ = _lattice_parameters(n, d)
@@ -80,12 +80,12 @@ def flat_diagram(n0: int, d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DiagramSet:
-    """The viable lattice: N^(d-1) strictly-decreasing diagrams of n boxes.
+    """The viable lattice, or its corner: strictly-decreasing diagrams of n boxes.
 
-    ``rows`` is a read-only (N^(d-1), d) int64 array, one member per row, in row-major
-    order of the lattice coordinates in {0..N-1}^(d-1), the first coordinate most
-    significant; ``haar_fidelity`` and the Choi fit rely on this when they pair the
-    amplitudes of a ``WeightVector``, laid out in that order over the box, with rows.
+    ``rows`` is a read-only (m^(d-1), d) int64 array, one member per row, in row-major
+    order of the coordinates in {0..m-1}^(d-1), m = N for the full lattice, the first
+    coordinate most significant; ``haar_fidelity`` and the Choi fit rely on this when
+    they pair the amplitudes of a ``WeightVector``, laid out in that order, with rows.
     """
 
     d: int
@@ -99,8 +99,9 @@ class DiagramSet:
         return len(self.rows)
 
 
-def viable_set(n: int, d: int) -> DiagramSet:
-    """Build the full viable lattice of diagrams for n uses in dimension d.
+def viable_set(n: int, d: int, width: int | None = None) -> DiagramSet:
+    """Build the viable lattice of diagrams for n uses in dimension d, or with ``width``
+    its corner of min(N, width) points per axis; ``N`` is the box's width either way.
 
     Row i (1-based, i < d) of the member at coordinate t is
     mu0[i] + N(2d-3) + 1 - (N+1)(i-1) + t[i]; the last row absorbs the
@@ -118,13 +119,14 @@ def viable_set(n: int, d: int) -> DiagramSet:
     )
 
     # filled in place, least significant coordinate first: for k = d-2 down to 0, the
-    # members with t[:k] = 0 are N copies of those with t[:k+1] = 0, copy j adding j
+    # members with t[:k] = 0 are m copies of those with t[:k+1] = 0, copy j adding j
     # to column k and taking it from the last column
-    rows = np.empty((big_n ** (d - 1), d), dtype=np.int64)
+    m = big_n if width is None else min(big_n, width)
+    rows = np.empty((m ** (d - 1), d), dtype=np.int64)
     rows[0] = (*base, n - sum(base))
-    steps = np.arange(big_n)[:, None]
+    steps = np.arange(m)[:, None]
     for k in reversed(range(d - 1)):
-        block = rows[: big_n ** (d - 1 - k)].reshape(big_n, -1, d)
+        block = rows[: m ** (d - 1 - k)].reshape(m, -1, d)
         block[1:] = block[0]
         block[..., k] += steps
         block[..., -1] -= steps

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import bounds as bounds_mod
-from .protocol import _lattice_parameters, capacity_parameter, flat_diagram, viable_set
+from .protocol import capacity_parameter, viable_set
 from .scoring import (
     FidelityResult,
     ScoreMatrix,
@@ -55,6 +55,13 @@ class ProtocolReport:
     pass_flags: dict[str, bool]
 
 
+def _newton_weights(big_n: int, m: int) -> list[int]:
+    """Integer w_k with sum_{t<N} p(t) = sum_{k<m} w_k p(k) for every p of degree below m,
+    by Newton's series in C(t, j) and sum_{t<N} C(t, j) = C(N, j+1); all ones at m = N."""
+    return [sum((-1) ** (j - k) * math.comb(j, k) * math.comb(big_n, j + 1) for j in range(k, m))
+            for k in range(m)]
+
+
 def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> ProtocolReport:
     """Run the full pipeline at one point and evaluate every guarantee.
 
@@ -72,29 +79,18 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
     error is sin^2(pi/(2(N+1))), taken in that form; ``verify``'s
     ``eigenvalue_oracle`` checks the solver against that eigenvalue.
 
-    d=2 builds no lattice either.  Member t = 0..N-1 has rows (r + t, n - r - t)
-    with r = mu0[0] + N + 1 (``viable_set``), so its SU(2) dimension is a + 2t
-    with a = 2r - n + 1, and the exact dimension is the sum of squares
-    N a^2 + 2a N(N-1) + 2(N-1)N(2N-1)/3, in Python integers.
+    The exact dimension, the sum of dim^2 over the box, reads the lattice's corner of
+    m = min(N, 4d-5) points per axis: rows i < d of member t are base_i + t_i, so dim^2
+    has degree 4d-6 in each t_i; the weights of ``_newton_weights`` sum it over t_i < N
+    from its values at t_i < m, contracting the squares axis by axis in Python integers.
     """
-    if d == 2:
-        big_n = capacity_parameter(n, d)
-        _, n0 = _lattice_parameters(n, d)
-        a = 2 * (flat_diagram(n0, 2)[0] + big_n + 1) - n + 1
-        set_size = big_n
-        dim_exact = (
-            big_n * a * a + 2 * a * big_n * (big_n - 1)
-            + 2 * (big_n - 1) * big_n * (2 * big_n - 1) // 3
-        )
-    else:
-        # the dimension sum and the score matrix take what they need of the lattice,
-        # so its rows, 8d bytes a member, are freed before any solve
-        diagram_set = viable_set(n, d)
-        big_n, n0, set_size = diagram_set.N, diagram_set.n0, len(diagram_set)
-        dims = irrep_dimension(diagram_set.rows)
-        dim_exact = (dims * dims).sum()
-        matrix = score_matrix(diagram_set) if optimal is None else None
-        del diagram_set, dims
+    diagram_set = viable_set(n, d, width=4 * d - 5)
+    big_n, n0 = diagram_set.N, diagram_set.n0
+    weights = np.array(_newton_weights(big_n, min(big_n, 4 * d - 5)), dtype=object)
+    dim_exact = irrep_dimension(diagram_set.rows).reshape((len(weights),) * (d - 1))
+    dim_exact *= dim_exact
+    for _ in range(d - 1):
+        dim_exact = dim_exact.dot(weights)
     epsilon_qstar = qstar_error_closed_form(d, big_n)
     fidelity_qstar = 1.0 - epsilon_qstar
     if optimal is not None:
@@ -108,7 +104,7 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
     elif d == 2:
         epsilon_optimal = math.sin(math.pi / (2 * (big_n + 1))) ** 2
     else:
-        epsilon_optimal = optimal_fidelity(matrix).error
+        epsilon_optimal = optimal_fidelity(score_matrix(diagram_set)).error
     dim_log2 = math.log2(dim_exact)
 
     nu = d * d - 1
@@ -132,7 +128,7 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
         n=n,
         N=big_n,
         n0=n0,
-        set_size=set_size,
+        set_size=big_n ** (d - 1),
         fidelity_qstar=fidelity_qstar,
         fidelity_optimal=1.0 - epsilon_optimal,
         epsilon_qstar=epsilon_qstar,

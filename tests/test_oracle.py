@@ -250,6 +250,14 @@ class TestHaarFidelity:
             with pytest.raises(ValueError, match="different diagram sets"):
                 entanglement_fidelity(smaller, matrix)
 
+    @pytest.mark.parametrize("n, d, width", [(60, 3, 7), (64, 2, 3)])
+    def test_corner_set_rejected(self, n, d, width):
+        # a corner shares (d, N) with its box, so only its member count tells it apart
+        full, corner = viable_set(n, d), viable_set(n, d, width=width)
+        assert (corner.d, corner.N) == (full.d, full.N) and len(corner) < len(full)
+        with pytest.raises(ValueError, match="different diagram set"):
+            haar_fidelity(corner, sine_weights(full), su_torus_grid(d, n + 1))
+
 
 class TestChoiMonteCarlo:
     def test_recovers_fidelity_n4(self):

@@ -5,7 +5,6 @@ import math
 import os
 import stat
 import sys
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 import gateprog.protocol as protocol
 import gateprog.reporting as reporting
 import gateprog.scoring as scoring
+import gateprog.young as young
 from gateprog.reporting import (
     CSV_COLUMNS,
     REPORT_FIELDS,
@@ -129,21 +129,30 @@ class TestProtocolReport:
         assert format_float(report.epsilon_optimal) == format_float(solved.error)
         assert format_float(report.fidelity_optimal) == format_float(solved.fidelity)
 
-    @pytest.mark.parametrize("ns", [range(4, 4097), [2**21]], ids=["4-4096", "2^21"])
-    def test_d2_dimension_in_closed_form(self, monkeypatch, ns):
-        # the sum of squares over the arithmetic progression of SU(2) dimensions
-        # against the array pass over the lattice, which the report no longer builds
-        def no_lattice(*args):
-            raise AssertionError("a d=2 report built its lattice")
-
-        monkeypatch.setattr(reporting, "viable_set", no_lattice)
-        monkeypatch.setattr(reporting, "irrep_dimension", no_lattice)
-        for n in ns:
-            report = protocol_report(n, 2)
-            rows = viable_set(n, 2).rows
+    @pytest.mark.parametrize("d, ns", [
+        (2, range(4, 4097)), (2, [2**21]), (3, range(13, 400)), (4, range(40, 200)),
+        (5, range(90, 200)),
+    ], ids=["d2-4-4096", "d2-2^21", "d3", "d4", "d5"])
+    def test_dimension_against_the_lattice_pass(self, d, ns):
+        # the Newton-weight sum over the lattice's corner against the array pass over
+        # every member; each n of these ranges is valid
+        for report in protocol_reports(d, ns):
+            rows = viable_set(report.n, d).rows
             dims = irrep_dimension(rows)
             assert (report.dP_exact, report.set_size) == ((dims * dims).sum(), len(rows))
             assert type(report.dP_exact) is int
+
+    @pytest.mark.parametrize("big_n", [2, 3, 5, 7, 8, 15, 16, 79, 1024, 2**20])
+    def test_newton_weights(self, big_n):
+        # sum_k w_k C(k, j) = C(N, j+1) for j < m, the rule on the basis C(t, j); at
+        # m = N every weight is 1, and the rule is the box sum
+        for m in sorted({min(big_n, 4 * d - 5) for d in (2, 3, 4, 5, 21)}):
+            weights = reporting._newton_weights(big_n, m)
+            assert len(weights) == m
+            for j in range(m):
+                assert sum(w * math.comb(k, j) for k, w in enumerate(weights)) == math.comb(big_n, j + 1)
+            if m == big_n:
+                assert weights == [1] * big_n
 
     def test_d2_reports_run_no_solve(self, monkeypatch):
         def no_solve(matrix):
@@ -155,29 +164,34 @@ class TestProtocolReport:
         assert [r.n for r in sweep(2, [32, 64, 128]).reports] == [32, 64, 128]
 
 
-    @pytest.mark.parametrize("n, d", [(60, 3), (40, 4)])
-    def test_lattice_is_freed_before_the_solve(self, monkeypatch, n, d):
-        lattices, alive = [], []
+    @pytest.mark.parametrize("n, d", [(7167, 3), (1200, 4), (826, 5)])
+    def test_report_builds_only_the_corner(self, monkeypatch, n, d):
+        # 2^20, 512,000 and 2^20 members in the box; the report builds its corner of
+        # min(N, 4d-5) points per axis, and the solve still reads the whole box
+        built, boxes = [], []
 
-        def build(*args):
-            diagram_set = viable_set(*args)
-            lattices.append(weakref.ref(diagram_set))
+        def build(*args, **kwargs):
+            diagram_set = viable_set(*args, **kwargs)
+            built.append(len(diagram_set))
             return diagram_set
 
         def solve(matrix):
-            alive.append([ref() is not None for ref in lattices])
-            return optimal_fidelity(matrix)
+            boxes.append((matrix.d, matrix.N))
+            return scoring.FidelityResult(0.5, 0.5, None)
 
         monkeypatch.setattr(reporting, "viable_set", build)
         monkeypatch.setattr(reporting, "optimal_fidelity", solve)
-        protocol_report(n, d)
-        assert alive == [[False]]
+        report = protocol_report(n, d)
+        assert built == [min(report.N, 4 * d - 5) ** (d - 1)]
+        assert boxes == [(d, report.N)]
+        assert report.set_size == report.N ** (d - 1) > built[0]
 
     def test_d3_report_reaches_the_traced_names(self, monkeypatch):
         # the benchmark's trace replaces every gateprog module attribute that is one of
         # these functions, and ScoreMatrix.matvec on the class; a call bound before
         # the replacement, to a default argument or a closure, would leave its span
-        # empty
+        # empty.  Reports at d=3 and d=4 each build one corner set and take its
+        # dimensions in one call
         calls = Counter()
 
         def counted(name, fn):
@@ -189,7 +203,8 @@ class TestProtocolReport:
 
         modules = [module for name, module in sys.modules.items()
                    if name == "gateprog" or name.startswith("gateprog.")]
-        for owner, name in ((protocol, "sine_weights"), (scoring, "score_matrix"),
+        for owner, name in ((protocol, "viable_set"), (young, "irrep_dimension"),
+                            (protocol, "sine_weights"), (scoring, "score_matrix"),
                             (scoring, "optimal_fidelity"), (scoring, "entanglement_fidelity")):
             original, wrapper = getattr(owner, name), counted(name, getattr(owner, name))
             for module in modules:
@@ -197,9 +212,12 @@ class TestProtocolReport:
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
         monkeypatch.setattr(ScoreMatrix, "matvec", counted("matvec", ScoreMatrix.matvec))
-        protocol_report(60, 3)
-        assert set(calls) == {"sine_weights", "score_matrix", "optimal_fidelity",
-                              "entanglement_fidelity", "matvec"}
+        for n, d in ((60, 3), (40, 4)):
+            calls.clear()
+            protocol_report(n, d)
+            assert set(calls) == {"viable_set", "irrep_dimension", "sine_weights", "score_matrix",
+                                  "optimal_fidelity", "entanglement_fidelity", "matvec"}
+            assert calls["viable_set"] == calls["irrep_dimension"] == 1
 
 
 def report_bits(report):

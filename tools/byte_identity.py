@@ -22,15 +22,17 @@ sys.path.insert(0, os.path.join(HERE, "src"))
 from gateprog.verify import NS_D3, SMALL_NS_D2  # noqa: E402
 
 # protocol-grid's five points, then the points of verify's protocol reports (d=2
-# n=512 is in both), then six frontier points: the 2^20-member d=3 box, d=4 n=1200,
+# n=512 is in both), then eight frontier points: the 2^20-member d=3 box, d=4 n=1200,
 # whose squared dimensions exceed 2^63, the 2^20-member d=5 box on the dense
 # sine-transform path, the 15-dimensional N=2 box of d=16, the 2^20-member d=2 box,
-# and the 2^20-member d=6 box, 15 edge directions over its members
+# the 2^20-member d=6 box, 15 edge directions over its members, and d=4 n=1201 and
+# d=5 n=827, the boxes of n=1200 and 826 on another flat base, whose dimension sums
+# read a corner with weights other than 1
 PROTOCOL_POINTS = tuple(dict.fromkeys(
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
     + tuple((2, n) for n in SMALL_NS_D2)
     + tuple((3, n) for n in NS_D3)
-    + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152), (6, 630))
+    + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152), (6, 630), (4, 1201), (5, 827))
 ))
 
 VECTORS = (

@@ -90,9 +90,9 @@ MUTANTS = (
         "        epsilon_optimal = epsilon_qstar\n", (), UNREAD,
     ),
     Mutant(
-        "d=2 closed-form dP drops its cubic term", "src/gateprog/reporting.py",
-        "            + 2 * (big_n - 1) * big_n * (2 * big_n - 1) // 3\n",
-        "\n", ("cost_scaling",),
+        "dP's difference weights read C(N, j) for C(N, j+1)", "src/gateprog/reporting.py",
+        "math.comb(big_n, j + 1)",
+        "math.comb(big_n, j)", ("cost_scaling",),
     ),
     Mutant(
         "the solver returns its sine start", "src/gateprog/scoring.py",
