@@ -80,14 +80,17 @@ class TestProtocolReport:
         assert min(squares) >= 2**63
         assert protocol_report(400, 5).dP_exact == sum(squares)
 
-    def test_exact_past_int64_at_the_member_budget_scale(self):
-        # d=4 n=1200: 512,000 members, each squared dimension past 2^63; the report
-        # sums the same stacked call
+    def test_exact_past_int64_at_the_member_budget_scale(self, monkeypatch):
+        # d=4 n=1200: 512,000 members, each squared dimension past 2^63, summed by the
+        # stacked call and by the report from its 11^3 corner; the solve is stubbed
         rows = viable_set(1200, 4).rows
         squares = [python_int_dimension(r) ** 2 for r in rows.tolist()]
         assert min(squares) >= 2**63
         dims = irrep_dimension(rows)
         assert (dims * dims).sum() == sum(squares)
+        monkeypatch.setattr(reporting, "optimal_fidelity",
+                            lambda s: scoring.FidelityResult(0.5, 0.5, None))
+        assert protocol_report(1200, 4).dP_exact == sum(squares)
 
     @pytest.mark.parametrize("d, n", [(14, 442), (16, 661)])
     def test_large_d_at_the_smallest_width(self, d, n):
@@ -150,7 +153,8 @@ class TestProtocolReport:
             weights = reporting._newton_weights(big_n, m)
             assert len(weights) == m
             for j in range(m):
-                assert sum(w * math.comb(k, j) for k, w in enumerate(weights)) == math.comb(big_n, j + 1)
+                rule = sum(w * math.comb(k, j) for k, w in enumerate(weights))
+                assert rule == math.comb(big_n, j + 1)
             if m == big_n:
                 assert weights == [1] * big_n
 
