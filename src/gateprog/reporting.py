@@ -14,12 +14,13 @@ import io
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .protocol import capacity_parameter, viable_set
+from .protocol import viable_set
 from .scoring import (
     FidelityResult,
     ScoreMatrix,
@@ -62,7 +63,9 @@ def _newton_weights(big_n: int, m: int) -> list[int]:
             for k in range(m)]
 
 
-def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> ProtocolReport:
+def protocol_report(
+    n: int, d: int, solve: Callable[[int, int], FidelityResult] | None = None
+) -> ProtocolReport:
     """Run the full pipeline at one point and evaluate every guarantee.
 
     Bounds checked: the achieved error against 2 (pi (d-1)^2 (3d-2) / (d n))^2;
@@ -71,10 +74,9 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
     floor; and the cost in bits against the achievable-cost curve evaluated at
     the achieved error.
 
-    ``optimal`` is the eigensolve of any point in the same (d, N) box, which
-    stands in for this point's own: the score matrix and the solver's sine start
-    depend on (d, N) only, so the two are the same floats.  Without it, d >= 3
-    solves the box, and d=2 runs no eigensolve: its score matrix is the path
+    At d >= 3 the optimal error is the eigensolve of the point's (d, N) box, which
+    ``solve(d, N)`` returns when given; without it the report solves the box itself.
+    d=2 runs no eigensolve and never calls ``solve``: its score matrix is the path
     graph's 2 I + A, whose top eigenvalue is 2 + 2 cos(pi/(N+1)), so the optimal
     error is sin^2(pi/(2(N+1))), taken in that form; ``verify``'s
     ``eigenvalue_oracle`` checks the solver against that eigenvalue.
@@ -93,16 +95,10 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
         dim_exact = dim_exact.dot(weights)
     epsilon_qstar = qstar_error_closed_form(d, big_n)
     fidelity_qstar = 1.0 - epsilon_qstar
-    if optimal is not None:
-        solved = optimal.weights_used
-        if (solved.d, solved.N) != (d, big_n):
-            raise ValueError(
-                f"the solve of the (d, N) = ({solved.d}, {solved.N}) box does not serve "
-                f"n={n}, d={d}, whose box is ({d}, {big_n})"
-            )
-        epsilon_optimal = optimal.error
-    elif d == 2:
+    if d == 2:
         epsilon_optimal = math.sin(math.pi / (2 * (big_n + 1))) ** 2
+    elif solve is not None:
+        epsilon_optimal = solve(d, big_n).error
     else:
         epsilon_optimal = optimal_fidelity(score_matrix(diagram_set)).error
     dim_log2 = math.log2(dim_exact)
@@ -146,16 +142,15 @@ def protocol_report(n: int, d: int, optimal: FidelityResult | None = None) -> Pr
 
 
 def protocol_reports(d: int, n_values) -> list[ProtocolReport]:
-    """``protocol_report(n, d)`` for each n in order.  At d >= 3 each report asks
-    ``solve(N)``, a memo made for this call, for its box's eigensolve, so each (d, N) box
-    is solved once whatever the order of n; d=2 takes the closed form and solves nothing."""
+    """``protocol_report(n, d)`` for each n in order, each handed ``solve(d, N)``, a memo
+    made for this call, so each (d, N) box is solved once whatever the order of n; d=2
+    reports take the closed form and ask it nothing."""
 
     @functools.cache
-    def solve(big_n: int) -> FidelityResult:
+    def solve(d: int, big_n: int) -> FidelityResult:
         return optimal_fidelity(ScoreMatrix(d, big_n))
 
-    return [protocol_report(n, d, solve(capacity_parameter(n, d)) if d > 2 else None)
-            for n in n_values]
+    return [protocol_report(n, d, solve) for n in n_values]
 
 
 @dataclass(frozen=True)

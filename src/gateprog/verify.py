@@ -306,11 +306,12 @@ CRITERIA = (
 
 
 def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
-    """Run every check once.  The d=3 reports, ``oracle_equivalence`` and
-    ``eigenvalue_oracle`` ask ``solve(d, N)``, a memo made for this call, for each (d, N)
-    box's eigensolve as they read it, so each box is solved once (70 solves: d=2 N = 2..64,
-    d=3 N = 2..8); the protocol reports are shared by the checks that read them.  d=2
-    reports take the closed-form optimum and solve nothing.  Nothing outlives the call.
+    """Run every check once.  The protocol reports, ``oracle_equivalence`` and
+    ``eigenvalue_oracle`` are handed ``solve(d, N)``, a memo made for this call, and ask
+    it for each (d, N) box's eigensolve as they read it, so each box is solved once
+    (70 solves: d=2 N = 2..64, d=3 N = 2..8); the protocol reports are shared by the
+    checks that read them.  d=2 reports take the closed-form optimum and ask nothing.
+    Nothing outlives the call.
 
     ``samples`` and ``seed`` are checked before any work, so a bad request
     fails at once with the Monte-Carlo oracle's own message."""
@@ -320,8 +321,8 @@ def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
     def solve(d: int, big_n: int) -> FidelityResult:
         return optimal_fidelity(ScoreMatrix(d, big_n))
 
-    reports_d2 = {n: protocol_report(n, 2) for n in SMALL_NS_D2}
-    reports_d3 = {n: protocol_report(n, 3, solve(3, capacity_parameter(n, 3))) for n in NS_D3}
+    reports_d2 = {n: protocol_report(n, 2, solve) for n in SMALL_NS_D2}
+    reports_d3 = {n: protocol_report(n, 3, solve) for n in NS_D3}
     return [
         check_dimension_identity(),
         check_oracle_equivalence(solve),

@@ -53,12 +53,10 @@ def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     1! 2! ... (d-1)!.  No factor exceeds the widest row spread plus d - 1 in
     absolute value, so the factors are formed one row pair at a time in int64 and
     multiplied into a running int64 group of as many factors as that bound keeps
-    below 2^63.  Where one group holds every factor, the product is divided and
-    the division checked in int64, and the quotients converted to Python integers
-    once.  Otherwise each full group is multiplied into the product in Python
-    integers (object dtype), exact at any size, and divided there, again checked
-    to be exact.  Returns an ``int`` for one diagram and an object array of
-    ``int`` for a stack.
+    below 2^63.  Each group is multiplied into the product in Python integers
+    (object dtype), exact at any size, which is divided there once and the
+    division checked to be exact.  Returns an ``int`` for one diagram and an
+    object array of ``int`` for a stack.
     """
     rows = np.asarray(rows, dtype=np.int64)
     d = rows.shape[-1]
@@ -67,18 +65,15 @@ def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     group = 1
     while group < len(pairs) and largest ** (group + 1) < 2**63:
         group += 1
-    if group >= len(pairs):
-        num = _factor_product(rows, pairs)
-    else:
-        num = np.ones(rows.shape[:-1], dtype=object)
-        for start in range(0, len(pairs), group):
-            num *= _factor_product(rows, pairs[start : start + group]).astype(object)
+    num = np.ones(rows.shape[:-1], dtype=object)
+    for start in range(0, len(pairs), group):
+        num *= _factor_product(rows, pairs[start : start + group]).astype(object)
     den = prod(factorial(k) for k in range(1, d))
     dim, rem = num // den, num % den
     if np.any(rem):
         bad = rows[np.asarray(rem != 0)][0]
         raise ValueError(f"dimension product not divisible for {tuple(bad.tolist())}")
-    return dim.astype(object) if num.dtype == np.int64 else dim
+    return dim
 
 
 def young_distance(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:

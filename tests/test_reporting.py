@@ -268,11 +268,19 @@ class TestProtocolReports:
         assert [r.n for r in protocol_reports(3, [60, 13, 59, 14, 60])] == [60, 13, 59, 14, 60]
         assert boxes == [(3, 8), (3, 2)]
 
-    @pytest.mark.parametrize("n, d, other_n, other_d", [(8, 2, 16, 2), (26, 3, 8, 2)])
-    def test_solve_of_another_box_rejected(self, n, d, other_n, other_d):
-        solve = optimal_fidelity(score_matrix(viable_set(other_n, other_d)))
-        with pytest.raises(ValueError, match="does not serve"):
-            protocol_report(n, d, solve)
+    @pytest.mark.parametrize("n, d", [(8, 2), (64, 2), (26, 3), (60, 3), (40, 4)])
+    def test_report_asks_solve_for_its_own_box(self, n, d):
+        # a d >= 3 report asks the solve it is handed for its own (d, N) box, once; a d=2
+        # report asks nothing; either way it is the report made without a solve, bit for bit
+        asked = []
+
+        def solve(d, big_n):
+            asked.append((d, big_n))
+            return optimal_fidelity(ScoreMatrix(d, big_n))
+
+        report = protocol_report(n, d, solve)
+        assert asked == ([] if d == 2 else [(d, protocol.capacity_parameter(n, d))])
+        assert report_bits(report) == report_bits(protocol_report(n, d))
 
     def test_dimension_is_constant_on_its_box_and_residue(self):
         # dP depends on n only through (d, N, n0 mod d): adding d boxes to the flat

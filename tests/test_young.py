@@ -11,6 +11,7 @@ import pytest
 
 from gateprog import young
 from gateprog.protocol import viable_set
+from gateprog.reporting import protocol_reports
 from gateprog.verify import NS_D3, SMALL_NS_D2
 from gateprog.young import (
     dm_lower_bound,
@@ -119,8 +120,9 @@ class TestIrrepDimension:
         (2, (512, 1024, 4096, *SMALL_NS_D2)), (3, (600, *NS_D3)), (4, (300,)),
     ])
     def test_int64_division_matches_python_ints(self, d, ns):
-        # protocol-grid's and verify's points, where one int64 group holds every factor:
-        # the quotients are the Python ints of the product taken factor by factor in them
+        # protocol-grid's and verify's full boxes, where one int64 group holds every
+        # factor: the group's product, divided once in Python ints, gives the quotients
+        # of the product taken factor by factor in Python ints
         den = prod(map(factorial, range(1, d)))
         for n in ns:
             rows = viable_set(n, d).rows
@@ -197,6 +199,19 @@ class TestDimensionSums:
         nu = d * d - 1
         for m in range(0, 9):
             assert sum_squared_dimensions(m, d) == comb(m + nu, nu)
+
+    @pytest.mark.parametrize("d, ns", [(2, range(4, 65)), (3, NS_D3), (4, (177,))],
+                             ids=["d2", "d3", "d4"])
+    def test_dp_against_the_hook_content_formula(self, d, ns):
+        # the report's Newton-weight sum over its corner against the squared hook-content
+        # dimensions of every member of the box, a route that shares no code with
+        # irrep_dimension; the d=3 boxes of N = 8 (n >= 55) and the d=4 box of N = 12
+        # are wider than the corner of 4d - 5 points per axis
+        reports = protocol_reports(d, ns)
+        for report in reports:
+            rows = viable_set(report.n, d).rows.tolist()
+            assert report.dP_exact == sum(hook_content_dimension(r, d) ** 2 for r in rows)
+        assert max(r.N for r in reports) > 4 * d - 5
 
 
 class TestDimensionFloor:
