@@ -306,11 +306,11 @@ CRITERIA = (
 
 
 def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
-    """Run every check once.  The protocol reports, ``oracle_equivalence`` and
+    """Run every check once.  The d=3 reports, ``oracle_equivalence`` and
     ``eigenvalue_oracle`` are handed ``solve(d, N)``, a memo made for this call, and ask
     it for each (d, N) box's eigensolve as they read it, so each box is solved once
     (70 solves: d=2 N = 2..64, d=3 N = 2..8); the protocol reports are shared by the
-    checks that read them.  d=2 reports take the closed-form optimum and ask nothing.
+    checks that read them.  d=2 reports take the closed-form optimum and solve nothing.
     Nothing outlives the call.
 
     ``samples`` and ``seed`` are checked before any work, so a bad request
@@ -321,7 +321,7 @@ def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
     def solve(d: int, big_n: int) -> FidelityResult:
         return optimal_fidelity(ScoreMatrix(d, big_n))
 
-    reports_d2 = {n: protocol_report(n, 2, solve) for n in SMALL_NS_D2}
+    reports_d2 = {n: protocol_report(n, 2) for n in SMALL_NS_D2}
     reports_d3 = {n: protocol_report(n, 3, solve) for n in NS_D3}
     return [
         check_dimension_identity(),
