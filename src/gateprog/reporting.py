@@ -64,7 +64,7 @@ def _newton_weights(big_n: int, m: int) -> list[int]:
 
 
 def protocol_report(
-    n: int, d: int, solve: Callable[[int, int], FidelityResult] | None = None
+    n: int, d: int, solve: Callable[[ScoreMatrix], FidelityResult] | None = None
 ) -> ProtocolReport:
     """Run the full pipeline at one point and evaluate every guarantee.
 
@@ -74,8 +74,9 @@ def protocol_report(
     floor; and the cost in bits against the achievable-cost curve evaluated at
     the achieved error.
 
-    At d >= 3 the optimal error is the eigensolve of the point's (d, N) box, which
-    ``solve(d, N)`` returns when given; without it the report solves the box itself.
+    At d >= 3 the optimal error is the eigensolve of the point's (d, N) box: the report
+    hands the box's score matrix to ``solve``, a function like ``optimal_fidelity`` (a
+    memo of it, say), or to ``optimal_fidelity`` itself when none is given.
     d=2 runs no eigensolve and never calls ``solve``: its score matrix is the path
     graph's 2 I + A, whose top eigenvalue is 2 + 2 cos(pi/(N+1)), so the optimal
     error is sin^2(pi/(2(N+1))), taken in that form; ``verify``'s
@@ -97,10 +98,8 @@ def protocol_report(
     fidelity_qstar = 1.0 - epsilon_qstar
     if d == 2:
         epsilon_optimal = math.sin(math.pi / (2 * (big_n + 1))) ** 2
-    elif solve is not None:
-        epsilon_optimal = solve(d, big_n).error
     else:
-        epsilon_optimal = optimal_fidelity(score_matrix(diagram_set)).error
+        epsilon_optimal = (solve or optimal_fidelity)(score_matrix(diagram_set)).error
     dim_log2 = math.log2(dim_exact)
 
     nu = d * d - 1
@@ -142,14 +141,11 @@ def protocol_report(
 
 
 def protocol_reports(d: int, n_values) -> list[ProtocolReport]:
-    """``protocol_report(n, d)`` for each n in order, each handed ``solve(d, N)``, a memo
-    made for this call, so each (d, N) box is solved once whatever the order of n; d=2
-    reports take the closed form and ask it nothing."""
-
-    @functools.cache
-    def solve(d: int, big_n: int) -> FidelityResult:
-        return optimal_fidelity(ScoreMatrix(d, big_n))
-
+    """``protocol_report(n, d)`` for each n in order, each handed one
+    ``functools.cache(optimal_fidelity)`` made for this call, so each (d, N) box is
+    solved once whatever the order of n; d=2 reports take the closed form and ask it
+    nothing."""
+    solve = functools.cache(optimal_fidelity)
     return [protocol_report(n, d, solve) for n in n_values]
 
 
@@ -165,11 +161,15 @@ class SweepResult:
 def sweep(d: int, n_values: list[int]) -> SweepResult:
     """Evaluate a grid of n values and fit the log-log slope of the error.
 
-    Needs at least three points for a meaningful fit; reports are ordered by n.
+    Needs at least three points for a meaningful fit; reports are ordered by n.  N
+    does not fall as n grows, so each box's n come in one run, and the reports share a
+    memo that keeps one box's solve: a box's principal weights are let go once the next
+    box is solved.
     """
     if len(n_values) < 3:
         raise ValueError(f"need at least 3 points for a slope fit, got {len(n_values)}")
-    reports = tuple(protocol_reports(d, sorted(n_values)))
+    solve = functools.lru_cache(maxsize=1)(optimal_fidelity)
+    reports = tuple(protocol_report(n, d, solve) for n in sorted(n_values))
     log_n = np.log([r.n for r in reports])
     log_eps = np.log([r.epsilon_qstar for r in reports])
     slope, intercept = np.polyfit(log_n, log_eps, 1)

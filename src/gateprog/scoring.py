@@ -37,7 +37,7 @@ def _edge_slices(d: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], .
     return tuple(tuple(zip(*(shift[m] for m in e))) for e in directions)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ScoreMatrix:
     """Sparse symmetric score matrix on the (N,)*(d-1) lattice box, applied in its
     Pieri form.
@@ -47,7 +47,8 @@ class ScoreMatrix:
     box.  B^T B has every unit and exchange move once and a[t] d - c(t) times, c(t)
     being the number of coordinates of t that are 0, so S = B^T B + c: the matvec is
     3(d-1) slice adds, where a neighbour sum over ``_edge_slices`` takes d(d-1).  S
-    depends on the box alone, so every n of one (d, N) box shares it.
+    depends on the box alone, so every n of one (d, N) box shares it, and equal boxes
+    compare and hash alike: ``functools.cache(optimal_fidelity)`` solves each box once.
     """
 
     d: int

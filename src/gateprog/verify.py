@@ -80,15 +80,15 @@ def check_dimension_identity() -> CheckResult:
     )
 
 
-def check_oracle_equivalence(solve: Callable[[int, int], FidelityResult]) -> CheckResult:
+def check_oracle_equivalence(solve: Callable[[ScoreMatrix], FidelityResult]) -> CheckResult:
     """Haar-quadrature fidelity vs the score-matrix quadratic form, d in {2, 3}, for
-    the sine weights and for the optimal weights ``solve(d, N)`` gives each point's box."""
+    the sine weights and for the optimal weights ``solve`` gives each point's matrix."""
     worst = 0.0
     for d, n in ((2, 4), (2, 8), (2, 16), (2, 32), (2, 64), (3, 13), (3, 60)):
         ds = viable_set(n, d)
         grid = su_torus_grid(d, n + 1)
         matrix = score_matrix(ds)
-        for q in (sine_weights(ds), solve(d, ds.N).weights_used):
+        for q in (sine_weights(ds), solve(matrix).weights_used):
             f_matrix = entanglement_fidelity(q, matrix).fidelity
             f_haar = haar_fidelity(ds, q, grid)
             worst = max(worst, abs(f_haar - f_matrix))
@@ -189,14 +189,15 @@ def check_cost_scaling(reports_d2: dict[int, ProtocolReport]) -> CheckResult:
     )
 
 
-def check_eigenvalue_oracle(solve: Callable[[int, int], FidelityResult]) -> CheckResult:
+def check_eigenvalue_oracle(solve: Callable[[ScoreMatrix], FidelityResult]) -> CheckResult:
     """Tridiagonal largest eigenvalue vs 2 + 2 cos(pi/(N+1)) and a dense solver, the
-    solver's value read from ``solve(2, N)``.  The dense matrix is the d=2 chain, 2 on the
-    diagonal and 1 beside it, built here without the matvec the solver applies."""
+    solver's value read from ``solve(ScoreMatrix(2, N))``.  The dense matrix is the d=2
+    chain, 2 on the diagonal and 1 beside it, built here without the matvec the solver
+    applies."""
     worst_analytic = 0.0
     worst_solver = 0.0
     # the solves run in a loop of their own: each between two dense eigvalsh calls ran slower
-    solvers = [solve(2, big_n).fidelity * 4.0 for big_n in range(2, 65)]
+    solvers = [solve(ScoreMatrix(2, big_n)).fidelity * 4.0 for big_n in range(2, 65)]
     for big_n, solver in zip(range(2, 65), solvers):
         chain = 2.0 * np.eye(big_n) + np.eye(big_n, k=1) + np.eye(big_n, k=-1)
         dense_max = float(np.linalg.eigvalsh(chain)[-1])
@@ -307,20 +308,16 @@ CRITERIA = (
 
 def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
     """Run every check once.  The d=3 reports, ``oracle_equivalence`` and
-    ``eigenvalue_oracle`` are handed ``solve(d, N)``, a memo made for this call, and ask
-    it for each (d, N) box's eigensolve as they read it, so each box is solved once
-    (70 solves: d=2 N = 2..64, d=3 N = 2..8); the protocol reports are shared by the
-    checks that read them.  d=2 reports take the closed-form optimum and solve nothing.
-    Nothing outlives the call.
+    ``eigenvalue_oracle`` share one ``functools.cache(optimal_fidelity)`` made for this
+    call and hand it each box's score matrix as they read it, so each (d, N) box is
+    solved once (70 solves: d=2 N = 2..64, d=3 N = 2..8); the protocol reports are
+    shared by the checks that read them.  d=2 reports take the closed-form optimum and
+    solve nothing.  Nothing outlives the call.
 
     ``samples`` and ``seed`` are checked before any work, so a bad request
     fails at once with the Monte-Carlo oracle's own message."""
     validate_sampling(samples, seed)
-
-    @functools.cache
-    def solve(d: int, big_n: int) -> FidelityResult:
-        return optimal_fidelity(ScoreMatrix(d, big_n))
-
+    solve = functools.cache(optimal_fidelity)
     reports_d2 = {n: protocol_report(n, 2) for n in SMALL_NS_D2}
     reports_d3 = {n: protocol_report(n, 3, solve) for n in NS_D3}
     return [

@@ -1,11 +1,11 @@
 """Protocol reports, sweeps, and the JSON/CSV persistence layer."""
 
+import gc
 import json
 import math
 import os
 import stat
-import sys
-from collections import Counter
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ import pytest
 import gateprog.protocol as protocol
 import gateprog.reporting as reporting
 import gateprog.scoring as scoring
-import gateprog.young as young
 from gateprog.reporting import (
     CSV_COLUMNS,
     REPORT_FIELDS,
@@ -190,39 +189,6 @@ class TestProtocolReport:
         assert boxes == [(d, report.N)]
         assert report.set_size == report.N ** (d - 1) > built[0]
 
-    def test_d3_report_reaches_the_traced_names(self, monkeypatch):
-        # the benchmark's trace replaces every gateprog module attribute that is one of
-        # these functions, and ScoreMatrix.matvec on the class; a call bound before
-        # the replacement, to a default argument or a closure, would leave its span
-        # empty.  Reports at d=3 and d=4 each build one corner set and take its
-        # dimensions in one call
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        modules = [module for name, module in sys.modules.items()
-                   if name == "gateprog" or name.startswith("gateprog.")]
-        for owner, name in ((protocol, "viable_set"), (young, "irrep_dimension"),
-                            (protocol, "sine_weights"), (scoring, "score_matrix"),
-                            (scoring, "optimal_fidelity"), (scoring, "entanglement_fidelity")):
-            original, wrapper = getattr(owner, name), counted(name, getattr(owner, name))
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
-        monkeypatch.setattr(ScoreMatrix, "matvec", counted("matvec", ScoreMatrix.matvec))
-        for n, d in ((60, 3), (40, 4)):
-            calls.clear()
-            protocol_report(n, d)
-            assert set(calls) == {"viable_set", "irrep_dimension", "sine_weights", "score_matrix",
-                                  "optimal_fidelity", "entanglement_fidelity", "matvec"}
-            assert calls["viable_set"] == calls["irrep_dimension"] == 1
-
 
 def report_bits(report):
     """Every field of a report, each float as its exact hex form."""
@@ -268,15 +234,36 @@ class TestProtocolReports:
         assert [r.n for r in protocol_reports(3, [60, 13, 59, 14, 60])] == [60, 13, 59, 14, 60]
         assert boxes == [(3, 8), (3, 2)]
 
+    def test_sweep_keeps_one_box_solve(self, monkeypatch):
+        # sweep sorts n, so each box's n come in one run: when a new box is solved, every
+        # earlier result but the last one is unreachable, and each box is solved once
+        boxes, results = [], []
+
+        def solve(s):
+            gc.collect()
+            assert all(r() is None for r in results[:-1])
+            boxes.append((s.d, s.N))
+            result = optimal_fidelity(s)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(reporting, "optimal_fidelity", solve)
+        assert [r.n for r in sweep(3, NS_D3[::-1]).reports] == sorted(NS_D3)
+        assert boxes == [(3, big_n) for big_n in range(2, 9)]
+        boxes.clear()
+        assert [r.n for r in sweep(3, [60, 13, 59, 14, 60]).reports] == [13, 14, 59, 60, 60]
+        assert boxes == [(3, 2), (3, 8)]
+
     @pytest.mark.parametrize("n, d", [(8, 2), (64, 2), (26, 3), (60, 3), (40, 4)])
     def test_report_asks_solve_for_its_own_box(self, n, d):
-        # a d >= 3 report asks the solve it is handed for its own (d, N) box, once; a d=2
-        # report asks nothing; either way it is the report made without a solve, bit for bit
+        # a d >= 3 report hands the solve it is given its own (d, N) box's matrix, once; a
+        # d=2 report asks nothing; either way it is the report made without a solve, bit
+        # for bit
         asked = []
 
-        def solve(d, big_n):
-            asked.append((d, big_n))
-            return optimal_fidelity(ScoreMatrix(d, big_n))
+        def solve(matrix):
+            asked.append((matrix.d, matrix.N))
+            return optimal_fidelity(matrix)
 
         report = protocol_report(n, d, solve)
         assert asked == ([] if d == 2 else [(d, protocol.capacity_parameter(n, d))])

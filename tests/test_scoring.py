@@ -37,7 +37,8 @@ def count_matvecs(s):
         calls.append(None)
         return matvec(v)
 
-    s.matvec = counted
+    # a ScoreMatrix is frozen, so the instance attribute is set past its __setattr__
+    object.__setattr__(s, "matvec", counted)
     return calls
 
 

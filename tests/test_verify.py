@@ -13,10 +13,6 @@ from gateprog.phase import DiamondSearchResult, classical_phase_error, phase_rep
 from gateprog.scoring import ScoreMatrix, optimal_fidelity, qstar_error_closed_form
 
 
-def _solve(d, big_n):
-    return optimal_fidelity(ScoreMatrix(d, big_n))
-
-
 def _agreeing_search(kappa):
     value = 1.0 - kappa
     return DiamondSearchResult(value=value, start_values=(value,) * 33, spread=0.0)
@@ -106,7 +102,7 @@ def test_box_checks_build_no_lattice(monkeypatch, check):
         raise AssertionError(f"viable_set({n}, {d}) built a lattice")
 
     monkeypatch.setattr(verify, "viable_set", lattice)
-    args = (_solve,) if check == "check_eigenvalue_oracle" else ()
+    args = (optimal_fidelity,) if check == "check_eigenvalue_oracle" else ()
     assert getattr(verify, check)(*args).passed
 
 
@@ -127,7 +123,7 @@ def test_eigenvalue_oracle_is_independent_of_the_matvec(monkeypatch):
         return z
 
     monkeypatch.setattr(ScoreMatrix, "matvec", without_face_term)
-    result = verify.check_eigenvalue_oracle(_solve)
+    result = verify.check_eigenvalue_oracle(optimal_fidelity)
     assert not result.passed
     analytic, solver = map(float, re.search(r"analytic\| = (\S+),.*dense\| = (\S+) ",
                                             result.detail).groups())
@@ -140,12 +136,12 @@ def test_eigenvalue_oracle_is_independent_of_the_matvec(monkeypatch):
     ("check_eigenvalue_oracle", [(2, big_n) for big_n in range(2, 65)]),
 ])
 def test_check_asks_for_the_boxes_it_reads(check, asked):
-    # each check asks the solve it is handed for its boxes, once each, in reading order
+    # each check hands the solve it is given its boxes' matrices, once each, in reading order
     boxes = []
 
-    def solve(d, big_n):
-        boxes.append((d, big_n))
-        return _solve(d, big_n)
+    def solve(matrix):
+        boxes.append((matrix.d, matrix.N))
+        return optimal_fidelity(matrix)
 
     assert getattr(verify, check)(solve).passed
     assert boxes == asked

@@ -86,7 +86,7 @@ MUTANTS = (
     Mutant(
         "a d >= 3 report ignores its solve and reads epsilon_qstar",
         "src/gateprog/reporting.py",
-        "        epsilon_optimal = solve(d, big_n).error\n",
+        "        epsilon_optimal = (solve or optimal_fidelity)(score_matrix(diagram_set)).error\n",
         "        epsilon_optimal = epsilon_qstar\n", (), UNREAD,
     ),
     Mutant(
