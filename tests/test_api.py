@@ -57,7 +57,7 @@ def test_benchmark_tracer_installs_and_uninstalls(tracing):
 # ScoreMatrix.matvec on the class; a call bound before then, to a default argument or
 # a closure, would leave its span empty.
 
-def test_protocol_runs_reach_the_traced_spans(tracer, tmp_path, capsys):
+def test_protocol_runs_reach_the_traced_spans(tracer, tmp_path):
     # the protocol-grid workload's d >= 3 points; each report builds one corner set and
     # takes its dimensions in one call
     for d, n in ((3, 600), (4, 300)):
@@ -70,7 +70,7 @@ def test_protocol_runs_reach_the_traced_spans(tracer, tmp_path, capsys):
     assert tracer.calls["scoring.entanglement_fidelity"] == 2
 
 
-def test_verify_run_reaches_the_traced_spans(tracer, capsys):
+def test_verify_run_reaches_the_traced_spans(tracer):
     # 70 box solves: d=2 N = 2..64 and d=3 N = 2..8
     assert cli.run(["verify", "--format", "json", "--samples", "100000"]) == 0
     assert tracer.missing_spans("verify") == []
