@@ -41,7 +41,6 @@ from .reporting import (
     ProtocolReport,
     SweepResult,
     protocol_report,
-    protocol_reports,
     sweep,
 )
 from .scoring import (
@@ -93,7 +92,6 @@ __all__ = [
     "optimize_delta",
     "phase_report",
     "protocol_report",
-    "protocol_reports",
     "qstar_error_closed_form",
     "score_matrix",
     "sine_amplitudes",

@@ -140,15 +140,6 @@ def protocol_report(
     )
 
 
-def protocol_reports(d: int, n_values) -> list[ProtocolReport]:
-    """``protocol_report(n, d)`` for each n in order, each handed one
-    ``functools.cache(optimal_fidelity)`` made for this call, so each (d, N) box is
-    solved once whatever the order of n; d=2 reports take the closed form and ask it
-    nothing."""
-    solve = functools.cache(optimal_fidelity)
-    return [protocol_report(n, d, solve) for n in n_values]
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Reports over an n-grid plus the fitted log-log error slope."""
@@ -161,13 +152,14 @@ class SweepResult:
 def sweep(d: int, n_values: list[int]) -> SweepResult:
     """Evaluate a grid of n values and fit the log-log slope of the error.
 
-    Needs at least three points for a meaningful fit; reports are ordered by n.  N
+    Needs at least three distinct n for a meaningful fit; reports are ordered by n.  N
     does not fall as n grows, so each box's n come in one run, and the reports share a
     memo that keeps one box's solve: a box's principal weights are let go once the next
     box is solved.
     """
-    if len(n_values) < 3:
-        raise ValueError(f"need at least 3 points for a slope fit, got {len(n_values)}")
+    distinct = len(set(n_values))
+    if distinct < 3:
+        raise ValueError(f"need at least 3 points for a slope fit, got {distinct}")
     solve = functools.lru_cache(maxsize=1)(optimal_fidelity)
     reports = tuple(protocol_report(n, d, solve) for n in sorted(n_values))
     log_n = np.log([r.n for r in reports])

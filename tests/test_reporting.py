@@ -1,5 +1,6 @@
 """Protocol reports, sweeps, and the JSON/CSV persistence layer."""
 
+import functools
 import gc
 import json
 import math
@@ -18,7 +19,6 @@ from gateprog.reporting import (
     REPORT_FIELDS,
     format_float,
     protocol_report,
-    protocol_reports,
     report_to_dict,
     reports_to_csv,
     sweep,
@@ -137,8 +137,9 @@ class TestProtocolReport:
     ], ids=["d2-4-4096", "d2-2^21", "d3", "d4", "d5"])
     def test_dimension_against_the_lattice_pass(self, d, ns):
         # the Newton-weight sum over the lattice's corner against the array pass over
-        # every member; each n of these ranges is valid
-        for report in protocol_reports(d, ns):
+        # every member; each n of these ranges is valid, and each box is solved once
+        solve = functools.cache(optimal_fidelity)
+        for report in [protocol_report(n, d, solve) for n in ns]:
             rows = viable_set(report.n, d).rows
             dims = irrep_dimension(rows)
             assert (report.dP_exact, report.set_size) == ((dims * dims).sum(), len(rows))
@@ -163,7 +164,6 @@ class TestProtocolReport:
 
         monkeypatch.setattr(reporting, "optimal_fidelity", no_solve)
         assert protocol_report(64, 2).N == 32
-        assert [r.n for r in protocol_reports(2, SMALL_NS_D2)] == list(SMALL_NS_D2)
         assert [r.n for r in sweep(2, [32, 64, 128]).reports] == [32, 64, 128]
 
 
@@ -199,40 +199,16 @@ def report_bits(report):
 
 
 class TestProtocolReports:
-    @pytest.mark.parametrize("d, ns", [(2, SMALL_NS_D2), (3, NS_D3)])
-    def test_bit_identical_at_the_verify_points(self, d, ns):
-        shared = protocol_reports(d, ns)
-        assert [report_bits(r) for r in shared] == [
-            report_bits(protocol_report(n, d)) for n in ns
-        ]
-
     @pytest.mark.parametrize("d, ns", [
         (2, list(range(200, 3, -1))),
         (4, list(range(27, 91, 3))),
+        (3, NS_D3),
     ])
     def test_sweep_is_bit_identical_to_one_report_per_n(self, d, ns):
         reports = sweep(d, ns).reports
         assert [report_bits(r) for r in reports] == [
             report_bits(protocol_report(n, d)) for n in sorted(ns)
         ]
-
-    def test_one_solve_per_box(self, monkeypatch):
-        # verify's 48 d=3 points lie in 7 boxes (N = 2..8); its 13 d=2 points take the
-        # closed form and solve none; an order that leaves a box and comes back to it
-        # (N = 8, 2, 8, 2, 8) still solves each box once
-        boxes = []
-
-        def solve(s):
-            boxes.append((s.d, s.N))
-            return optimal_fidelity(s)
-
-        monkeypatch.setattr(reporting, "optimal_fidelity", solve)
-        protocol_reports(2, SMALL_NS_D2)
-        protocol_reports(3, NS_D3)
-        assert boxes == [(3, n) for n in range(2, 9)]
-        boxes.clear()
-        assert [r.n for r in protocol_reports(3, [60, 13, 59, 14, 60])] == [60, 13, 59, 14, 60]
-        assert boxes == [(3, 8), (3, 2)]
 
     def test_sweep_keeps_one_box_solve(self, monkeypatch):
         # sweep sorts n, so each box's n come in one run: when a new box is solved, every
@@ -295,9 +271,11 @@ class TestSweep:
         assert result.residual < 0.05
         assert [r.n for r in result.reports] == [32, 64, 128, 256]
 
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            sweep(2, [8, 16])
+    @pytest.mark.parametrize("n_values", [[8, 16], [4, 4, 4], [8, 16, 8, 16]])
+    def test_too_few_points(self, n_values):
+        # the fit needs three distinct n: repeats of one or two points are refused
+        with pytest.raises(ValueError, match="at least 3 points"):
+            sweep(2, n_values)
 
     def test_cost_slope_stays_under_scaled_limit(self):
         result = sweep(2, [32, 64, 128, 256])

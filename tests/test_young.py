@@ -11,7 +11,8 @@ import pytest
 
 from gateprog import young
 from gateprog.protocol import viable_set
-from gateprog.reporting import protocol_reports
+from gateprog.reporting import protocol_report
+from gateprog.scoring import optimal_fidelity
 from gateprog.verify import NS_D3, SMALL_NS_D2
 from gateprog.young import (
     dm_lower_bound,
@@ -207,7 +208,8 @@ class TestDimensionSums:
         # dimensions of every member of the box, a route that shares no code with
         # irrep_dimension; the d=3 boxes of N = 8 (n >= 55) and the d=4 box of N = 12
         # are wider than the corner of 4d - 5 points per axis
-        reports = protocol_reports(d, ns)
+        solve = functools.cache(optimal_fidelity)
+        reports = [protocol_report(n, d, solve) for n in ns]
         for report in reports:
             rows = viable_set(report.n, d).rows.tolist()
             assert report.dP_exact == sum(hook_content_dimension(r, d) ** 2 for r in rows)

@@ -27,12 +27,14 @@ from gateprog.verify import NS_D3, SMALL_NS_D2  # noqa: E402
 # sine-transform path, the 15-dimensional N=2 box of d=16, the 2^20-member d=2 box,
 # the 2^20-member d=6 box, 15 edge directions over its members, and d=4 n=1201 and
 # d=5 n=827, the boxes of n=1200 and 826 on another flat base, whose dimension sums
-# read a corner with weights other than 1
+# read a corner with weights other than 1, then the member budget's edge at d=11 and
+# d=21: n=729 and n=1639, the largest n the budget admits there
 PROTOCOL_POINTS = tuple(dict.fromkeys(
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
     + tuple((2, n) for n in SMALL_NS_D2)
     + tuple((3, n) for n in NS_D3)
     + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152), (6, 630), (4, 1201), (5, 827))
+    + ((11, 729), (21, 1639))
 ))
 
 VECTORS = (
