@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Largest box accepted: the LOBPCG eigensolve holds about ten float vectors of this
-# length, and the oracles build full sets this large; a report reads only a corner.
+# Most members built at once: ``viable_set`` refuses a larger set or corner, and
+# ``optimal_fidelity`` a larger operator, as its LOBPCG solve holds about ten float
+# vectors that long.  A report builds a corner and, at d >= 3, solves its box.
 MAX_MEMBERS = 2**20
 
 
@@ -43,29 +44,38 @@ def _lattice_parameters(n: int, d: int) -> tuple[int, int]:
     return big_n, n - ((3 * d - 2) * big_n - d + 2) * (d - 1) // 2
 
 
-def capacity_parameter(n: int, d: int) -> int:
-    """Lattice width N for n gate uses in dimension d.
+def _check_members(name: str, base: int, power: int, where: str = "") -> None:
+    """Refuse ``name`` = base^power members over ``MAX_MEMBERS``, before they are built.
+    From power = 21 on a base of 2 or more is over without forming base^power, which
+    may run to millions of digits; the count is spelled out when short."""
+    if base > 1 and (power >= MAX_MEMBERS.bit_length() or base**power > MAX_MEMBERS):
+        size = f" = {base ** power}" if power * base.bit_length() <= 64 else ""
+        raise ProtocolError(
+            f"lattice too large: {name} = {base}^{power}{size} members{where} "
+            f"exceeds the budget of {MAX_MEMBERS} members"
+        )
 
-    N = floor((2n/(d-1) + d - 2) / (3d-2)), computed exactly in integers.
-    Requires n >= 2d(d-1); rejects N < 2, as the sine weights are only normalized for
-    N >= 2, and boxes of over ``MAX_MEMBERS`` members, before a solve or a full set.
-    """
+
+def _checked_parameters(n: int, d: int) -> tuple[int, int]:
+    """(N, n0) for n uses in dimension d; requires n >= 2d(d-1) and rejects N < 2."""
     _check_uses(n, d)
-    big_n, _ = _lattice_parameters(n, d)
+    big_n, n0 = _lattice_parameters(n, d)
     if big_n < 2:
         raise ProtocolError(
             f"degenerate weight regime: N={big_n} < 2 at n={n}, d={d}; "
             "the weight profile needs at least two lattice points per axis"
         )
-    # N >= 2, so from d - 1 = 21 on the lattice is over budget without forming
-    # N^(d-1), which may run to millions of digits; the count is spelled out when short
-    if d - 1 >= MAX_MEMBERS.bit_length() or big_n ** (d - 1) > MAX_MEMBERS:
-        size = f" = {big_n ** (d - 1)}" if (d - 1) * big_n.bit_length() <= 64 else ""
-        raise ProtocolError(
-            f"lattice too large: N^(d-1) = {big_n}^{d - 1}{size} members at n={n}, "
-            f"d={d} exceeds the budget of {MAX_MEMBERS} members"
-        )
-    return big_n
+    return big_n, n0
+
+
+def capacity_parameter(n: int, d: int) -> int:
+    """Lattice width N for n gate uses in dimension d.
+
+    N = floor((2n/(d-1) + d - 2) / (3d-2)), computed exactly in integers.
+    Requires n >= 2d(d-1); rejects N < 2, as the sine weights are only normalized for
+    N >= 2.  Any larger N is returned: what is built from it checks its own size.
+    """
+    return _checked_parameters(n, d)[0]
 
 
 def flat_diagram(n0: int, d: int) -> tuple[int, ...]:
@@ -92,7 +102,6 @@ class DiagramSet:
     n: int
     N: int
     n0: int
-    mu0: tuple[int, ...]
     rows: np.ndarray
 
     def __len__(self) -> int:
@@ -104,14 +113,19 @@ def viable_set(n: int, d: int, width: int | None = None) -> DiagramSet:
     its corner of min(N, width) points per axis; ``N`` is the box's width either way.
 
     Row i (1-based, i < d) of the member at coordinate t is
-    mu0[i] + N(2d-3) + 1 - (N+1)(i-1) + t[i]; the last row absorbs the
-    remaining boxes.  With every t[i] in [0, N-1], consecutive rows differ by at
-    least 2 and the last row is at least mu0[-1] >= 0, so every member is a
+    mu0[i] + N(2d-3) + 1 - (N+1)(i-1) + t[i], mu0 = flat_diagram(n0, d); the last row
+    absorbs the remaining boxes.  With every t[i] in [0, N-1], consecutive rows differ
+    by at least 2 and the last row is at least mu0[-1] >= 0, so every member is a
     strictly decreasing diagram without a check.
-    Lattices of more than ``MAX_MEMBERS`` members are refused by ``capacity_parameter``.
+    The rows are int64, so n is at most 2^63 - 1, and min(N, width)^(d-1) members at
+    most ``MAX_MEMBERS``: either is refused before a row is built.
     """
-    big_n = capacity_parameter(n, d)
-    _, n0 = _lattice_parameters(n, d)
+    big_n, n0 = _checked_parameters(n, d)
+    if n > np.iinfo(np.int64).max:
+        raise ProtocolError(f"n={n} exceeds 2^63 - 1, the int64 limit of the lattice rows")
+    m = big_n if width is None else min(big_n, width)
+    _check_members("N^(d-1)" if m == big_n else f"min(N, {width})^(d-1)", m, d - 1,
+                   f" at n={n}, d={d}")
     mu0 = flat_diagram(n0, d)
     base = tuple(
         mu0[i - 1] + big_n * (2 * d - 3) + 1 - (big_n + 1) * (i - 1)
@@ -121,7 +135,6 @@ def viable_set(n: int, d: int, width: int | None = None) -> DiagramSet:
     # filled in place, least significant coordinate first: for k = d-2 down to 0, the
     # members with t[:k] = 0 are m copies of those with t[:k+1] = 0, copy j adding j
     # to column k and taking it from the last column
-    m = big_n if width is None else min(big_n, width)
     rows = np.empty((m ** (d - 1), d), dtype=np.int64)
     rows[0] = (*base, n - sum(base))
     steps = np.arange(m)[:, None]
@@ -131,7 +144,7 @@ def viable_set(n: int, d: int, width: int | None = None) -> DiagramSet:
         block[..., k] += steps
         block[..., -1] -= steps
     rows.flags.writeable = False
-    return DiagramSet(d=d, n=n, N=big_n, n0=n0, mu0=mu0, rows=rows)
+    return DiagramSet(d=d, n=n, N=big_n, n0=n0, rows=rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import DiagramSet, WeightVector, _check_uses, epsilon_g, sine_weights
+from .protocol import (
+    DiagramSet, WeightVector, _check_members, _check_uses, epsilon_g, sine_weights,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -228,7 +230,8 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
 
     The loop reads five things of s, and a ``ScoreMatrix``, the package's one
     operator, gives each for its box:
-    - ``s.dimension``, the length of its vectors;
+    - ``s.dimension``, the length of its vectors, refused past ``MAX_MEMBERS``
+      before anything of that length is built;
     - ``s.matvec(v)``, S v, by the Pieri form;
     - ``s.start()``, a vector not orthogonal to the principal one: the sine
       amplitudes;
@@ -248,6 +251,7 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     reads |v| at unit length.
     """
     dim = s.dimension
+    _check_members("dimension", dim, 1)
     precondition = s.preconditioner()
     # the trial vectors x, w, p, each beside its image S x, S w, S p, so that a step
     # updates both alike; p = 0 until the first step

@@ -14,7 +14,7 @@ import pytest
 
 import gateprog.cli as cli
 import gateprog.reporting as reporting
-from gateprog.scoring import ConvergenceError
+from gateprog.scoring import ConvergenceError, ScoreMatrix
 from gateprog.verify import CheckResult
 
 
@@ -44,10 +44,19 @@ class TestProtocolCommand:
         assert "requires --n" in err
 
     def test_oversized_lattice_exits_1(self, capsys):
-        code, out, err = run_capture(capsys, ["protocol", "--d", "2", "--n", str(2**23)])
+        # d=3 n=8000 has N = 1143: the report's corner is built, its 1143^2-member solve
+        # is not
+        code, out, err = run_capture(capsys, ["protocol", "--d", "3", "--n", "8000"])
         assert code == 1
         assert out == ""
-        assert "lattice too large" in err and "4194304 members" in err
+        assert err == ("error: lattice too large: dimension = 1306449^1 = 1306449 members "
+                       "exceeds the budget of 1048576 members\n")
+
+    @pytest.mark.parametrize("n", [str(2**63), str(10**30)])
+    def test_rows_past_int64_exit_1(self, capsys, n):
+        code, out, err = run_capture(capsys, ["protocol", "--d", "2", "--n", n])
+        assert code == 1 and out == ""
+        assert err == f"error: n={n} exceeds 2^63 - 1, the int64 limit of the lattice rows\n"
 
     def test_lattice_of_millions_of_digits_exits_1(self, capsys):
         # N = 2 and d - 1 = 2999999: the count 2^2999999 is too long to spell out
@@ -135,19 +144,22 @@ class TestSweepCommand:
         assert code == 1
         assert "at least 3" in err
 
-    @pytest.mark.parametrize("d,n_min,size", [("2", str(2**23), " = 4194304"),
+    @pytest.mark.parametrize("d,n_min,size", [("3", "8000", " = 1306449"),
                                               ("30", "3000", " = 536870912")])
     def test_oversized_lattice_exits_1_before_any_solve(self, capsys, monkeypatch, d,
                                                         n_min, size):
-        def refuse(matrix):
-            raise AssertionError(f"solved the ({matrix.d}, {matrix.N}) box")
+        # d=3 is refused by the solve, d=30 by the corner of its first report
+        def refuse(matrix, *args):
+            raise AssertionError(f"the solve used the ({matrix.d}, {matrix.N}) box")
 
-        monkeypatch.setattr(reporting, "optimal_fidelity", refuse)
+        for method in ("preconditioner", "start", "matvec"):
+            monkeypatch.setattr(ScoreMatrix, method, refuse)
         argv = ["sweep", "--d", d, "--n-min", n_min, "--n-max", str(int(n_min) + 2)]
         code, out, err = run_capture(capsys, argv)
         assert code == 1 and out == ""
-        assert err.startswith("error: lattice too large: N^(d-1) = ")
-        assert f"{size} members at n={n_min}, d={d} exceeds the budget" in err
+        where = f" at n={n_min}, d={d}" if d == "30" else ""  # the solve does not know n
+        assert err.startswith("error: lattice too large: ")
+        assert err.endswith(f"{size} members{where} exceeds the budget of 1048576 members\n")
 
     SWEEP_CSV = ["sweep", "--d", "2", "--n-min", "8", "--n-max", "16", "--n-step", "4",
                  "--format", "csv"]

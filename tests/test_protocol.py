@@ -41,10 +41,16 @@ class TestCapacityParameter:
             capacity_parameter(10, 1)
 
     def test_size_budget(self):
-        # d = 2 has N = n // 2 members: the width is given up to the budget, not past it
-        assert capacity_parameter(2 * MAX_MEMBERS + 1, 2) == MAX_MEMBERS
+        # the width is given past the member budget, and only what is built is refused:
+        # the full d=2 set of N = n // 2 members and the d=3 box of N^2, not the corners
+        assert capacity_parameter(2 * (MAX_MEMBERS + 1), 2) == MAX_MEMBERS + 1
+        assert len(viable_set(2 * (MAX_MEMBERS + 1), 2, width=3)) == 3
         with pytest.raises(ProtocolError, match=f"{MAX_MEMBERS + 1} members .* budget"):
-            capacity_parameter(2 * (MAX_MEMBERS + 1), 2)
+            viable_set(2 * (MAX_MEMBERS + 1), 2)
+        assert capacity_parameter(7 * 1025, 3) == 1025
+        assert len(viable_set(7 * 1025, 3, width=7)) == 49
+        with pytest.raises(ProtocolError, match=f"= {1025**2} members at n=7175, d=3 "):
+            viable_set(7 * 1025, 3)
 
     @pytest.mark.parametrize("d", range(2, 31))
     def test_bracketing_and_residual(self, d):
@@ -91,7 +97,7 @@ class TestViableSet:
     def test_n26_d3(self):
         ds = viable_set(26, 3)
         assert len(ds) == 9 and ds.N == 3 and ds.n0 == 6
-        assert ds.mu0 == (2, 2, 2)
+        assert flat_diagram(ds.n0, 3) == (2, 2, 2)
         assert sorted(set(ds.rows[:, 0].tolist())) == [12, 13, 14]
         assert sorted(set(ds.rows[:, 1].tolist())) == [8, 9, 10]
         for rows in ds.rows.tolist():
@@ -102,11 +108,12 @@ class TestViableSet:
     def test_row_formula(self, n, d):
         # recompute every row directly from the defining affine formula
         ds = viable_set(n, d)
+        mu0 = flat_diagram(ds.n0, d)
         assert ds.rows.shape == (ds.N ** (d - 1), d)
         for member, t in zip(ds.rows.tolist(), product(range(ds.N), repeat=d - 1)):
             for i in range(1, d):
                 expected = (
-                    ds.mu0[i - 1]
+                    mu0[i - 1]
                     + ds.N * (2 * d - 3) + 1
                     - (ds.N + 1) * (i - 1)
                     + t[i - 1]
@@ -128,12 +135,24 @@ class TestViableSet:
                 ds = viable_set(n, d)
                 assert ds.N == big_n and len(ds) == big_n ** (d - 1)
                 assert np.all(ds.rows[:, :-1] > ds.rows[:, 1:])
-                assert ds.rows[:, -1].min() == ds.mu0[-1] >= 0
+                assert ds.rows[:, -1].min() == flat_diagram(ds.n0, d)[-1] >= 0
 
     def test_size_budget_refused_before_building(self):
         # d = 2 has N = n // 2 members: one over the budget
         with pytest.raises(ProtocolError, match=f"{MAX_MEMBERS + 1} members .* budget"):
             viable_set(2 * (MAX_MEMBERS + 1), 2)
+
+    def test_corner_over_budget_is_named(self):
+        # d=6 n=800 has N = 20: a report's corner of 19 points per axis is over the budget
+        with pytest.raises(ProtocolError, match=(
+            r"min\(N, 19\)\^\(d-1\) = 19\^5 = 2476099 members at n=800, d=6 exceeds")):
+            viable_set(800, 6, width=19)
+
+    def test_rows_at_int64_limit(self):
+        # one more use is refused, as tests/test_cli.py checks
+        ds = viable_set(2**63 - 1, 2, width=3)
+        assert ds.N == 2**62 - 1 and ds.n0 == 1
+        assert ds.rows.tolist() == [[2**62 + 1 + t, 2**62 - 2 - t] for t in range(3)]
 
     def test_rows_are_read_only(self):
         ds = viable_set(26, 3)
@@ -268,7 +287,7 @@ class TestEpsilonG:
 def single_member_set() -> DiagramSet:
     """Hypothetical one-point lattice used as a fixture by other suites."""
     return DiagramSet(
-        d=2, n=4, N=1, n0=0, mu0=(0, 0), rows=np.array([[3, 1]]),
+        d=2, n=4, N=1, n0=0, rows=np.array([[3, 1]]),
     )
 
 

@@ -131,6 +131,21 @@ class TestProtocolReport:
         assert format_float(report.epsilon_optimal) == format_float(solved.error)
         assert format_float(report.fidelity_optimal) == format_float(solved.fidelity)
 
+    @pytest.mark.parametrize("n", [2**22, 2**40, 2**62, 2**63 - 1])
+    def test_d2_past_the_member_budget(self, n):
+        # a d=2 report builds a 3-member corner and solves nothing, so it runs at every
+        # width the int64 rows hold: member t has dimension a + 2t, a the first one's,
+        # and dP is the sum of their squares over t < N
+        report = protocol_report(n, 2)
+        big_n = report.N
+        assert big_n == n // 2 and report.set_size == big_n
+        a = python_int_dimension(viable_set(n, 2, width=1).rows[0].tolist())
+        squares = big_n * a * a + 2 * a * big_n * (big_n - 1) + 4 * (
+            (big_n - 1) * big_n * (2 * big_n - 1) // 6)
+        assert report.dP_exact == squares
+        assert report.epsilon_optimal == math.sin(math.pi / (2 * (big_n + 1))) ** 2
+        assert all(report.pass_flags.values())
+
     @pytest.mark.parametrize("d, ns", [
         (2, range(4, 4097)), (2, [2**21]), (3, range(13, 400)), (4, range(40, 200)),
         (5, range(90, 200)),

@@ -269,6 +269,19 @@ class TestOptimalFidelity:
         with pytest.raises(ProtocolError, match="undefined for N=1"):
             optimal_fidelity(score_matrix(single_member_set()))
 
+    @pytest.mark.parametrize("d, big_n", [(2, 2**20 + 1), (3, 1025), (30, 2)])
+    def test_box_over_the_member_budget_refused(self, monkeypatch, d, big_n):
+        # the operator's dimension is read first: nothing of its length is built
+        def refuse(*args):
+            raise AssertionError("the solve used the operator")
+
+        for method in ("preconditioner", "start", "matvec"):
+            monkeypatch.setattr(ScoreMatrix, method, refuse)
+        with pytest.raises(ProtocolError, match=(
+                f"dimension = {big_n ** (d - 1)}\\^1 = {big_n ** (d - 1)} members exceeds "
+                "the budget of 1048576 members")):
+            optimal_fidelity(ScoreMatrix(d, big_n))
+
     def test_chain_eigenvalue_closed_form(self):
         # largest eigenvalue of the length-N chain is 2 + 2 cos(pi / (N+1))
         for big_n in (2, 3, 5, 8, 16, 64):

@@ -24,17 +24,18 @@ from gateprog.verify import NS_D3, SMALL_NS_D2  # noqa: E402
 # protocol-grid's five points, then the points of verify's protocol reports (d=2
 # n=512 is in both), then eight frontier points: the 2^20-member d=3 box, d=4 n=1200,
 # whose squared dimensions exceed 2^63, the 2^20-member d=5 box on the dense
-# sine-transform path, the 15-dimensional N=2 box of d=16, the 2^20-member d=2 box,
-# the 2^20-member d=6 box, 15 edge directions over its members, and d=4 n=1201 and
-# d=5 n=827, the boxes of n=1200 and 826 on another flat base, whose dimension sums
-# read a corner with weights other than 1, then the member budget's edge at d=11 and
-# d=21: n=729 and n=1639, the largest n the budget admits there
+# sine-transform path, the 15-dimensional N=2 box of d=16, d=2 n=2097152, whose
+# lattice has 2^20 members, the 2^20-member d=6 box, 15 edge directions over its
+# members, and d=4 n=1201 and d=5 n=827, the boxes of n=1200 and 826 on another flat
+# base, whose dimension sums read a corner with weights other than 1, then the member
+# budget's edge at d=11 and d=21: n=729 and n=1639, the largest n the budget admits
+# there, and d=2 n=2^40, whose report builds 3 of its 2^39 members and solves nothing
 PROTOCOL_POINTS = tuple(dict.fromkeys(
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
     + tuple((2, n) for n in SMALL_NS_D2)
     + tuple((3, n) for n in NS_D3)
     + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152), (6, 630), (4, 1201), (5, 827))
-    + ((11, 729), (21, 1639))
+    + ((11, 729), (21, 1639), (2, 2**40))
 ))
 
 VECTORS = (
@@ -49,9 +50,12 @@ VECTORS = (
         ["bounds", "--d", "2", "--eps", "1e-6", "--delta", "0.1"],
         ["bounds", "--d", "2", "--eps", "1e-6"],
     )),
-    ["protocol", "--d", "3", "--n", "8000"],  # over the 2^20-member budget
-    ["sweep", "--d", "2", "--n-min", str(2**23), "--n-max", str(2**23 + 2)],  # also over it
+    ["protocol", "--d", "3", "--n", "8000"],  # a box over the 2^20-member budget
+    ["sweep", "--d", "3", "--n-min", "8000", "--n-max", "8002"],  # refused at its solve
+    # a 2^22-member lattice, of which each d=2 report builds 3 members: three reports
+    ["sweep", "--d", "2", "--n-min", str(2**23), "--n-max", str(2**23 + 2)],
     ["sweep", "--d", "30", "--n-min", "3000", "--n-max", "3002"],  # N = 2: 2^29 members
+    ["protocol", "--d", "2", "--n", str(2**63)],  # past the int64 rows
     ["protocol", "--d", "1", "--n", "8"],
     ["protocol", "--d", "3", "--n", "12"],  # N = 1
 )
