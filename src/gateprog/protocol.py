@@ -47,12 +47,14 @@ def _lattice_parameters(n: int, d: int) -> tuple[int, int]:
 def _check_members(name: str, base: int, power: int, where: str = "") -> None:
     """Refuse ``name`` = base^power members over ``MAX_MEMBERS``, before they are built.
     From power = 21 on a base of 2 or more is over without forming base^power, which
-    may run to millions of digits; the count is spelled out when short."""
+    may run to millions of digits; past 64 bits the count is left out and the base named
+    by its bit length."""
     if base > 1 and (power >= MAX_MEMBERS.bit_length() or base**power > MAX_MEMBERS):
-        size = f" = {base ** power}" if power * base.bit_length() <= 64 else ""
+        bits = base.bit_length()
+        size = f" = {base ** power}" if power * bits <= 64 else ""
         raise ProtocolError(
-            f"lattice too large: {name} = {base}^{power}{size} members{where} "
-            f"exceeds the budget of {MAX_MEMBERS} members"
+            f"lattice too large: {name} = {base if bits <= 64 else f'({bits}-bit number)'}"
+            f"^{power}{size} members{where} exceeds the budget of {MAX_MEMBERS} members"
         )
 
 
@@ -92,10 +94,10 @@ def flat_diagram(n0: int, d: int) -> tuple[int, ...]:
 class DiagramSet:
     """The viable lattice, or its corner: strictly-decreasing diagrams of n boxes.
 
-    ``rows`` is a read-only (m^(d-1), d) int64 array, one member per row, in row-major
-    order of the coordinates in {0..m-1}^(d-1), m = N for the full lattice, the first
-    coordinate most significant; ``haar_fidelity`` and the Choi fit rely on this when
-    they pair the amplitudes of a ``WeightVector``, laid out in that order, with rows.
+    ``rows`` is a read-only (m^(d-1), d) int64 array stored column by column, one member
+    per row, in row-major order of the coordinates in {0..m-1}^(d-1), m = N for the full
+    lattice, the first coordinate most significant; ``haar_fidelity`` and the Choi fit
+    rely on this when they pair a ``WeightVector``'s amplitudes, in that order, with rows.
     """
 
     d: int
@@ -132,17 +134,15 @@ def viable_set(n: int, d: int, width: int | None = None) -> DiagramSet:
         for i in range(1, d)
     )
 
-    # filled in place, least significant coordinate first: for k = d-2 down to 0, the
-    # members with t[:k] = 0 are m copies of those with t[:k+1] = 0, copy j adding j
-    # to column k and taking it from the last column
-    rows = np.empty((m ** (d - 1), d), dtype=np.int64)
-    rows[0] = (*base, n - sum(base))
-    steps = np.arange(m)[:, None]
-    for k in reversed(range(d - 1)):
-        block = rows[: m ** (d - 1 - k)].reshape(m, -1, d)
-        block[1:] = block[0]
-        block[..., k] += steps
-        block[..., -1] -= steps
+    # stored column by column, each column a contiguous view of the (m,)*(d-1) box, in
+    # the same member order: column k is base[k] + t[k], the last n - sum(base) - sum(t)
+    rows = np.empty((m ** (d - 1), d), dtype=np.int64, order="F")
+    last = rows[:, -1].reshape((m,) * (d - 1))
+    last[...] = n - sum(base)
+    for k in range(d - 1):
+        steps = np.arange(m).reshape(-1, *(1,) * (d - 2 - k))
+        rows[:, k].reshape(last.shape)[...] = base[k] + steps
+        last -= steps
     rows.flags.writeable = False
     return DiagramSet(d=d, n=n, N=big_n, n0=n0, rows=rows)
 

@@ -134,6 +134,7 @@ class TestViableSet:
             for n in (least,) if big_n == top else (least, least + 1, least + per_width - 1):
                 ds = viable_set(n, d)
                 assert ds.N == big_n and len(ds) == big_n ** (d - 1)
+                assert ds.rows.flags.f_contiguous
                 assert np.all(ds.rows[:, :-1] > ds.rows[:, 1:])
                 assert ds.rows[:, -1].min() == flat_diagram(ds.n0, d)[-1] >= 0
 

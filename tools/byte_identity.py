@@ -29,13 +29,15 @@ from gateprog.verify import NS_D3, SMALL_NS_D2  # noqa: E402
 # members, and d=4 n=1201 and d=5 n=827, the boxes of n=1200 and 826 on another flat
 # base, whose dimension sums read a corner with weights other than 1, then the member
 # budget's edge at d=11 and d=21: n=729 and n=1639, the largest n the budget admits
-# there, and d=2 n=2^40, whose report builds 3 of its 2^39 members and solves nothing
+# there, d=2 n=2^40, whose report builds 3 of its 2^39 members and solves nothing, and
+# two more whole-box corners at the budget's edge: d=7 n=611 (N=10, 10^6 members) and
+# d=13 n=821 (N=3)
 PROTOCOL_POINTS = tuple(dict.fromkeys(
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
     + tuple((2, n) for n in SMALL_NS_D2)
     + tuple((3, n) for n in NS_D3)
     + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152), (6, 630), (4, 1201), (5, 827))
-    + ((11, 729), (21, 1639), (2, 2**40))
+    + ((11, 729), (21, 1639), (2, 2**40), (7, 611), (13, 821))
 ))
 
 VECTORS = (
