@@ -46,15 +46,15 @@ def _lattice_parameters(n: int, d: int) -> tuple[int, int]:
 
 def _check_members(name: str, base: int, power: int, where: str = "") -> None:
     """Refuse ``name`` = base^power members over ``MAX_MEMBERS``, before they are built.
-    From power = 21 on a base of 2 or more is over without forming base^power, which
-    may run to millions of digits; past 64 bits the count is left out and the base named
-    by its bit length."""
+    From power = 21 on a base of 2 or more is over without forming base^power, which may
+    run to millions of digits: past 64 bits the count is left out, the base given in bits."""
     if base > 1 and (power >= MAX_MEMBERS.bit_length() or base**power > MAX_MEMBERS):
         bits = base.bit_length()
+        named = base if bits <= 64 else f"({bits}-bit number)"
         size = f" = {base ** power}" if power * bits <= 64 else ""
         raise ProtocolError(
-            f"lattice too large: {name} = {base if bits <= 64 else f'({bits}-bit number)'}"
-            f"^{power}{size} members{where} exceeds the budget of {MAX_MEMBERS} members"
+            f"lattice too large: {name} = {named}^{power}{size} members{where} "
+            f"exceeds the budget of {MAX_MEMBERS} members"
         )
 
 
