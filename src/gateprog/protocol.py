@@ -134,8 +134,8 @@ def viable_set(n: int, d: int, width: int | None = None) -> DiagramSet:
         for i in range(1, d)
     )
 
-    # stored column by column, each column a contiguous view of the (m,)*(d-1) box, in
-    # the same member order: column k is base[k] + t[k], the last n - sum(base) - sum(t)
+    # stored column by column: column k, viewed as the (m,)*(d-1) box in member (row-major)
+    # order, is base[k] + t[k], and the last column is n - sum(base) - sum(t)
     rows = np.empty((m ** (d - 1), d), dtype=np.int64, order="F")
     last = rows[:, -1].reshape((m,) * (d - 1))
     last[...] = n - sum(base)
