@@ -152,16 +152,16 @@ class SweepResult:
 def sweep(d: int, n_values: list[int]) -> SweepResult:
     """Evaluate a grid of n values and fit the log-log slope of the error.
 
-    Needs at least three distinct n for a meaningful fit; reports are ordered by n.  N
-    does not fall as n grows, so each box's n come in one run, and the reports share a
-    memo that keeps one box's solve: a box's principal weights are let go once the next
-    box is solved.
+    Needs at least three distinct n for a meaningful fit; each distinct n gets one
+    report, in increasing order.  N does not fall as n grows, so each box's n come in
+    one run, and the reports share a memo that keeps one box's solve: a box's
+    principal weights are let go once the next box is solved.
     """
-    distinct = len(set(n_values))
-    if distinct < 3:
-        raise ValueError(f"need at least 3 points for a slope fit, got {distinct}")
+    distinct = sorted(set(n_values))
+    if len(distinct) < 3:
+        raise ValueError(f"need at least 3 points for a slope fit, got {len(distinct)}")
     solve = functools.lru_cache(maxsize=1)(optimal_fidelity)
-    reports = tuple(protocol_report(n, d, solve) for n in sorted(n_values))
+    reports = tuple(protocol_report(n, d, solve) for n in distinct)
     log_n = np.log([r.n for r in reports])
     log_eps = np.log([r.epsilon_qstar for r in reports])
     slope, intercept = np.polyfit(log_n, log_eps, 1)

@@ -260,32 +260,28 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     (x, sx), (w, sw), _ = work
     x[:] = s.start()
     x /= math.sqrt(_dot(x, x))
-    matvecs = 0
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        if matvecs == _MAX_MATVECS:
+    sx[:] = s.matvec(x)
+    matvecs, confirmed = 1, True
+    while True:
+        theta = _dot(x, sx)
+        r = sx - theta * x
+        residual = math.sqrt(_dot(r, r))
+        converged = residual <= _TOL * theta
+        if converged and confirmed:
+            break
+        # every later pass makes one matvec, the confirming S x or S w
+        if matvecs >= _MAX_MATVECS:
             raise ConvergenceError(
                 f"LOBPCG on the dimension-{dim} lattice hit the {_MAX_MATVECS}-matvec "
                 f"cap with residual {residual:.3e} (target {_TOL * theta:.3e})"
             )
         matvecs += 1
-        return s.matvec(v)
-
-    sx[:] = apply(x)
-    confirmed = True
-    while True:
-        theta = _dot(x, sx)
-        r = sx - theta * x
-        residual = math.sqrt(_dot(r, r))
-        if residual <= _TOL * theta:
-            if confirmed:
-                break
-            sx[:] = apply(x)
+        if converged:
+            sx[:] = s.matvec(x)
             confirmed = True
             continue
         precondition(r, w)
-        sw[:] = apply(w)
+        sw[:] = s.matvec(w)
         gram, projected = _trial_products(work)
         # SVQB: scale to a unit diagonal, then drop the nearly dependent directions;
         # the zero p of the first step gets scale 0 and is dropped with them

@@ -120,19 +120,14 @@ def check_closed_form_consistency() -> CheckResult:
     )
 
 
-def _bound_margins(reports: list[ProtocolReport]) -> tuple[float, float, bool]:
-    eps_margin = min(r.bound_eq5 - r.epsilon_qstar for r in reports)
-    dim_margin = min(r.bound_eq6_log2 - r.dP_exact_log2 for r in reports)
-    flags_ok = all(all(r.pass_flags.values()) for r in reports)
-    return eps_margin, dim_margin, flags_ok
-
-
 def check_error_and_dimension_bounds(
     reports_d2: dict[int, ProtocolReport], reports_d3: dict[int, ProtocolReport]
 ) -> CheckResult:
     """Achieved error and exact dimension stay inside their guarantees."""
     all_reports = list(reports_d2.values()) + list(reports_d3.values())
-    eps_margin, dim_margin, flags_ok = _bound_margins(all_reports)
+    eps_margin = min(r.bound_eq5 - r.epsilon_qstar for r in all_reports)
+    dim_margin = min(r.bound_eq6_log2 - r.dP_exact_log2 for r in all_reports)
+    flags_ok = all(all(r.pass_flags.values()) for r in all_reports)
     passed = eps_margin >= 0.0 and dim_margin >= 0.0 and flags_ok
     return CheckResult(
         "error_and_dimension_bounds", passed,

@@ -37,14 +37,6 @@ def enumerate_diagrams(m: int, d: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _factor_product(rows: np.ndarray, pairs) -> np.ndarray:
-    """Product over the given row pairs (i, j) of rows[i] - rows[j] + j - i, in int64."""
-    run = np.ones(rows.shape[:-1], dtype=np.int64)
-    for i, j in pairs:
-        run *= rows[..., i] - rows[..., j] + (j - i)
-    return run
-
-
 def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
     """Exact dimension of the SU(d) irrep with row lengths ``rows``, for one diagram
     or a stack of shape (..., d) in one array pass.
@@ -67,7 +59,11 @@ def irrep_dimension(rows: Sequence[int] | np.ndarray) -> int | np.ndarray:
         group += 1
     num = np.ones(rows.shape[:-1], dtype=object)
     for start in range(0, len(pairs), group):
-        num *= _factor_product(rows, pairs[start : start + group]).astype(object)
+        run = np.ones(rows.shape[:-1], dtype=np.int64)
+        for i, j in pairs[start : start + group]:
+            run *= rows[..., i] - rows[..., j] + (j - i)
+        num *= run.astype(object)
+        del run  # let go before the next group's arrays and the division's
     den = prod(factorial(k) for k in range(1, d))
     dim, rem = num // den, num % den
     if np.any(rem):

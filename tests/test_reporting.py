@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+import types
 import weakref
 
 import numpy as np
@@ -204,6 +205,36 @@ class TestProtocolReport:
         assert boxes == [(d, report.N)]
         assert report.set_size == report.N ** (d - 1) > built[0]
 
+    @pytest.mark.parametrize("n, d", [(10**4, 3), (10**4 + 1, 3), (2000, 4), (1242, 5)])
+    def test_dimension_past_the_member_budget(self, monkeypatch, n, d):
+        # 2.04M, 2.04M, 2.35M and 5.31M members: no solve takes these boxes, so a stub
+        # stands in for it, and the corner rule's dP is checked against the box sum,
+        # one first-coordinate slice at a time from the row formula of viable_set:
+        # rows i < d-1 are base_i + t_i and the last row takes base_last - sum(t)
+        built = []
+
+        def build(*args, **kwargs):
+            diagram_set = viable_set(*args, **kwargs)
+            built.append(len(diagram_set))
+            return diagram_set
+
+        monkeypatch.setattr(reporting, "viable_set", build)
+        report = protocol_report(n, d, solve=lambda matrix: types.SimpleNamespace(error=0.5))
+        big_n = report.N
+        assert big_n ** (d - 1) > protocol.MAX_MEMBERS
+        assert built == [(4 * d - 5) ** (d - 1)]
+        base = viable_set(n, d, width=1).rows[0]
+        rest = np.indices((big_n,) * (d - 2)).reshape(d - 2, -1).T
+        total = 0
+        for first in range(big_n):
+            rows = np.empty((len(rest), d), dtype=np.int64)
+            rows[:, 0] = base[0] + first
+            rows[:, 1:-1] = base[1:-1] + rest
+            rows[:, -1] = base[-1] - first - rest.sum(axis=1)
+            dims = irrep_dimension(rows)
+            total += (dims * dims).sum()
+        assert report.dP_exact == total
+
 
 def report_bits(report):
     """Every field of a report, each float as its exact hex form."""
@@ -242,7 +273,7 @@ class TestProtocolReports:
         assert [r.n for r in sweep(3, NS_D3[::-1]).reports] == sorted(NS_D3)
         assert boxes == [(3, big_n) for big_n in range(2, 9)]
         boxes.clear()
-        assert [r.n for r in sweep(3, [60, 13, 59, 14, 60]).reports] == [13, 14, 59, 60, 60]
+        assert [r.n for r in sweep(3, [60, 13, 59, 14, 60]).reports] == [13, 14, 59, 60]
         assert boxes == [(3, 2), (3, 8)]
 
     @pytest.mark.parametrize("n, d", [(8, 2), (64, 2), (26, 3), (60, 3), (40, 4)])
@@ -291,6 +322,13 @@ class TestSweep:
         # the fit needs three distinct n: repeats of one or two points are refused
         with pytest.raises(ValueError, match="at least 3 points"):
             sweep(2, n_values)
+
+    def test_each_n_reported_once(self):
+        # a repeated n is one point of the slope fit, not two
+        result = sweep(2, [8, 16, 32, 16])
+        assert [r.n for r in result.reports] == [8, 16, 32]
+        once = sweep(2, [8, 16, 32])
+        assert (result.slope, result.residual) == (once.slope, once.residual)
 
     def test_cost_slope_stays_under_scaled_limit(self):
         result = sweep(2, [32, 64, 128, 256])

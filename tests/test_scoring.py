@@ -334,6 +334,12 @@ class TestOptimalFidelity:
                            match=r"dimension-16 .* 2-matvec cap with residual \d"):
             optimal_fidelity(score_matrix(viable_set(32, 2)))
 
+    def test_zero_cap_raises_after_the_first_matvec(self, monkeypatch):
+        # the first matvec is made before any cap check, so the message has a residual
+        monkeypatch.setattr(scoring, "_MAX_MATVECS", 0)
+        with pytest.raises(ConvergenceError, match=r"0-matvec cap with residual \d"):
+            optimal_fidelity(score_matrix(viable_set(32, 2)))
+
     @pytest.mark.parametrize("n", range(8, 641, 8))
     def test_tolerance_below_rounding_fails_cleanly(self, monkeypatch, n):
         # no vector meets 1e-17: the trial basis loses rank at the rounding floor,

@@ -96,7 +96,7 @@ MUTANTS = (
     ),
     Mutant(
         "the solver returns its sine start", "src/gateprog/scoring.py",
-        "    sx[:] = apply(x)\n    confirmed = True\n",
+        "    sx[:] = s.matvec(x)\n    matvecs, confirmed = 1, True\n",
         "    return s.error_form(x)\n", ("eigenvalue_oracle",),
     ),
     Mutant(
