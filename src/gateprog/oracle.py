@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
@@ -252,70 +253,54 @@ def character_orthonormality_check(grid: TorusGrid, diagrams: np.ndarray) -> flo
 _CHUNK = 32_768
 
 
-def _quaternion_chunk(
-    cos_phi: np.ndarray, sin_phi: np.ndarray, density: np.ndarray, needed: int,
-    rng: np.random.Generator, work: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """One chunk of at most ``needed`` unit quaternions r = (cos(phi), sin(phi) * axis).
+def _quaternion_chunks(
+    cos_phi: np.ndarray, sin_phi: np.ndarray, density: np.ndarray, samples: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """Exactly ``samples`` unit quaternions r = (cos(phi), sin(phi) * axis), in chunks.
 
     The node of phi follows ``density`` and the axis is uniform on the sphere,
     from Marsaglia's disc points (Ann. Math. Stat. 43 (1972) 645): a pair v
     uniform in [-1, 1)^2 with s = |v|^2 < 1 gives the exactly unit, exactly
-    uniform axis (2 v sqrt(1 - s), 1 - 2 s), with no Gaussian draw.  The chunk
-    draws as many pairs as ``work`` holds, keeps the first accepted ones that
-    are still needed (about pi / 4 of them), and draws the node counts of that
-    many samples from one multinomial.  The draws are iid, so grouping them by
-    node leaves their distribution unchanged.
-
-    ``work`` is the caller's (pairs (2, size), s (size,), buffer (4, size));
-    the chunk is returned as the (4, count) view of its buffer.
+    uniform axis (2 v sqrt(1 - s), 1 - 2 s), with no Gaussian draw.  Each chunk
+    draws min(_CHUNK, samples) pairs, keeps the first accepted ones that are
+    still needed (about pi / 4 of them), and draws the node counts of that many
+    samples from one multinomial.  The draws are iid, so grouping them by node
+    leaves their distribution unchanged.  Each chunk is yielded as the
+    (4, count) view of one buffer, which the next chunk overwrites.
     """
-    pairs, s, buffer = work
-    rng.random(out=pairs)
-    pairs *= 2.0
-    pairs -= 1.0
-    np.einsum("ij,ij->j", pairs, pairs, out=s)
-    keep = np.flatnonzero(s < 1.0)[:needed]
-    count = len(keep)
-    nodes = rng.multinomial(count, density)
-    quat = buffer[:, :count]
-    w, x, y, z = quat
-    # keep indexes the chunk, so "clip" never clips; the default "raise" would
-    # gather into a temporary and copy it to out
-    s.take(keep, out=z, mode="clip")
-    pairs[0].take(keep, out=x, mode="clip")
-    pairs[1].take(keep, out=y, mode="clip")
-    sin_rep = np.repeat(sin_phi, nodes)
-    # w holds 2 sin(phi) sqrt(1 - s) until the last line
-    np.subtract(1.0, z, out=w)
-    np.sqrt(w, out=w)
-    w *= 2.0
-    w *= sin_rep
-    x *= w
-    y *= w
-    z *= -2.0
-    z += 1.0
-    z *= sin_rep
-    w[:] = np.repeat(cos_phi, nodes)
-    return quat
-
-
-def _quaternion_gram(
-    cos_phi: np.ndarray, sin_phi: np.ndarray, density: np.ndarray, samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The 4x4 Gram sum r r^T of exactly ``samples`` unit quaternions, drawn in
-    chunks of _CHUNK pairs (``_quaternion_chunk``) that reuse one workspace;
-    each chunk's Gram is added to the total before the next is drawn."""
     size = min(_CHUNK, samples)
-    work = (np.empty((2, size)), np.empty(size), np.empty((4, size)))
-    gram = np.zeros((4, 4))
+    pairs, s, buffer = np.empty((2, size)), np.empty(size), np.empty((4, size))
     remaining = samples
     while remaining:
-        quat = _quaternion_chunk(cos_phi, sin_phi, density, remaining, rng, work)
-        remaining -= quat.shape[1]
-        gram += quat @ quat.T
-    return gram
+        rng.random(out=pairs)
+        pairs *= 2.0
+        pairs -= 1.0
+        np.einsum("ij,ij->j", pairs, pairs, out=s)
+        keep = np.flatnonzero(s < 1.0)[:remaining]
+        count = len(keep)
+        remaining -= count
+        nodes = rng.multinomial(count, density)
+        quat = buffer[:, :count]
+        w, x, y, z = quat
+        # keep indexes the chunk, so "clip" never clips; the default "raise" would
+        # gather into a temporary and copy it to out
+        s.take(keep, out=z, mode="clip")
+        pairs[0].take(keep, out=x, mode="clip")
+        pairs[1].take(keep, out=y, mode="clip")
+        sin_rep = np.repeat(sin_phi, nodes)
+        # w holds 2 sin(phi) sqrt(1 - s) until the last line
+        np.subtract(1.0, z, out=w)
+        np.sqrt(w, out=w)
+        w *= 2.0
+        w *= sin_rep
+        x *= w
+        y *= w
+        z *= -2.0
+        z += 1.0
+        z *= sin_rep
+        w[:] = np.repeat(cos_phi, nodes)
+        yield quat
 
 
 class ChoiFit(NamedTuple):
@@ -354,16 +339,16 @@ def choi_monte_carlo_su2(
     polynomial in phi that the grid integrates exactly, as in ``haar_fidelity``,
     whose Weyl coefficients it shares (``_weyl_density``).
 
-    The samples come in chunks of at most 32768 (``_quaternion_chunk``): each chunk
-    draws its node counts from one multinomial and repeats every node's angle
-    that many times, and its few small buffers are reused by the next, so the
-    memory does not grow with ``samples``.  The Choi vector of a sample is
-    vec(U) / sqrt(2) = V r for the SU(2) matrix U of r, where the fixed 4x4
-    V is unitary and sends e_0 to Phi+.  So in quaternion coordinates the
-    Choi matrix is G / samples, for the real Gram G = sum r r^T, and the
-    covariant form is diag(1 - a, a/3, a/3, a/3).  For a unit-trace Gram the
-    least-squares a is the vector share (G_11 + G_22 + G_33) / samples, the
-    mean of sin^2(phi), formed without cancellation.
+    The samples come in chunks of at most 32768 (``_quaternion_chunks``): each chunk
+    draws its node counts from one multinomial and repeats every node's angle that
+    many times, and its Gram is summed before the next chunk reuses its few small
+    buffers, so the memory does not grow with ``samples``.  The Choi vector of a
+    sample is vec(U) / sqrt(2) = V r for the SU(2) matrix U of r, where the fixed
+    4x4 V is unitary and sends e_0 to Phi+.  So in quaternion coordinates the Choi
+    matrix is G / samples, for the real Gram G = sum r r^T, and the covariant form
+    is diag(1 - a, a/3, a/3, a/3).  For a unit-trace Gram the least-squares a is the
+    vector share (G_11 + G_22 + G_33) / samples, the mean of sin^2(phi), formed
+    without cancellation.
 
     One call consumes one deterministic stream keyed by ``seed``; parallel
     callers must use distinct seeds.
@@ -378,9 +363,11 @@ def choi_monte_carlo_su2(
     grid = su2_grid(n + 1)
     density = _weyl_density(diagram_set.rows, q.amplitudes, grid)
     phis = grid.angles[:, 0]
-    gram = _quaternion_gram(
+    gram = np.zeros((4, 4))
+    for quat in _quaternion_chunks(
         np.cos(phis), np.sin(phis), density, samples, np.random.default_rng(seed)
-    )
+    ):
+        gram += quat @ quat.T
 
     a_fit = float(gram[1, 1] + gram[2, 2] + gram[3, 3]) / samples
     model = np.diag([1.0 - a_fit, a_fit / 3.0, a_fit / 3.0, a_fit / 3.0])

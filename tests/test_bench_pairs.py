@@ -1,8 +1,10 @@
 """tools/bench_pairs.py's summary, which decides every perf claim: wins and losses
 per pair in the declared direction, ties for neither side, failed runs skipped and
-one-sided seeds dropped, and the label of the change side."""
+one-sided seeds dropped; and its two sides, exports of two commits, with uncommitted
+source refused."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,15 +71,41 @@ def checkout(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_a_changed_document_leaves_the_label_clean(checkout):
+def test_uncommitted_source_is_refused_before_any_run(checkout, monkeypatch, capsys):
+    # a modified file and an untracked one; a changed document is not named
+    (checkout / "src" / "module.py").write_text("x = 2\n")
+    (checkout / "src" / "new.py").write_text("y = 1\n")
     (checkout / "README.md").write_text("another readme\n")
-    (checkout / "notes.md").write_text("untracked\n")
-    head = bench_pairs.git("rev-parse", "HEAD")
-    assert bench_pairs.change_label() == f"the working tree of {head}"
+    monkeypatch.setattr(bench_pairs, "run", lambda tree, argv: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main(["HEAD", "--pairs", "2", "--tag", "test"])
+    assert refused.value.code == 2
+    message = capsys.readouterr().err
+    assert "src/module.py" in message and "src/new.py" in message
+    assert "README.md" not in message
 
 
-@pytest.mark.parametrize("path", ["src/module.py", "src/new.py"])
-def test_a_changed_source_file_marks_the_label(checkout, path):
-    # a modified file and an untracked one
-    (checkout / path).write_text("x = 2\n")
-    assert bench_pairs.change_label().endswith(" with uncommitted changes")
+def test_both_sides_run_in_exports_of_their_commits(checkout, monkeypatch):
+    parent = bench_pairs.git("rev-parse", "HEAD")
+    (checkout / "src" / "module.py").write_text("x = 2\n")
+    bench_pairs.git("-c", "user.name=test", "-c", "user.email=test@example.com",
+                    "-c", "commit.gpgsign=false", "commit", "-q", "-am", "change")
+    change = bench_pairs.git("rev-parse", "HEAD")
+    trees = []
+
+    def fake_run(tree, argv):
+        trees.append(tree)
+        results = tree / "bench" / "results"
+        results.mkdir(parents=True, exist_ok=True)
+        provenance = {"source_sha256": (tree / "src" / "module.py").read_text()}
+        (results / "verify-seed0-trace1.json").write_text(json.dumps({"provenance": provenance}))
+        return {"returncode": 0, "result": None}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "better_directions", dict)
+    bench_pairs.main([parent, "--pairs", "2", "--tag", "test"])
+    assert trees and all(tree.resolve() != checkout.resolve() for tree in trees)
+    record = json.loads((checkout / "BENCH_test.json").read_text())
+    assert (record["parent_commit"], record["change_commit"]) == (parent, change)
+    assert record["machine"]["source_sha256"] == "x = 1\n"
+    assert record["change_source_sha256"] == "x = 2\n"

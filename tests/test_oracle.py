@@ -9,8 +9,7 @@ import pytest
 from gateprog import oracle, scoring
 from gateprog.oracle import (
     _eigenphases,
-    _quaternion_chunk,
-    _quaternion_gram,
+    _quaternion_chunks,
     _schur_character_table,
     _vandermonde,
     _weyl_density,
@@ -309,7 +308,8 @@ class TestChoiMonteCarlo:
         ds = viable_set(n, 2)
         q = sine_weights(ds)
         cos_phi, sin_phi, density = su2_outcome_density(n)
-        gram = _quaternion_gram(cos_phi, sin_phi, density, samples, np.random.default_rng(seed))
+        gram = sum(quat @ quat.T for quat in _quaternion_chunks(
+            cos_phi, sin_phi, density, samples, np.random.default_rng(seed)))
         # m r = vec(U) for the SU(2) matrix U of r = (w, x, y, z)
         m = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]])
         choi = m @ (gram / (2.0 * samples)) @ m.conj().T
@@ -396,17 +396,6 @@ def su2_outcome_density(n):
     return np.cos(phis), np.sin(phis), density
 
 
-def gram_with_chunks(monkeypatch, inspect, *args):
-    """``_quaternion_gram(*args)``, calling ``inspect`` on every chunk it draws
-    before the next one reuses the buffer."""
-    def drawn(*chunk_args):
-        quat = _quaternion_chunk(*chunk_args)
-        inspect(quat)
-        return quat
-    monkeypatch.setattr(oracle, "_quaternion_chunk", drawn)
-    return oracle._quaternion_gram(*args)
-
-
 class TestQuaternionDraw:
     def test_chunk_gram_stays_in_one_blas_block(self):
         # a chunk's Gram, quat @ quat.T, is one matmul of 16 * _CHUNK multiply-adds; a
@@ -416,39 +405,31 @@ class TestQuaternionDraw:
     # a chunk of 32768 pairs keeps about 25,700: fewer samples than that, and
     # counts that end inside a later chunk
     @pytest.mark.parametrize("samples", [1, 1000, 32_768, 100_003, 10**6 + 1])
-    def test_exactly_samples_unit_quaternions(self, monkeypatch, samples):
+    def test_exactly_samples_unit_quaternions(self, samples):
         widths, traces = [], []
-
-        def inspect(quat):
+        for quat in _quaternion_chunks(*su2_outcome_density(8), samples,
+                                       np.random.default_rng(0)):
             widths.append(quat.shape[1])
             traces.append(np.trace(quat @ quat.T))
-
-        gram = gram_with_chunks(monkeypatch, inspect, *su2_outcome_density(8), samples,
-                                np.random.default_rng(0))
         assert sum(widths) == samples
-        # the trace of the Gram the fit uses: one per unit quaternion
+        # the trace of the Gram the fit sums: one per unit quaternion
         assert sum(traces) == pytest.approx(samples, rel=1e-12)
-        assert np.trace(gram) == pytest.approx(samples, rel=1e-12)
 
-    def test_axis_moments_match_the_uniform_sphere(self, monkeypatch):
+    def test_axis_moments_match_the_uniform_sphere(self):
         # one node at phi = pi / 2 makes every quaternion (0, axis)
         samples = 10**6
         total = np.zeros(3)
         second = np.zeros((3, 3))
         fourth = np.zeros(3)
         norm_errors = []
-
-        def inspect(quat):
-            nonlocal total, second, fourth
+        for quat in _quaternion_chunks(np.zeros(1), np.ones(1), np.ones(1), samples,
+                                       np.random.default_rng(0)):
             assert not quat[0].any()
             u = quat[1:]
             total += u.sum(axis=1)
             second += u @ u.T
             fourth += (u**4).sum(axis=1)
             norm_errors.append(float(np.abs(np.einsum("ij,ij->j", u, u) - 1.0).max()))
-
-        gram_with_chunks(monkeypatch, inspect, np.zeros(1), np.ones(1), np.ones(1), samples,
-                         np.random.default_rng(0))
         assert max(norm_errors) <= 1e-15
 
         # 5 sigma from the sample count: Var u_i = 1/3, Var u_i^2 = 1/5 - 1/9,
@@ -462,3 +443,29 @@ class TestQuaternionDraw:
                       <= 5.0 * math.sqrt(1.0 / 15.0) / root)
         assert np.all(np.abs(fourth / samples - 1.0 / 5.0)
                       <= 5.0 * math.sqrt(1.0 / 9.0 - 1.0 / 25.0) / root)
+
+    @pytest.mark.parametrize("n", [8, 512])
+    def test_plain_draw_gives_the_same_gram(self, n):
+        # the same draws with each chunk's arrays allocated anew: the sampler's
+        # buffers, in-place steps and takes change neither the stream nor a rounding
+        samples = 10**6 + 1
+        cos_phi, sin_phi, density = su2_outcome_density(n)
+        rng = np.random.default_rng(5)
+        size = min(oracle._CHUNK, samples)
+        plain = np.zeros((4, 4))
+        remaining = samples
+        while remaining:
+            v = 2.0 * rng.random((2, size)) - 1.0
+            s = v[0] * v[0] + v[1] * v[1]
+            keep = np.flatnonzero(s < 1.0)[:remaining]
+            remaining -= len(keep)
+            nodes = rng.multinomial(len(keep), density)
+            v, s = v[:, keep], s[keep]
+            sin_rep = np.repeat(sin_phi, nodes)
+            scale = 2.0 * np.sqrt(1.0 - s) * sin_rep
+            r = np.stack([np.repeat(cos_phi, nodes), v[0] * scale, v[1] * scale,
+                          (1.0 - 2.0 * s) * sin_rep])
+            plain += r @ r.T
+        gram = sum(quat @ quat.T for quat in _quaternion_chunks(
+            cos_phi, sin_phi, density, samples, np.random.default_rng(5)))
+        assert np.array_equal(gram, plain)

@@ -1,10 +1,12 @@
-"""Interleaved benchmark runs of a parent commit and this working tree.
+"""Interleaved benchmark runs of a parent commit and HEAD.
 
     python3 tools/bench_pairs.py PARENT_REF --pairs N --tag TAG
 
-Exports PARENT_REF's committed files into a temporary directory with
-``git archive``, the way the benchmark measures a commit, and removes the
-directory when it is done.  Pair i (seed i, i = 1..N) runs
+Exports the committed files of PARENT_REF and of HEAD into two temporary
+directories with ``git archive``, the way the benchmark measures a commit, and
+removes them when it is done.  It refuses to start when a file under src/ or
+bench/, the files a run reads, differs from HEAD or is untracked, so a record
+never describes uncommitted code.  Pair i (seed i, i = 1..N) runs
 
     python3 bench/run.py --workload all --seed i --seconds 30 --trace 0
 
@@ -40,15 +42,6 @@ TRACED = ("python3", "bench/run.py", "--workload", "verify", "--seed", "0", "--s
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
-
-
-def change_label() -> str:
-    """The change side: the working tree of HEAD, "with uncommitted changes" when a
-    file under src/ or bench/, the files a run reads, differs from HEAD or is untracked."""
-    label = f"the working tree of {git('rev-parse', 'HEAD')}"
-    if git("status", "--porcelain", "--", "src", "bench"):
-        label += " with uncommitted changes"
-    return label
 
 
 def export(ref: str, directory: Path, checkout: Path = ROOT) -> None:
@@ -115,15 +108,19 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"need at least 2 pairs for quartiles, got {args.pairs}")
+    uncommitted = git("status", "--porcelain", "--", "src", "bench").splitlines()
+    if uncommitted:
+        paths = ", ".join(line.split(maxsplit=1)[1] for line in uncommitted)
+        parser.error(f"uncommitted changes under src/ or bench/: {paths}")
     parent_commit = git("rev-parse", "--verify", f"{args.parent_ref}^{{commit}}")
-    change = change_label()
+    change_commit = git("rev-parse", "HEAD")
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        parent = scratch / "parent"
-        parent.mkdir()
-        export(parent_commit, parent)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": scratch / "parent", "change": scratch / "change"}
+        for tree, commit in zip(trees.values(), (parent_commit, change_commit)):
+            tree.mkdir()
+            export(commit, tree, ROOT)
         seeds = list(range(1, args.pairs + 1))
         runs = []
         for seed in seeds:
@@ -143,7 +140,8 @@ def main(argv: list[str]) -> int:
 
     record = {
         "description": (
-            f"Interleaved parent/change runs of {' '.join(COMMAND)}, one pair per seed; "
+            f"Interleaved parent/change runs of {' '.join(COMMAND)}, one pair per seed, "
+            "each side in a git archive export of its commit; "
             "'first' names the side that ran first, alternating by pair. 'result' is each "
             "run's final JSON line. Quartiles are statistics.quantiles(n=4) over the pairs; "
             "wins and losses compare the two runs of one pair in the direction "
@@ -152,7 +150,7 @@ def main(argv: list[str]) -> int:
         ),
         "command": " ".join(COMMAND),
         "parent_commit": parent_commit,
-        "change": change,
+        "change_commit": change_commit,
         "seeds": seeds,
         "machine": provenance["parent"],
         "change_source_sha256": provenance["change"]["source_sha256"],
