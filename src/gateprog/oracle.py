@@ -300,6 +300,8 @@ def _quaternion_chunks(
         z += 1.0
         z *= sin_rep
         w[:] = np.repeat(cos_phi, nodes)
+        # not held across the yield, where they would meet the next chunk's copies
+        del keep, nodes, sin_rep
         yield quat
 
 
@@ -363,11 +365,8 @@ def choi_monte_carlo_su2(
     grid = su2_grid(n + 1)
     density = _weyl_density(diagram_set.rows, q.amplitudes, grid)
     phis = grid.angles[:, 0]
-    gram = np.zeros((4, 4))
-    for quat in _quaternion_chunks(
-        np.cos(phis), np.sin(phis), density, samples, np.random.default_rng(seed)
-    ):
-        gram += quat @ quat.T
+    gram = sum(quat @ quat.T for quat in _quaternion_chunks(
+        np.cos(phis), np.sin(phis), density, samples, np.random.default_rng(seed)))
 
     a_fit = float(gram[1, 1] + gram[2, 2] + gram[3, 3]) / samples
     model = np.diag([1.0 - a_fit, a_fit / 3.0, a_fit / 3.0, a_fit / 3.0])
