@@ -5,7 +5,9 @@ Young distance 2; on the viable lattice those are the unit moves +/-e_i and the
 exchange moves +/-(e_i - e_j).  The entanglement fidelity of weights q is
 (1/d^2) a^T S a in their amplitudes a = sqrt(q), the form ``WeightVector``
 holds, and the optimum over weights is the largest eigenvalue of S divided by
-d^2.
+d^2.  Nothing here builds S as a dense matrix: ``verify``'s eigenvalue oracle builds
+its d=2 chain itself, and the tests build S from the matvec and from pairwise Young
+distances.
 """
 
 from __future__ import annotations
@@ -60,30 +62,37 @@ class ScoreMatrix:
     def dimension(self) -> int:
         return self.N ** (self.d - 1)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """S v for a vector v over the members, or for each column of an (M, k) block."""
+    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """S v for a vector v over the members, or for each column of an (M, k) block,
+        written into ``out``, a contiguous array of v's shape, or else into a new array,
+        and returned.  B a takes the one temporary."""
         d, big_n = self.d, self.N
-        a = v.reshape((big_n,) * (d - 1) + v.shape[1:])
+        box = (big_n,) * (d - 1) + v.shape[1:]
+        a = v.reshape(box)
         y = a.copy()
         for j in range(d - 1):
             head = (slice(None),) * j
             y[head + (slice(None, -1),)] += a[head + (slice(1, None),)]
-        z = y.copy()
+        if out is None:
+            out = np.empty(v.shape, v.dtype)
+        z = out.reshape(box)
+        z[...] = y
         # z[t] += y[t - e_j] inside the box, and a[t] on the face t_j = 0 it leaves
         for j in range(d - 1):
             head = (slice(None),) * j
             z[head + (slice(1, None),)] += y[head + (slice(None, -1),)]
             z[head + (0,)] += a[head + (0,)]
-        return z.reshape(v.shape)
+        return out
 
     def start(self) -> np.ndarray:
         """The solver's start, the sine amplitudes of the box."""
         return sine_weights(self).amplitudes
 
     def preconditioner(self) -> Callable[[np.ndarray, np.ndarray], None]:
-        """A function (r, w) that writes ((N+1)/2)^(d-1) T^-1 r into w, T the
-        square-lattice Dirichlet Laplacian on the box, built once per solve; the
-        solver's step does not depend on the scale.
+        """A function (r, w) that writes ((N+1)/2)^(d-1) T^-1 r into w, r and w
+        contiguous and r possibly w itself, T the square-lattice Dirichlet Laplacian
+        on the box, built once per solve with every buffer it uses; the solver's step
+        does not depend on the scale.
 
         T^-1 is a sine transform along each axis, a division by T's eigenvalues and
         the transform again; the transform is unnormalised, and twice over it
@@ -91,43 +100,61 @@ class ScoreMatrix:
         to ``_DENSE_SINE_MAX_N`` each axis is one product with the N x N matrix
         -sin(pi j k / (N+1)), the first axis contracted and its image put last, in
         row blocks of at most ``_MATMUL_BLOCK`` multiply-adds, so that no matmul
-        wakes a second BLAS thread; above it each axis is the imaginary part of the
-        rfft of (0, x, 0, ..., 0), length 2(N+1), built in one zero buffer.  T's
-        edges are a subset of those of L = d^2 I - S, also a Dirichlet Laplacian,
-        and each exchange edge is bounded by two square edges: the two are
-        spectrally equivalent with constants free of N, so the solver's step count
-        does not grow with N.  At d=2, T = L.
+        wakes a second BLAS thread, and through one image buffer; above it each axis
+        is the imaginary part of the rfft of (0, x, 0, ..., 0), length 2(N+1), built
+        in one zero buffer, in row blocks of at most ``_MATMUL_BLOCK`` values written
+        straight into w.  The eigenvalues are formed a block of lines at a time, so
+        no array of them is box-sized.  T's edges are a subset of those of
+        L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is bounded
+        by two square edges: the two are spectrally equivalent with constants free
+        of N, so the solver's step count does not grow with N.  At d=2, T = L.
         """
         big_n, box = self.N, (self.N,) * (self.d - 1)
-        # T's eigenvalues, indexed like the sine transform
+        # T's eigenvalues, indexed like the sine transform, are lead + modes along the
+        # last axis, lead summing the modes of the others in the same order
         modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
-        spectrum = functools.reduce(np.add.outer, [modes] * (self.d - 1))
+        lead = functools.reduce(np.add.outer, [modes] * (self.d - 2), np.zeros(1)).reshape(-1)
         if big_n <= _DENSE_SINE_MAX_N:
             k = np.arange(1, big_n + 1)
             # j k reduced modulo 2(N+1) keeps the argument within one period
             sines = -np.sin(np.pi * (np.outer(k, k) % (2 * big_n + 2)) / (big_n + 1))
             rows = _MATMUL_BLOCK // (big_n * big_n)
+            # a product reads its source while it writes its target, so they differ
+            image = np.empty(lead.size * big_n)
 
-            def transform(x: np.ndarray) -> np.ndarray:
-                for _ in box:
-                    columns = x.reshape(big_n, -1)
-                    x = np.empty((columns.shape[1], big_n))
-                    for start in range(0, x.shape[0], rows):
-                        np.matmul(columns[:, start : start + rows].T, sines,
-                                  out=x[start : start + rows])
-                return x.reshape(box)
+            def axis(source: np.ndarray, target: np.ndarray) -> None:
+                # the first axis transformed, its image put last
+                columns, lines = source.reshape(big_n, -1), target.reshape(-1, big_n)
+                for start in range(0, len(lines), rows):
+                    np.matmul(columns[:, start : start + rows].T, sines,
+                              out=lines[start : start + rows])
         else:
-            padded = np.zeros(box[:-1] + (2 * big_n + 2,))
-            rotate = (len(box) - 1, *range(len(box) - 1))
+            padded = np.zeros((lead.size, 2 * big_n + 2))
+            rows = max(1, _MATMUL_BLOCK // (2 * big_n + 2))
+            # the source is read into padded first, so the target may be the source
+            image = None
 
-            def transform(x: np.ndarray) -> np.ndarray:
-                for _ in box:
-                    padded[..., 1 : big_n + 1] = x
-                    x = np.fft.rfft(padded)[..., 1 : big_n + 1].imag.transpose(rotate)
-                return x
+            def axis(source: np.ndarray, target: np.ndarray) -> None:
+                # the last axis transformed, its image put first
+                padded[:, 1 : big_n + 1] = source.reshape(-1, big_n)
+                lines = target.reshape(big_n, -1).T
+                for start in range(0, len(lines), rows):
+                    lines[start : start + rows] = np.fft.rfft(
+                        padded[start : start + rows])[:, 1 : big_n + 1].imag
 
         def precondition(r: np.ndarray, w: np.ndarray) -> None:
-            w.reshape(box)[...] = transform(transform(r.reshape(box)) / spectrum)
+            # the 2(d-1) axis passes alternate between image, if the route has one, and
+            # w, so the last lands in w and r is read before w is written: r may be w
+            source = r
+            for k in range(2 * len(box)):
+                target = w if k % 2 or image is None else image
+                axis(source, target)
+                if k == len(box) - 1:
+                    lines = target.reshape(-1, big_n)
+                    for start in range(0, len(lines), rows):
+                        block = slice(start, start + rows)
+                        lines[block] /= np.add.outer(lead[block], modes)
+                source = target
 
         return precondition
 
@@ -138,7 +165,8 @@ class ScoreMatrix:
 
 
 def score_matrix(diagram_set: DiagramSet) -> ScoreMatrix:
-    """The score matrix of the viable lattice (unit and exchange moves) on its box."""
+    """The score matrix of the viable lattice (unit and exchange moves) on its box.
+    Only the box is read, the same for a corner set, so a solve needs no rows."""
     return ScoreMatrix(diagram_set.d, diagram_set.N)
 
 
@@ -209,7 +237,7 @@ def _trial_products(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram, projected
 
 
-# the solver's relative residual target and its cap on matvecs
+# the solver's relative residual target and its cap on matvecs, set by no caller
 _TOL = 1e-12
 _MAX_MATVECS = 10**6
 
@@ -232,12 +260,12 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     operator, gives each for its box:
     - ``s.dimension``, the length of its vectors, refused past ``MAX_MEMBERS``
       before anything of that length is built;
-    - ``s.matvec(v)``, S v, by the Pieri form;
+    - ``s.matvec(v, out)``, S v written into out and returned, by the Pieri form;
     - ``s.start()``, a vector not orthogonal to the principal one: the sine
       amplitudes;
     - ``s.preconditioner()``, built once per solve, a function (r, w) that writes
-      ((N+1)/2)^(d-1) T^-1 r into w: the sine-transform inverse of the
-      square-lattice Laplacian, scaled, which leaves the step unchanged;
+      ((N+1)/2)^(d-1) T^-1 r into w, called with r = w: the sine-transform inverse
+      of the square-lattice Laplacian, scaled, which leaves the step unchanged;
     - ``s.error_form(v)``, the result at the unit principal vector v:
       ``entanglement_fidelity`` of the weights whose amplitudes are v.
 
@@ -249,23 +277,33 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
     that the principal eigenvector is strictly positive: v takes the sign of its
     sum, an entry below -1e-10 raises ``ConvergenceError``, and the error form
     reads |v| at unit length.
+
+    Of the operator's length a step holds the trial block and the preconditioner's
+    buffers, each allocated once per solve, and the matvec's one temporary.  Only
+    |v| outlives the loop into the error form, which builds vectors of its own.
     """
     dim = s.dimension
     _check_members("dimension", dim, 1)
+    # the start is taken before the solve's own vectors are built, so that its
+    # temporaries come and go first
+    start = s.start()
     precondition = s.preconditioner()
     # the trial vectors x, w, p, each beside its image S x, S w, S p, so that a step
     # updates both alike; p = 0 until the first step
     work = np.zeros((3, 2, dim))
     x_pair, w_pair, p_pair = work
-    (x, sx), (w, sw), _ = work
-    x[:] = s.start()
+    (x, sx), (w, sw) = x_pair, w_pair
+    x[:] = start
+    del start
     x /= math.sqrt(_dot(x, x))
-    sx[:] = s.matvec(x)
+    s.matvec(x, sx)
     matvecs, confirmed = 1, True
     while True:
         theta = _dot(x, sx)
-        r = sx - theta * x
-        residual = math.sqrt(_dot(r, r))
+        # the residual S x - theta x, in w's slot: the step preconditions it there
+        np.multiply(x, theta, out=w)
+        np.subtract(sx, w, out=w)
+        residual = math.sqrt(_dot(w, w))
         converged = residual <= _TOL * theta
         if converged and confirmed:
             break
@@ -277,11 +315,11 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
             )
         matvecs += 1
         if converged:
-            sx[:] = s.matvec(x)
+            s.matvec(x, sx)
             confirmed = True
             continue
-        precondition(r, w)
-        sw[:] = s.matvec(w)
+        precondition(w, w)
+        s.matvec(w, sw)
         gram, projected = _trial_products(work)
         # SVQB: scale to a unit diagonal, then drop the nearly dependent directions;
         # the zero p of the first step gets scale 0 and is dropped with them
@@ -303,10 +341,12 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
         x_pair /= math.sqrt(_dot(x, x))
         confirmed = False
     if x.sum() < 0.0:  # a Ritz vector comes with either sign
-        x = -x
+        np.negative(x, out=x)
     if float(x.min()) < -1e-10:
         raise ConvergenceError("principal eigenvector came out with negative entries")
     x = np.abs(x)
+    # only x outlives the loop: the error form builds box-sized vectors of its own
+    del work, x_pair, w_pair, p_pair, sx, w, sw, precondition
     x /= math.sqrt(_dot(x, x))
     return s.error_form(x)
 
@@ -314,7 +354,8 @@ def optimal_fidelity(s: ScoreMatrix) -> FidelityResult:
 def qstar_error_closed_form(d: int, big_n: int) -> float:
     """Error of the sine weights, (d-1)((d-2) e(2-e) + 2e) / d^2 with e = epsilon_g(N):
     d^2 minus their score d + (d-1)(d-2)(1-e)^2 + 2(d-1)(1-e), taken term by term
-    without cancellation.  ``entanglement_fidelity`` sums it over the lattice."""
+    without cancellation.  ``entanglement_fidelity`` sums it over the lattice; the
+    report reads this form, and ``verify`` checks it against that sum."""
     if d < 2:
         raise ValueError(f"gate dimension must be at least 2, got {d}")
     e = epsilon_g(big_n)

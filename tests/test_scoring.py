@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass
 from itertools import product
 
@@ -33,9 +34,9 @@ def count_matvecs(s):
     calls = []
     matvec = s.matvec
 
-    def counted(v):
+    def counted(v, out=None):
         calls.append(None)
-        return matvec(v)
+        return matvec(v, out)
 
     # a ScoreMatrix is frozen, so the instance attribute is set past its __setattr__
     object.__setattr__(s, "matvec", counted)
@@ -54,8 +55,8 @@ class DenseOperator:
     def dimension(self):
         return len(self.matrix)
 
-    def matvec(self, v):
-        return self.matrix @ v
+    def matvec(self, v, out):
+        return np.matmul(self.matrix, v, out=out)
 
     def start(self):
         return self.initial
@@ -390,6 +391,24 @@ class TestOptimalFidelity:
         calls = count_matvecs(s)
         optimal_fidelity(s)
         assert len(calls) <= 40
+
+    @pytest.mark.parametrize("d, big_n, vectors",
+                             [(3, 85, 12.5), (4, 20, 12.5), (5, 12, 12.5), (3, 200, 14.0)])
+    def test_working_set(self, d, big_n, vectors):
+        # a solve allocates its box-sized vectors once: the six of the trial block, the
+        # preconditioner's image on the dense route or its padded lines, about two, on
+        # the rfft route (N=200), and one matvec temporary; only x outlives the loop.
+        # tracemalloc counts numpy's buffers, so the peak repeats for one code path.  At
+        # these small boxes the ufunc buffers of a strided add, about 200 KB, count as up
+        # to three vectors more, and the N x N sine matrix as one more at d=3 N=85
+        s = ScoreMatrix(d, big_n)
+        tracemalloc.start()
+        try:
+            optimal_fidelity(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors * 8 * s.dimension
 
 
 class TestOperatorContract:

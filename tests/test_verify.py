@@ -113,8 +113,8 @@ def test_eigenvalue_oracle_is_independent_of_the_matvec(monkeypatch):
     # value
     matvec = ScoreMatrix.matvec
 
-    def without_face_term(self, v):
-        z = matvec(self, v)
+    def without_face_term(self, v, out=None):
+        z = matvec(self, v, out)
         box = (self.N,) * (self.d - 1) + v.shape[1:]
         a, out = v.reshape(box), z.reshape(box)
         for j in range(self.d - 1):
