@@ -64,8 +64,8 @@ class ScoreMatrix:
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """S v for a vector v over the members, or for each column of an (M, k) block,
-        written into ``out``, a contiguous array of v's shape, or else into a new array,
-        and returned.  B a takes the one temporary."""
+        written into ``out``, a contiguous array of v's shape apart from v, or else into
+        a new array, and returned.  B a takes the one temporary."""
         d, big_n = self.d, self.N
         box = (big_n,) * (d - 1) + v.shape[1:]
         a = v.reshape(box)
@@ -146,10 +146,10 @@ class ScoreMatrix:
             # the 2(d-1) axis passes alternate between image, if the route has one, and
             # w, so the last lands in w and r is read before w is written: r may be w
             source = r
-            for k in range(2 * len(box)):
-                target = w if k % 2 or image is None else image
+            for step in range(2 * len(box)):
+                target = w if step % 2 or image is None else image
                 axis(source, target)
-                if k == len(box) - 1:
+                if step == len(box) - 1:
                     lines = target.reshape(-1, big_n)
                     for start in range(0, len(lines), rows):
                         block = slice(start, start + rows)
