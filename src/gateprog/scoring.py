@@ -50,7 +50,7 @@ class ScoreMatrix:
     and its transpose sends y to y[t] + sum_j y[t - e_j], both sums taken inside the
     box.  B^T B has every unit and exchange move once and a[t] d - c(t) times, c(t)
     being the number of coordinates of t that are 0, so S = B^T B + c: the matvec is
-    3(d-1) slice adds, where a neighbour sum over ``_edge_slices`` takes d(d-1).  S
+    3(d-1) adds, where a neighbour sum over ``_edge_slices`` takes d(d-1).  S
     depends on the box alone, so every n of one (d, N) box shares it, and equal boxes
     compare and hash alike: ``functools.cache(optimal_fidelity)`` solves each box once.
     """
@@ -65,23 +65,36 @@ class ScoreMatrix:
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """S v for a vector v over the members, or for each column of an (M, k) block,
         written into ``out``, a contiguous array of v's shape apart from v, or else into
-        a new array, and returned.  B a takes the one temporary."""
+        a new array, and returned.  B a takes the one temporary of v's size.
+
+        Each shift along an axis is one add of the flat arrays offset by that axis's
+        stride, which numpy runs without the buffers of a strided add.  It also
+        reaches across the face it should stop at, so that face, 1/N of v, is kept
+        aside and put back: each entry gets the same sums as by slices of the box.
+        """
         d, big_n = self.d, self.N
-        box = (big_n,) * (d - 1) + v.shape[1:]
-        a = v.reshape(box)
+        a = v.reshape(-1)
         y = a.copy()
-        for j in range(d - 1):
-            head = (slice(None),) * j
-            y[head + (slice(None, -1),)] += a[head + (slice(1, None),)]
+        step = a.size
+        for _ in range(d - 1):
+            step //= big_n
+            # y[t] += a[t + e_j] inside the box: the face t_j = N-1 keeps its value
+            last = y.reshape(-1, big_n, step)[:, -1]
+            kept = last.copy()
+            y[:-step] += a[step:]
+            last[...] = kept
         if out is None:
             out = np.empty(v.shape, v.dtype)
-        z = out.reshape(box)
+        z = out.reshape(-1)
         z[...] = y
-        # z[t] += y[t - e_j] inside the box, and a[t] on the face t_j = 0 it leaves
-        for j in range(d - 1):
-            head = (slice(None),) * j
-            z[head + (slice(1, None),)] += y[head + (slice(None, -1),)]
-            z[head + (0,)] += a[head + (0,)]
+        step = a.size
+        for _ in range(d - 1):
+            step //= big_n
+            # z[t] += y[t - e_j] inside the box, and a[t] on the face t_j = 0 it leaves
+            first = z.reshape(-1, big_n, step)[:, 0]
+            face = first + a.reshape(-1, big_n, step)[:, 0]
+            z[step:] += y[:-step]
+            first[...] = face
         return out
 
     def start(self) -> np.ndarray:

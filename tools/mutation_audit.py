@@ -101,9 +101,10 @@ MUTANTS = (
     ),
     Mutant(
         "the Pieri matvec drops its face term", "src/gateprog/scoring.py",
-        "            z[head + (0,)] += a[head + (0,)]\n",
-        "", ("eigenvalue_oracle", "oracle_equivalence", "closed_form_consistency",
-             "choi_decomposition"),
+        "            face = first + a.reshape(-1, big_n, step)[:, 0]\n",
+        "            face = first.copy()\n",
+        ("eigenvalue_oracle", "oracle_equivalence", "closed_form_consistency",
+         "choi_decomposition"),
         # eigenvalue_oracle through the solver term: the dense chain, built without the
         # matvec, stays within its 1e-10 of the analytic value.  The others through the
         # error form, whose boundary counts d^2 - S 1 then miss the faces
