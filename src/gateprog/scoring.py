@@ -122,11 +122,11 @@ class ScoreMatrix:
         by two square edges: the two are spectrally equivalent with constants free
         of N, so the solver's step count does not grow with N.  At d=2, T = L.
         """
-        big_n, box = self.N, (self.N,) * (self.d - 1)
+        big_n, axes = self.N, self.d - 1
         # T's eigenvalues, indexed like the sine transform, are lead + modes along the
         # last axis, lead summing the modes of the others in the same order
         modes = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, big_n + 1) / (big_n + 1))
-        lead = functools.reduce(np.add.outer, [modes] * (self.d - 2), np.zeros(1)).reshape(-1)
+        lead = functools.reduce(np.add.outer, [modes] * (axes - 1), np.zeros(1)).ravel()
         if big_n <= _DENSE_SINE_MAX_N:
             k = np.arange(1, big_n + 1)
             # j k reduced modulo 2(N+1) keeps the argument within one period
@@ -159,10 +159,10 @@ class ScoreMatrix:
             # the 2(d-1) axis passes alternate between image, if the route has one, and
             # w, so the last lands in w and r is read before w is written: r may be w
             source = r
-            for step in range(2 * len(box)):
+            for step in range(2 * axes):
                 target = w if step % 2 or image is None else image
                 axis(source, target)
-                if step == len(box) - 1:
+                if step == axes - 1:
                     lines = target.reshape(-1, big_n)
                     for start in range(0, len(lines), rows):
                         block = slice(start, start + rows)

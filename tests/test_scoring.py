@@ -399,8 +399,9 @@ class TestOptimalFidelity:
         # preconditioner's image on the dense route or its padded lines, about two, on
         # the rfft route (N=200), and one matvec temporary; only x outlives the loop.
         # tracemalloc counts numpy's buffers, so the peak repeats for one code path.  At
-        # these small boxes the ufunc buffers of a strided add, about 200 KB, count as up
-        # to three vectors more, and the N x N sine matrix as one more at d=3 N=85
+        # these small boxes the buffers of the eigenvalues' broadcast add, up to about
+        # 200 KB, count as up to three vectors more, and the N x N sine matrix as one
+        # more at d=3 N=85
         s = ScoreMatrix(d, big_n)
         tracemalloc.start()
         try:
