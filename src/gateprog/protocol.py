@@ -167,9 +167,7 @@ class WeightVector:
             raise ValueError(f"{len(amplitudes)} amplitudes for {self.N ** (self.d - 1)} diagrams")
         if not np.all(np.isfinite(amplitudes) & (amplitudes >= 0.0)):
             raise ValueError("amplitudes must be finite and non-negative")
-        # fsum over a memoryview reads Python floats straight from the buffer, with no
-        # numpy scalar per member and no list of them
-        total = math.fsum(memoryview(amplitudes * amplitudes))
+        total = float(np.square(amplitudes).sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"squared amplitudes sum to {total!r}, not 1")
 

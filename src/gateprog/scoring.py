@@ -116,11 +116,10 @@ class ScoreMatrix:
         wakes a second BLAS thread, and through one image buffer; above it each axis
         is the imaginary part of the rfft of (0, x, 0, ..., 0), length 2(N+1), built
         in one zero buffer, in row blocks of at most ``_MATMUL_BLOCK`` values written
-        straight into w.  The eigenvalues are formed a block of lines at a time, so
-        no array of them is box-sized.  T's edges are a subset of those of
-        L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is bounded
-        by two square edges: the two are spectrally equivalent with constants free
-        of N, so the solver's step count does not grow with N.  At d=2, T = L.
+        straight into w.  T's edges are a subset of those of L = d^2 I - S, also a
+        Dirichlet Laplacian, and each exchange edge is bounded by two square edges:
+        the two are spectrally equivalent with constants free of N, so the solver's
+        step count does not grow with N.  At d=2, T = L.
         """
         big_n, axes = self.N, self.d - 1
         # T's eigenvalues, indexed like the sine transform, are lead + modes along the
@@ -163,10 +162,12 @@ class ScoreMatrix:
                 target = w if step % 2 or image is None else image
                 axis(source, target)
                 if step == axes - 1:
+                    # T's eigenvalues, formed in a buffer this pass has left free: the
+                    # padded lines, or whichever of image and w is not the target
+                    spare = (padded[:, 1 : big_n + 1] if image is None
+                             else (w if target is image else image).reshape(-1, big_n))
                     lines = target.reshape(-1, big_n)
-                    for start in range(0, len(lines), rows):
-                        block = slice(start, start + rows)
-                        lines[block] /= np.add.outer(lead[block], modes)
+                    lines /= np.add(lead[:, None], modes, out=spare)
                 source = target
 
         return precondition

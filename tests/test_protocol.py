@@ -238,6 +238,20 @@ class TestSineWeights:
         with pytest.raises(ValueError, match="squared amplitudes sum to"):
             WeightVector(2, 2, amplitudes=(half, half))
 
+    @pytest.mark.parametrize("total, accepted",
+                             [(1 + 1e-13, True), (1 + 1e-11, False), (1 - 1e-11, False)])
+    def test_weight_vector_norm_at_the_member_budget(self, total, accepted):
+        # the d=3 N=1024 sine weights, 2^20 members, scaled so their squares sum to total:
+        # the norm check's 1e-12 bound holds over a sum of that length
+        a = sine_amplitudes(1024)
+        amplitudes = np.multiply.outer(a, a).ravel() * math.sqrt(total)
+        assert amplitudes.size == MAX_MEMBERS
+        if accepted:
+            assert WeightVector(3, 1024, amplitudes).amplitudes.size == MAX_MEMBERS
+        else:
+            with pytest.raises(ValueError, match="squared amplitudes sum to"):
+                WeightVector(3, 1024, amplitudes)
+
     @pytest.mark.parametrize(
         "probabilities", [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)]
     )

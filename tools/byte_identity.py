@@ -31,13 +31,14 @@ from gateprog.verify import NS_D3, SMALL_NS_D2  # noqa: E402
 # budget's edge at d=11 and d=21: n=729 and n=1639, the largest n the budget admits
 # there, d=2 n=2^40, whose report builds 3 of its 2^39 members and solves nothing, and
 # two more whole-box corners at the budget's edge: d=7 n=611 (N=10, 10^6 members) and
-# d=13 n=821 (N=3)
+# d=13 n=821 (N=3), and d=3 n=1399, whose box (N=200, 40,000 members) takes the rfft
+# sine-transform route at length 402 = 2*3*67, well below the budget
 PROTOCOL_POINTS = tuple(dict.fromkeys(
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
     + tuple((2, n) for n in SMALL_NS_D2)
     + tuple((3, n) for n in NS_D3)
     + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152), (6, 630), (4, 1201), (5, 827))
-    + ((11, 729), (21, 1639), (2, 2**40), (7, 611), (13, 821))
+    + ((11, 729), (21, 1639), (2, 2**40), (7, 611), (13, 821), (3, 1399))
 ))
 
 VECTORS = (
