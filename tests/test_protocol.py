@@ -247,7 +247,7 @@ class TestSineWeights:
         amplitudes = np.multiply.outer(a, a).ravel() * math.sqrt(total)
         assert amplitudes.size == MAX_MEMBERS
         if accepted:
-            assert WeightVector(3, 1024, amplitudes).amplitudes.size == MAX_MEMBERS
+            WeightVector(3, 1024, amplitudes)
         else:
             with pytest.raises(ValueError, match="squared amplitudes sum to"):
                 WeightVector(3, 1024, amplitudes)
