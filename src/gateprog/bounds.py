@@ -184,7 +184,7 @@ def bound_report(
     delta: float | None = None,
     big_k: float = 1.0,
 ) -> BoundReport:
-    """Assemble lower/upper bounds plus the prior-work rows for one point.
+    """Assemble the lower/upper bounds and ``table1_rows``' label -> bits dict at one point.
 
     With ``delta`` absent, the slack is the closed-form optimum of
     :func:`optimize_delta`; where no slack is feasible, the lower bound is

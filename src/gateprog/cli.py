@@ -224,7 +224,8 @@ _COMMANDS = {
 
 
 def _output_text(payload: dict, config: argparse.Namespace) -> str:
-    """The one place a payload becomes text: floats at 12 digits, then its schema."""
+    """The one place a payload becomes text: floats at 12 digits, then its schema: a CSV
+    row per report for protocol and sweep, the verify table, or key, value JSON, CSV or table."""
     payload = round_floats(payload)
     if config.format == "csv" and config.command in ("protocol", "sweep"):
         return reports_to_csv(payload["reports"] if config.command == "sweep" else [payload])

@@ -194,11 +194,12 @@ def haar_fidelity(diagram_set: DiagramSet, q: WeightVector, grid: TorusGrid) -> 
     x_1 + ... + x_d shifts frequencies: x_i (i < d) raises the i-th by one and
     x_d lowers all of them.  The identity integral (d! on a resolving grid) is
     computed, not trusted.  The full sum over all d! permutations is kept, so
-    nothing here relies on the score-matrix identities.
+    nothing here relies on the score-matrix identities.  q's amplitudes pair with the
+    set's rows in order, so weights of another set are refused: a corner set shares
+    (d, N) with its box, and only its member count tells them apart.
     """
     if grid.d != diagram_set.d:
         raise ValueError(f"grid is for d={grid.d}, set is for d={diagram_set.d}")
-    # a corner set shares (d, N) with its box, and only its member count tells them apart
     if (q.d, q.N, len(q.amplitudes)) != (diagram_set.d, diagram_set.N, len(diagram_set)):
         raise ValueError("weight vector belongs to a different diagram set")
     if not grid.resolves(diagram_set.n + 1):
@@ -334,7 +335,8 @@ def choi_monte_carlo_su2(
     r = (cos(phi), sin(phi) * axis) enters the 4x4 Choi matrix with unit
     weight and unit trace; the mean is fitted to the one-parameter covariant form
     (1 - a) * Phi+ + a * (I - Phi+) / 3.  Returns the least-squares a and the
-    Frobenius residual of the fit.
+    Frobenius residual of the fit.  The rows are ``viable_set(n, 2)``'s, and weights
+    whose N is not n's are refused.
 
     Drawing the eigenphase from grid nodes is exact, not an approximation:
     averaged over the axis, the Choi integrand is an even trigonometric

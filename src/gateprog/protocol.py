@@ -163,6 +163,8 @@ class WeightVector:
         amplitudes = np.array(self.amplitudes, dtype=float)
         amplitudes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amplitudes)
+        if amplitudes.ndim != 1:
+            raise ValueError(f"amplitudes must be one-dimensional, got shape {amplitudes.shape}")
         if len(amplitudes) != self.N ** (self.d - 1):
             raise ValueError(f"{len(amplitudes)} amplitudes for {self.N ** (self.d - 1)} diagrams")
         if not np.all(np.isfinite(amplitudes) & (amplitudes >= 0.0)):

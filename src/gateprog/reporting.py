@@ -72,15 +72,18 @@ def protocol_report(
     the exact dimension against both (9n/(3d-2))^(d^2-1) and the sharper
     (2(d-1) c_max n + 3)^(d^2-1); the sine-weight fidelity against its closed
     floor; and the cost in bits against the achievable-cost curve evaluated at
-    the achieved error.
+    the achieved error.  The sine weights' error is ``qstar_error_closed_form``'s,
+    which ``verify`` checks against their lattice sum.
 
     At d >= 3 the optimal error is the eigensolve of the point's (d, N) box: the report
     hands the box's score matrix to ``solve``, a function like ``optimal_fidelity`` (a
-    memo of it, say), or to ``optimal_fidelity`` itself when none is given.
-    d=2 runs no eigensolve and never calls ``solve``: its score matrix is the path
-    graph's 2 I + A, whose top eigenvalue is 2 + 2 cos(pi/(N+1)), so the optimal
-    error is sin^2(pi/(2(N+1))), taken in that form; ``verify``'s
-    ``eigenvalue_oracle`` checks the solver against that eigenvalue.
+    memo of it, say), or to ``optimal_fidelity`` itself when none is given.  The matrix
+    and the solver's start depend on (d, N) alone, so a report read through a shared
+    memo is bit-identical to one that solves its box.  d=2 runs no eigensolve and never
+    calls ``solve``: its score matrix is the path graph's 2 I + A, whose top eigenvalue
+    is 2 + 2 cos(pi/(N+1)), so the optimal error is sin^2(pi/(2(N+1))), taken in that
+    form; ``verify``'s ``eigenvalue_oracle`` checks the solver against that eigenvalue.
+    Nothing in a d=2 report is N-sized, so it runs at every n its int64 rows hold.
 
     The exact dimension, the sum of dim^2 over the box, reads the lattice's corner of
     m = min(N, 4d-5) points per axis: rows i < d of member t are base_i + t_i, so dim^2

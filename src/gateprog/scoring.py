@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import (
-    DiagramSet, WeightVector, _check_members, _check_uses, epsilon_g, sine_weights,
+    DiagramSet, ProtocolError, WeightVector, _check_members, _check_uses, epsilon_g, sine_weights,
 )
 
 
@@ -57,6 +57,10 @@ class ScoreMatrix:
 
     d: int
     N: int
+
+    def __post_init__(self) -> None:
+        if self.d < 2:
+            raise ProtocolError(f"gate dimension must be at least 2, got d={self.d}")
 
     @property
     def dimension(self) -> int:

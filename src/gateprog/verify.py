@@ -188,7 +188,7 @@ def check_eigenvalue_oracle(solve: Callable[[ScoreMatrix], FidelityResult]) -> C
     """Tridiagonal largest eigenvalue vs 2 + 2 cos(pi/(N+1)) and a dense solver, the
     solver's value read from ``solve(ScoreMatrix(2, N))``.  The dense matrix is the d=2
     chain, 2 on the diagonal and 1 beside it, built here without the matvec the solver
-    applies."""
+    applies, so a fault in the matvec shows in the solver term."""
     worst_analytic = 0.0
     worst_solver = 0.0
     # the solves run in a loop of their own: each between two dense eigvalsh calls ran slower
@@ -307,7 +307,9 @@ def run_all(samples: int = 10**6, seed: int = 0) -> list[CheckResult]:
     call and hand it each box's score matrix as they read it, so each (d, N) box is
     solved once (70 solves: d=2 N = 2..64, d=3 N = 2..8); the protocol reports are
     shared by the checks that read them.  d=2 reports take the closed-form optimum and
-    solve nothing.  Nothing outlives the call.
+    solve nothing.  Lattices are built only where rows are read: a corner for each
+    report's dimension sum, full sets for the Haar and Choi oracles.  Nothing outlives
+    the call.
 
     ``samples`` and ``seed`` are checked before any work, so a bad request
     fails at once with the Monte-Carlo oracle's own message."""

@@ -1,6 +1,7 @@
 """The public API and the benchmark's tracer stay in step with the package."""
 
 import importlib
+import re
 import sys
 import types
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 import gateprog
 from gateprog import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -40,6 +42,20 @@ def test_every_exported_name_resolves():
     public = {name for name, value in vars(gateprog).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public.symmetric_difference(gateprog.__all__)) == []
+
+
+def test_module_table_names_only_what_exists():
+    # a backticked name in a module's row of README's table, with or without an argument
+    # list, is an attribute of that module or a name the package exports
+    rows = re.findall(r"^\| `gateprog\.(\w+)` \|(.*)$", (ROOT / "README.md").read_text(), re.M)
+    assert len(rows) == 9
+    unknown = [
+        (module, span) for module, row in rows for span in re.findall(r"`([^`]*)`", row)
+        if (name := re.fullmatch(r"([A-Za-z_]\w*)(?:\(.*\))?", span))
+        and not hasattr(importlib.import_module(f"gateprog.{module}"), name[1])
+        and name[1] not in gateprog.__all__
+    ]
+    assert unknown == []
 
 
 def test_benchmark_tracer_installs_and_uninstalls(tracing):

@@ -230,6 +230,12 @@ class TestSineWeights:
         # the squares sum to 1: only the sign is wrong
         with pytest.raises(ValueError, match="non-negative"):
             WeightVector(ds.d, ds.N, amplitudes=(-0.6, 0.8))
+        # four amplitudes in a column, a scalar and a square: refused by their shape
+        # before their length is read
+        for amplitudes, shape in ((np.ones((4, 1)) / 2, r"\(4, 1\)"), (np.array(1.0), r"\(\)"),
+                                  (np.full((2, 2), 0.5), r"\(2, 2\)")):
+            with pytest.raises(ValueError, match=f"one-dimensional, got shape {shape}"):
+                WeightVector(2, 4, amplitudes)
 
     # at 0.5 the entries are (0.5, 0.5): probabilities that sum to 1 are not amplitudes
     @pytest.mark.parametrize("total", [0.5, 0.9, 1.1])

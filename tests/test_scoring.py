@@ -271,6 +271,13 @@ class TestOptimalFidelity:
         with pytest.raises(ProtocolError, match="undefined for N=1"):
             optimal_fidelity(score_matrix(single_member_set()))
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_gate_dimension_below_two_refused(self, d):
+        # the operator is refused as it is made, before a solve, weights or a fidelity
+        # reads it
+        with pytest.raises(ProtocolError, match=f"gate dimension must be at least 2, got d={d}"):
+            optimal_fidelity(ScoreMatrix(d, 4))
+
     @pytest.mark.parametrize("d, big_n", [(2, 2**20 + 1), (3, 1025), (30, 2), (20000, 2)])
     def test_box_over_the_member_budget_refused(self, monkeypatch, d, big_n):
         # the operator's dimension is read first: nothing of its length is built; one

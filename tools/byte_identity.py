@@ -21,24 +21,28 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(HERE, "src"))
 from gateprog.verify import NS_D3, SMALL_NS_D2  # noqa: E402
 
-# protocol-grid's five points, then the points of verify's protocol reports (d=2
-# n=512 is in both), then eight frontier points: the 2^20-member d=3 box, d=4 n=1200,
-# whose squared dimensions exceed 2^63, the 2^20-member d=5 box on the dense
-# sine-transform path, the 15-dimensional N=2 box of d=16, d=2 n=2097152, whose
-# lattice has 2^20 members, the 2^20-member d=6 box, 15 edge directions over its
-# members, and d=4 n=1201 and d=5 n=827, the boxes of n=1200 and 826 on another flat
-# base, whose dimension sums read a corner with weights other than 1, then the member
-# budget's edge at d=11 and d=21: n=729 and n=1639, the largest n the budget admits
-# there, d=2 n=2^40, whose report builds 3 of its 2^39 members and solves nothing, and
-# two more whole-box corners at the budget's edge: d=7 n=611 (N=10, 10^6 members) and
-# d=13 n=821 (N=3), and d=3 n=1399, whose box (N=200, 40,000 members) takes the rfft
-# sine-transform route at length 402 = 2*3*67, well below the budget
 PROTOCOL_POINTS = tuple(dict.fromkeys(
+    # protocol-grid's five points
     ((2, 512), (2, 1024), (2, 4096), (3, 600), (4, 300))
+    # the points of verify's protocol reports; d=2 n=512 is in both
     + tuple((2, n) for n in SMALL_NS_D2)
     + tuple((3, n) for n in NS_D3)
-    + ((3, 7167), (4, 1200), (5, 826), (16, 661), (2, 2097152), (6, 630), (4, 1201), (5, 827))
-    + ((11, 729), (21, 1639), (2, 2**40), (7, 611), (13, 821), (3, 1399))
+    # the 2^20-member d=3 box; d=4 n=1200, whose squared dimensions exceed 2^63; the
+    # 2^20-member d=5 box, on the dense sine-transform route; d=16's 15-dimensional N=2 box
+    + ((3, 7167), (4, 1200), (5, 826), (16, 661))
+    # a 2^20-member d=2 lattice, and the 2^20-member d=6 box, 15 edge directions over it
+    + ((2, 2097152), (6, 630))
+    # the boxes of n=1200 and 826 on another flat base: their dimension sums read a
+    # corner with weights other than 1
+    + ((4, 1201), (5, 827))
+    # the member budget's edge at d=11 and d=21, the largest n it admits there
+    + ((11, 729), (21, 1639))
+    # a report that builds 3 of its 2^39 members and solves nothing
+    + ((2, 2**40),)
+    # whole-box corners at the budget's edge: N=10 with 10^6 members, and N=3
+    + ((7, 611), (13, 821))
+    # N=200, 40,000 members, on the rfft route at length 402 = 2*3*67
+    + ((3, 1399),)
 ))
 
 VECTORS = (
