@@ -47,7 +47,8 @@ def test_every_exported_name_resolves():
 def test_module_table_names_only_what_exists():
     # a backticked name in a module's row of README's table, with or without an argument
     # list, is an attribute of that module or a name the package exports
-    rows = re.findall(r"^\| `gateprog\.(\w+)` \|(.*)$", (ROOT / "README.md").read_text(), re.M)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `gateprog\.(\w+)` \|(.*)$", readme, re.M)
     assert len(rows) == 9
     unknown = [
         (module, span) for module, row in rows for span in re.findall(r"`([^`]*)`", row)
