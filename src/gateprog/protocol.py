@@ -160,6 +160,8 @@ class WeightVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.d < 2:
+            raise ProtocolError(f"gate dimension must be at least 2, got d={self.d}")
         amplitudes = np.array(self.amplitudes, dtype=float)
         amplitudes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amplitudes)

@@ -92,17 +92,18 @@ def protocol_report(
     """
     diagram_set = viable_set(n, d, width=4 * d - 5)
     big_n, n0 = diagram_set.N, diagram_set.n0
+    epsilon_qstar = qstar_error_closed_form(d, big_n)
+    fidelity_qstar = 1.0 - epsilon_qstar
+    # the optimum first: a box past the budget is refused before the dimension sum
+    if d == 2:
+        epsilon_optimal = math.sin(math.pi / (2 * (big_n + 1))) ** 2
+    else:
+        epsilon_optimal = (solve or optimal_fidelity)(score_matrix(diagram_set)).error
     weights = np.array(_newton_weights(big_n, min(big_n, 4 * d - 5)), dtype=object)
     dim_exact = irrep_dimension(diagram_set.rows).reshape((len(weights),) * (d - 1))
     dim_exact *= dim_exact
     for _ in range(d - 1):
         dim_exact = dim_exact.dot(weights)
-    epsilon_qstar = qstar_error_closed_form(d, big_n)
-    fidelity_qstar = 1.0 - epsilon_qstar
-    if d == 2:
-        epsilon_optimal = math.sin(math.pi / (2 * (big_n + 1))) ** 2
-    else:
-        epsilon_optimal = (solve or optimal_fidelity)(score_matrix(diagram_set)).error
     dim_log2 = math.log2(dim_exact)
 
     nu = d * d - 1

@@ -117,13 +117,15 @@ class ScoreMatrix:
         to ``_DENSE_SINE_MAX_N`` each axis is one product with the N x N matrix
         -sin(pi j k / (N+1)), the first axis contracted and its image put last, in
         row blocks of at most ``_MATMUL_BLOCK`` multiply-adds, so that no matmul
-        wakes a second BLAS thread, and through one image buffer; above it each axis
-        is the imaginary part of the rfft of (0, x, 0, ..., 0), length 2(N+1), built
-        in one zero buffer, in row blocks of at most ``_MATMUL_BLOCK`` values written
-        straight into w.  T's edges are a subset of those of L = d^2 I - S, also a
-        Dirichlet Laplacian, and each exchange edge is bounded by two square edges:
-        the two are spectrally equivalent with constants free of N, so the solver's
-        step count does not grow with N.  At d=2, T = L.
+        wakes a second BLAS thread; above it each axis is the imaginary part of the
+        rfft of (0, x, 0, ..., 0), length 2(N+1), in row blocks of at most
+        ``_MATMUL_BLOCK`` values.  Each route has one box-sized buffer, the dense
+        route's columns and the rfft route's zero-padded lines: every pass copies its
+        source into the buffer and then writes w, and T's eigenvalues are formed in
+        the buffer's lines, which the pass has read.  T's edges are a subset of those
+        of L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is
+        bounded by two square edges: the two are spectrally equivalent with constants
+        free of N, so the solver's step count does not grow with N.  At d=2, T = L.
         """
         big_n, axes = self.N, self.d - 1
         # T's eigenvalues, indexed like the sine transform, are lead + modes along the
@@ -135,44 +137,36 @@ class ScoreMatrix:
             # j k reduced modulo 2(N+1) keeps the argument within one period
             sines = -np.sin(np.pi * (np.outer(k, k) % (2 * big_n + 2)) / (big_n + 1))
             rows = _MATMUL_BLOCK // (big_n * big_n)
-            # a product reads its source while it writes its target, so they differ
-            image = np.empty(lead.size * big_n)
+            columns = np.empty((big_n, lead.size))
+            buffer = columns.reshape(-1, big_n)
 
-            def axis(source: np.ndarray, target: np.ndarray) -> None:
+            def axis(source: np.ndarray, w: np.ndarray) -> None:
                 # the first axis transformed, its image put last
-                columns, lines = source.reshape(big_n, -1), target.reshape(-1, big_n)
+                columns[...] = source.reshape(big_n, -1)
+                lines = w.reshape(-1, big_n)
                 for start in range(0, len(lines), rows):
                     np.matmul(columns[:, start : start + rows].T, sines,
                               out=lines[start : start + rows])
         else:
             padded = np.zeros((lead.size, 2 * big_n + 2))
             rows = max(1, _MATMUL_BLOCK // (2 * big_n + 2))
-            # the source is read into padded first, so the target may be the source
-            image = None
+            buffer = padded[:, 1 : big_n + 1]
 
-            def axis(source: np.ndarray, target: np.ndarray) -> None:
+            def axis(source: np.ndarray, w: np.ndarray) -> None:
                 # the last axis transformed, its image put first
-                padded[:, 1 : big_n + 1] = source.reshape(-1, big_n)
-                lines = target.reshape(big_n, -1).T
+                buffer[...] = source.reshape(-1, big_n)
+                lines = w.reshape(big_n, -1).T
                 for start in range(0, len(lines), rows):
                     lines[start : start + rows] = np.fft.rfft(
                         padded[start : start + rows])[:, 1 : big_n + 1].imag
 
         def precondition(r: np.ndarray, w: np.ndarray) -> None:
-            # the 2(d-1) axis passes alternate between image, if the route has one, and
-            # w, so the last lands in w and r is read before w is written: r may be w
-            source = r
+            # each pass reads its source into the buffer before it writes w: r may be w
             for step in range(2 * axes):
-                target = w if step % 2 or image is None else image
-                axis(source, target)
+                axis(w if step else r, w)
                 if step == axes - 1:
-                    # T's eigenvalues, formed in a buffer this pass has left free: the
-                    # padded lines, or whichever of image and w is not the target
-                    spare = (padded[:, 1 : big_n + 1] if image is None
-                             else (w if target is image else image).reshape(-1, big_n))
-                    lines = target.reshape(-1, big_n)
-                    lines /= np.add(lead[:, None], modes, out=spare)
-                source = target
+                    lines = w.reshape(-1, big_n)
+                    lines /= np.add(lead[:, None], modes, out=buffer)
 
         return precondition
 

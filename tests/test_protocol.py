@@ -220,6 +220,12 @@ class TestSineWeights:
             sine_amplitudes(4)[0] = 0.5
 
     def test_weight_vector_validation(self):
+        # a gate dimension below 2 is refused first, as ScoreMatrix refuses it: at d=1
+        # one amplitude would fit N^0 = 1 diagram, and at d=0 the count is N^-1
+        for d in (1, 0):
+            with pytest.raises(ProtocolError,
+                               match=f"^gate dimension must be at least 2, got d={d}$"):
+                WeightVector(d, 4, [1.0])
         ds = viable_set(4, 2)
         with pytest.raises(ValueError, match="squared amplitudes sum to"):
             WeightVector(ds.d, ds.N, amplitudes=(0.9, 0.2))

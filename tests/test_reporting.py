@@ -205,6 +205,19 @@ class TestProtocolReport:
         assert boxes == [(d, report.N)]
         assert report.set_size == report.N ** (d - 1) > built[0]
 
+    @pytest.mark.parametrize("n, d, size", [(8000, 3, 1143**2), (2000, 4, 133**3),
+                                            (1242, 5, 48**4)])
+    def test_refused_box_forms_no_dimension(self, monkeypatch, n, d, size):
+        # the solve refuses the box before the 49, 1,331 or 50,625 corner dimensions
+        # of the exact sum are formed
+        calls = []
+        monkeypatch.setattr(reporting, "irrep_dimension", lambda rows: calls.append(rows))
+        with pytest.raises(protocol.ProtocolError, match=(
+                f"^lattice too large: dimension = {size}\\^1 = {size} members "
+                "exceeds the budget of 1048576 members$")):
+            protocol_report(n, d)
+        assert calls == []
+
     @pytest.mark.parametrize("n, d", [(10**4, 3), (10**4 + 1, 3), (2000, 4), (1242, 5)])
     def test_dimension_past_the_member_budget(self, monkeypatch, n, d):
         # 2.04M, 2.04M, 2.35M and 5.31M members: no solve takes these boxes, so a stub

@@ -404,9 +404,9 @@ class TestOptimalFidelity:
                              [(3, 85, 10.5), (4, 20, 9.5), (5, 12, 8.9), (3, 200, 14.0)])
     def test_working_set(self, d, big_n, vectors):
         # a solve allocates its box-sized vectors once: the six of the trial block, the
-        # preconditioner's image on the dense route or its padded lines, about two, on
-        # the rfft route (N=200), and one matvec temporary; only x outlives the loop.
-        # T's eigenvalues take a buffer the transform passes leave free, and the N x N
+        # preconditioner's one buffer, its columns on the dense route or its padded
+        # lines, about two, on the rfft route (N=200), and one matvec temporary; only x
+        # outlives the loop.  T's eigenvalues are formed in that buffer, and the N x N
         # sine matrix counts as one vector more at d=3 N=85.  tracemalloc counts
         # numpy's buffers, so the peak repeats for one code path: each dense bound is
         # its measured peak (10.16, 9.23 and 8.56 vectors) plus about a third of a
@@ -588,18 +588,20 @@ def blockwise_preconditioner(s, r):
     return x
 
 
-@pytest.mark.parametrize("d, big_n", [(2, 64), (3, 85), (4, 20), (3, 149), (3, 200)])
+@pytest.mark.parametrize("d, big_n",
+                         [(2, 64), (3, 85), (4, 20), (3, 148), (3, 149), (3, 200)])
 def test_preconditioner_matches_blockwise_division(d, big_n):
-    # T's eigenvalues, formed in a buffer the transform passes leave free, are the same
-    # floats as the blockwise reference's, on the dense route (N <= 148) and the rfft
-    # route, with r and w one array or two
+    # T's eigenvalues, formed in the route's buffer, are the same floats as the
+    # blockwise reference's, on the dense route (N <= 148, its last box included) and
+    # the rfft route, with r and w one array or two; two arrays leave r as it was
     s = ScoreMatrix(d, big_n)
     r = np.random.default_rng(d * big_n).standard_normal(s.dimension)
     expected = blockwise_preconditioner(s, r)
     precondition = s.preconditioner()
-    w = np.empty_like(r)
-    precondition(r.copy(), w)
+    w, given = np.empty_like(r), r.copy()
+    precondition(given, w)
     assert np.array_equal(w, expected)
+    assert np.array_equal(given, r)
     w = r.copy()
     precondition(w, w)
     assert np.array_equal(w, expected)

@@ -43,6 +43,8 @@ PROTOCOL_POINTS = tuple(dict.fromkeys(
     + ((7, 611), (13, 821))
     # N=200, 40,000 members, on the rfft route at length 402 = 2*3*67
     + ((3, 1399),)
+    # the sine transforms' crossover: N=148, the last dense box, and N=149, the first rfft box
+    + ((3, 1035), (3, 1042))
 ))
 
 VECTORS = (
