@@ -121,11 +121,12 @@ class ScoreMatrix:
         rfft of (0, x, 0, ..., 0), length 2(N+1), in row blocks of at most
         ``_MATMUL_BLOCK`` values.  Each route has one box-sized buffer, the dense
         route's columns and the rfft route's zero-padded lines: every pass copies its
-        source into the buffer and then writes w, and T's eigenvalues are formed in
-        the buffer's lines, which the pass has read.  T's edges are a subset of those
-        of L = d^2 I - S, also a Dirichlet Laplacian, and each exchange edge is
-        bounded by two square edges: the two are spectrally equivalent with constants
-        free of N, so the solver's step count does not grow with N.  At d=2, T = L.
+        source into the buffer and transforms it from there into w, and T's
+        eigenvalues are formed in the buffer's lines once the pass has read them.
+        T's edges are a subset of those of L = d^2 I - S, also a Dirichlet Laplacian,
+        and each exchange edge is bounded by two square edges: the two are spectrally
+        equivalent with constants free of N, so the solver's step count does not grow
+        with N.  At d=2, T = L.
         """
         big_n, axes = self.N, self.d - 1
         # T's eigenvalues, indexed like the sine transform, are lead + modes along the
@@ -140,9 +141,8 @@ class ScoreMatrix:
             columns = np.empty((big_n, lead.size))
             buffer = columns.reshape(-1, big_n)
 
-            def axis(source: np.ndarray, w: np.ndarray) -> None:
+            def axis(w: np.ndarray) -> None:
                 # the first axis transformed, its image put last
-                columns[...] = source.reshape(big_n, -1)
                 lines = w.reshape(-1, big_n)
                 for start in range(0, len(lines), rows):
                     np.matmul(columns[:, start : start + rows].T, sines,
@@ -152,18 +152,18 @@ class ScoreMatrix:
             rows = max(1, _MATMUL_BLOCK // (2 * big_n + 2))
             buffer = padded[:, 1 : big_n + 1]
 
-            def axis(source: np.ndarray, w: np.ndarray) -> None:
+            def axis(w: np.ndarray) -> None:
                 # the last axis transformed, its image put first
-                buffer[...] = source.reshape(-1, big_n)
                 lines = w.reshape(big_n, -1).T
                 for start in range(0, len(lines), rows):
                     lines[start : start + rows] = np.fft.rfft(
                         padded[start : start + rows])[:, 1 : big_n + 1].imag
 
         def precondition(r: np.ndarray, w: np.ndarray) -> None:
-            # each pass reads its source into the buffer before it writes w: r may be w
             for step in range(2 * axes):
-                axis(w if step else r, w)
+                # each pass reads its source from the buffer and writes w: r may be w
+                buffer[...] = (w if step else r).reshape(-1, big_n)
+                axis(w)
                 if step == axes - 1:
                     lines = w.reshape(-1, big_n)
                     lines /= np.add(lead[:, None], modes, out=buffer)
